@@ -13,7 +13,16 @@ d = gcd(a1, ..., an, m), the facts this module is built on are:
   are *dependent*: one lies in the other's expansion.  Dependence is an
   equivalence relation, its classes all have size prod(gcd(a_i, m)), and a
   set of one representative per class (a *basis*) regenerates the whole
-  solution set through expansion.
+  solution set through expansion;
+* since a_i * g_i = 0 (mod m), every class has exactly one *reduced* member,
+  with 0 <= x_i < g_i in every coordinate, and it is the least member of its
+  class in lexicographic order.
+
+Bases and solution streams are therefore constructed, not searched for: one
+left-to-right walk over the coordinates visits only prefixes that extend to a
+solution, and emits the solutions in lexicographic order at O(n) big-int
+operations per row, within the box [0, g_i) for a basis and [0, m) for the
+full solution set.
 
 All functions are pure; enumeration is lazy wherever the output can be large.
 """
@@ -237,47 +246,90 @@ def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
         yield tuple((xi + g * t) % m for xi, g, t in zip(x0, strides, ts))
 
 
+def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
+    # Every solution x with 0 <= x_i < bounds[i], in lexicographic order; each
+    # bound must be a multiple of g_i = m // gcd(a_i, m).  With
+    # h_i = gcd(a_i, ..., a_n, m), the tail sum a_i*x_i + ... + a_n*x_n covers
+    # exactly the multiples of h_i mod m, so a prefix extends to a solution iff
+    # the residual left for the tail is such a multiple.  The admissible x_i
+    # are then the solutions of a_i*x_i = r (mod h_{i+1}), an arithmetic
+    # progression whose step divides g_i: the walk never enters a dead branch
+    # and costs at most n solve_unary calls per yielded row.
+    a, m = c.coeffs, c.modulus
+    last = c.arity - 1
+    h = [m] * (last + 2)
+    for i in range(last, -1, -1):
+        h[i] = gcd(a[i], h[i + 1])
+    if c.rhs % h[0]:
+        return
+    x = [0] * last
+    steps = [0] * last
+    residual = [c.rhs] + [0] * last  # residual[i]: what x_i, ..., x_n must make up
+    i = 0
+    while True:
+        while i < last:
+            sol = intmath.solve_unary(a[i], residual[i], h[i + 1])
+            x[i], steps[i] = sol.x0, sol.step
+            residual[i + 1] = (residual[i] - a[i] * sol.x0) % m
+            i += 1
+        sol = intmath.solve_unary(a[last], residual[last], m)
+        prefix = tuple(x)
+        for v in range(sol.x0, bounds[last], sol.step):
+            yield prefix + (v,)
+        # odometer: advance the deepest prefix coordinate that has another value
+        i = last - 1
+        while i >= 0 and x[i] + steps[i] >= bounds[i]:
+            i -= 1
+        if i < 0:
+            return
+        x[i] += steps[i]
+        residual[i + 1] = (residual[i + 1] - a[i] * steps[i]) % m
+        i += 1
+
+
 def enumerate_raw(c: LinearCongruence) -> Iterator[Solution]:
     """Every distinct solution exactly once, in lexicographic order, lazily.
 
-    Scans the first n-1 coordinates over [0, m)**(n-1) and solves for the
-    last coordinate; for an unsolvable instance the stream is empty.
+    Walks the coordinates left to right and visits only prefixes that extend
+    to a solution, so each row costs O(n) big-int operations however far
+    into [0, m)**n it lies; for an unsolvable instance the stream is empty.
     """
-    m = c.modulus
-    head, last = c.coeffs[:-1], c.coeffs[-1]
-    for prefix in _lazy_product((m,) * (c.arity - 1)):
-        residual = (c.rhs - sum(a * x for a, x in zip(head, prefix))) % m
-        sol = intmath.solve_unary(last, residual, m)
-        if sol is None:
-            continue
-        for k in range(sol.count):
-            yield prefix + (sol.x0 + sol.step * k,)
+    return _lex_solutions(c, (c.modulus,) * c.arity)
 
 
 def iter_basis(c: LinearCongruence,
                candidates: Iterable[Sequence[int]] | None = None) -> Iterator[Solution]:
-    """Greedily yield pairwise-independent solutions until a full basis is out.
+    """Yield one representative per dependence class, until a full basis is out.
 
-    Keeps the first candidate of every dependence class in stream order;
-    because dependence is an equivalence relation, first-seen representatives
-    are sound and exactly basis_size of them exist.  `candidates` defaults to
-    enumerate_raw(c) and only needs to cover every class.  The instance must
-    be solvable.
+    By default the representatives are the reduced solutions, those with
+    0 <= x_i < g_i = m // gcd(a_i, m) in every coordinate, in lexicographic
+    order.  Every class has exactly one reduced member, and it is the least
+    member of its class, so this is also the greedy basis of enumerate_raw(c).
+    It is constructed directly, at O(n) big-int operations per row; an
+    unsolvable instance yields nothing.
+
+    With `candidates`, keeps the first candidate of every class in stream
+    order instead (classes are told apart by the key x_i mod g_i); the stream
+    must cover every class.
     """
-    lattice = module_generators(c)
-    target = summarize(c).basis_size
+    strides = module_generators(c).strides
     if candidates is None:
-        candidates = enumerate_raw(c)
-    kept: list[Solution] = []
+        yield from _lex_solutions(c, strides)
+        return
+    target = summarize(c).basis_size
+    seen: set[Solution] = set()
     for cand in candidates:
         cand = tuple(cand)
-        if any(are_dependent(cand, rep, lattice) for rep in kept):
+        if len(cand) != c.arity:
+            raise ValueError(f"arity mismatch: expected {c.arity} residues, got {len(cand)}")
+        key = tuple(xi % g for xi, g in zip(cand, strides))
+        if key in seen:
             continue
-        kept.append(cand)
+        seen.add(key)
         yield cand
-        if len(kept) == target:
+        if len(seen) == target:
             return
-    raise RuntimeError(f"candidate stream exhausted after {len(kept)} of "
+    raise RuntimeError(f"candidate stream exhausted after {len(seen)} of "
                        f"{target} independent solutions; this is a bug")
 
 
@@ -286,10 +338,11 @@ def build_basis(c: LinearCongruence,
                 limit: int | None = None) -> SolutionBasis | None:
     """A full basis of independent solutions, or None when unsolvable.
 
-    The default candidate stream makes the result deterministic; passing a
-    different `candidates` ordering may pick different representatives but
-    always the same number of them.  `limit` caps how many representatives
-    are collected (a guardrail for instances with a huge basis).
+    By default the basis is the reduced solutions in lexicographic order (see
+    iter_basis), which makes it deterministic; passing `candidates` may pick
+    different representatives but always the same number of them.  `limit`
+    caps how many representatives are collected (a guardrail for instances
+    with a huge basis).
     """
     if not summarize(c).solvable:
         return None

@@ -46,19 +46,22 @@ class UnaryCongruenceSolution:
     step: int
     count: int
 
-    def residues(self) -> tuple[int, ...]:
-        return tuple(self.x0 + self.step * k for k in range(self.count))
-
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     # (g, u, v) with g = gcd(a, b) >= 0 and u*a + v*b = g; the canonical
-    # small coefficients of the classic recursion, (0, 0) for a = b = 0.
-    if b == 0:
-        if a == 0:
-            return 0, 0, 0
-        return (a, 1, 0) if a > 0 else (-a, -1, 0)
-    g, u, v = _egcd(b, a % b)
-    return g, v, u - (a // b) * v
+    # small coefficients of the classic recursion
+    #   egcd(a, 0) = (|a|, sign(a), 0),  egcd(a, b) = (g, v, u - (a // b) * v)
+    #   where (g, u, v) = egcd(b, a % b),
+    # and (0, 0) for a = b = 0.  Run forward as an iteration, it carries the
+    # same remainder sequence and so the same coefficients, at any input size.
+    if a == 0 and b == 0:
+        return 0, 0, 0
+    u, v, u1, v1 = 1, 0, 0, 1  # a = u*a0 + v*b0 and b = u1*a0 + v1*b0
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u, v, u1, v1 = u1, v1, u - q * u1, v - q * v1
+    return (a, u, v) if a > 0 else (-a, -u, -v)
 
 
 def extended_gcd(a: int, b: int) -> BezoutCertificate:

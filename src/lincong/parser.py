@@ -7,6 +7,9 @@ Grammar, with whitespace insignificant throughout:
     term       := [integer] ['*'] identifier
     identifier := letter (letter | digit | '_')*
 
+A digit is one of the ASCII characters 0-9; other characters that Unicode
+calls digits, such as '²', are rejected with a positioned error.
+
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
 The modulus may be negative (normalization takes its absolute value) but
@@ -48,6 +51,12 @@ class ParsedCongruence:
             raise ValueError("variables must be pairwise distinct")
 
 
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit() also accepts characters such as '²' that
+    # int() then rejects
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -83,7 +92,7 @@ class _Scanner:
     def unsigned_integer(self) -> int:
         self.skip_ws()
         start = self.i
-        while self.peek().isdigit():
+        while _is_digit(self.peek()):
             self.i += 1
         if start == self.i:
             raise ParseError("expected an integer", self.pos)
@@ -101,7 +110,7 @@ class _Scanner:
         start = self.i
         if not (self.peek().isalpha() or self.peek() == "_"):
             raise ParseError("expected a variable name", self.pos)
-        while self.peek().isalnum() or self.peek() == "_":
+        while self.peek().isalpha() or _is_digit(self.peek()) or self.peek() == "_":
             self.i += 1
         return self.text[start:self.i], start + 1
 
@@ -109,7 +118,7 @@ class _Scanner:
 def _term(s: _Scanner) -> tuple[int, str, int]:
     s.skip_ws()
     coeff = 1
-    if s.peek().isdigit():
+    if _is_digit(s.peek()):
         coeff = s.unsigned_integer()
         s.skip_ws()
         if s.peek() == "*":

@@ -1,9 +1,12 @@
-"""Shared fixtures: seeded random instance generators."""
+"""Shared fixtures: seeded random instance generators and reference algorithms."""
 
+import itertools
 import random
 import string
+import sys
 
 from lincong import LinearCongruence, ParsedCongruence, normalize, summarize
+from lincong.core import are_dependent, module_generators, satisfies
 
 
 def random_instances(seed, count, arities=(1, 2, 3),
@@ -31,3 +34,51 @@ def random_parsed(rng: random.Random) -> ParsedCongruence:
     while modulus == 0:
         modulus = rng.randint(-99, 99)
     return ParsedCongruence(names, coeffs, rng.randint(-99, 99), modulus)
+
+
+def fibonacci_pair(digits: int) -> tuple[int, int]:
+    """Consecutive Fibonacci numbers (F_k, F_{k+1}), F_{k+1} the first with `digits` digits."""
+    f0, f1 = 0, 1
+    while len(str(f1)) < digits:
+        f0, f1 = f1, f0 + f1
+    return f0, f1
+
+
+def recursive_egcd(a: int, b: int) -> tuple[int, int, int]:
+    """The classic recursive extended gcd whose coefficients intmath keeps.
+
+    Recursion depth is the number of division steps, so the limit is raised
+    for the duration of the call.
+    """
+    def rec(a, b):
+        if b == 0:
+            if a == 0:
+                return 0, 0, 0
+            return (a, 1, 0) if a > 0 else (-a, -1, 0)
+        g, u, v = rec(b, a % b)
+        return g, v, u - (a // b) * v
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        return rec(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def greedy_basis(c: LinearCongruence) -> list[tuple[int, ...]]:
+    """Reference basis by search: scan [0, m)**n in lexicographic order and
+    keep every solution independent of all kept so far, until basis_size
+    are kept.  Costs O(m**n * s); for small instances only."""
+    lattice = module_generators(c)
+    target = summarize(c).basis_size
+    kept: list[tuple[int, ...]] = []
+    for cand in itertools.product(range(c.modulus), repeat=c.arity):
+        if not satisfies(cand, c):
+            continue
+        if any(are_dependent(cand, rep, lattice) for rep in kept):
+            continue
+        kept.append(cand)
+        if len(kept) == target:
+            break
+    return kept

@@ -106,6 +106,13 @@ def test_solve_parse_error(capsys):
     assert "error: position 7: missing modulus" in err
 
 
+def test_solve_rejects_non_ascii_digit_with_position(capsys):
+    code, out, err = run(capsys, "solve", "x ≡ 1 (mod 7²)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: position 13: expected ')'\n"
+
+
 def test_solve_coeffs_mode(capsys):
     _, expr_out, _ = run(capsys, "solve", REF_EXPR, "--format", "json")
     code, out, _ = run(capsys, "solve", "--coeffs", "2,-6", "--rhs", "2",

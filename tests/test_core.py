@@ -1,11 +1,14 @@
 """Core solver: normalization, counting, expansion, dependence, bases."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import composite, integers, lists
 
+from lincong import intmath
+from lincong.cli import main
 from lincong.core import (
     LinearCongruence,
     are_dependent,
@@ -20,6 +23,9 @@ from lincong.core import (
     satisfies,
     summarize,
 )
+from lincong.oracle import brute_force
+
+from helpers import greedy_basis, random_instances
 
 # 2x - 6y = 2 (mod 12), the worked two-variable example used throughout.
 REF = normalize([2, -6], 2, 12)
@@ -177,6 +183,7 @@ def test_build_basis_respects_limit():
 
 def test_build_basis_unsolvable_returns_none():
     assert build_basis(normalize([2], 1, 4)) is None
+    assert list(iter_basis(normalize([2], 1, 4))) == []
 
 
 def test_build_basis_alternative_ordering_same_size():
@@ -189,6 +196,8 @@ def test_build_basis_alternative_ordering_same_size():
 def test_iter_basis_reports_exhausted_candidates():
     with pytest.raises(RuntimeError):
         list(iter_basis(REF, candidates=[(1, 0)]))
+    with pytest.raises(ValueError):
+        list(iter_basis(REF, candidates=[(1, 0), (4, 1, 0)]))
 
 
 def test_enumerate_all_reference():
@@ -262,3 +271,79 @@ def test_basis_regenerates_solution_set(c):
     regenerated = list(enumerate_all(basis, c))
     assert len(regenerated) == s.solution_count
     assert set(regenerated) == set(enumerate_raw(c))
+
+
+def _class_key(x, c):
+    return tuple(xi % g for xi, g in zip(x, module_generators(c).strides))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_basis_matches_greedy_search_and_oracle(arity):
+    mod_bound = {1: 40, 2: 24, 3: 12, 4: 7}[arity]
+    for c in random_instances(arity, 60, arities=(arity,), mod_bound=mod_bound):
+        rows = list(build_basis(c).solutions)
+        assert rows == greedy_basis(c)
+        strides = module_generators(c).strides
+        assert rows == sorted(x for x in brute_force(c)
+                              if all(xi < g for xi, g in zip(x, strides)))
+        assert len(rows) == summarize(c).basis_size
+
+
+def test_shuffled_candidates_pick_one_member_of_every_class():
+    rng = random.Random(3)
+    for c in random_instances(11, 40, arities=(2, 3), mod_bound=12):
+        stream = list(enumerate_raw(c))
+        rng.shuffle(stream)
+        picked = list(iter_basis(c, candidates=stream))
+        assert len(picked) == summarize(c).basis_size
+        assert {_class_key(x, c) for x in picked} \
+            == {_class_key(x, c) for x in iter_basis(c)}
+
+
+def test_first_row_deep_in_lexicographic_order(capsys):
+    # the least solution sits ~1e20 prefixes into [0, m)**2
+    p, q = 10**20 + 39, 10**20 + 51
+    c = normalize([1, p], p - 1, p * q)
+    assert next(enumerate_raw(c)) == (p - 1, 0)
+    code = main(["solve", f"--coeffs=1,{p}", f"--rhs={p - 1}", f"--mod={p * q}",
+                 "--limit", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"{p - 1} 0", "# truncated"]
+
+
+def test_basis_at_high_arity_needs_no_recursion():
+    n = 1500
+    c = normalize([6] * (n - 1) + [4], 2, 36)
+    rows = list(itertools.islice(iter_basis(c), 3))
+    assert len(rows) == 3
+    assert rows == sorted(rows)
+    assert all(satisfies(x, c) for x in rows)
+    assert all(xi < g for x in rows for xi, g in zip(x, module_generators(c).strides))
+
+
+@pytest.mark.parametrize("coeffs,rhs,m", [
+    ([2, -6], 2, 12),
+    ([1, 1, 1], 0, 1000),
+    ([3, 5, 7, 11], 1, 210),
+    ([6, 10, 15, 4, 9], 5, 360),
+    ([2, 2], 0, 10**12),
+    ([1, 1000], 999, 10**6),  # a search would try 999 dead prefixes first
+])
+def test_basis_rows_cost_at_most_n_unary_solves_each(monkeypatch, coeffs, rhs, m):
+    calls = 0
+    solve = intmath.solve_unary
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(intmath, "solve_unary", counted)
+    c = normalize(coeffs, rhs, m)
+    n = c.arity
+    for k in (1, 2, 5, 40):
+        calls = 0
+        rows = list(itertools.islice(iter_basis(c), k))
+        assert len(rows) == min(k, summarize(c).basis_size)
+        assert calls <= n * (k + 1)

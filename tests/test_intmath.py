@@ -7,13 +7,20 @@ from hypothesis import given
 from hypothesis.strategies import integers, lists
 
 from lincong.intmath import (
+    _egcd,
     basis_size,
     extended_gcd,
     multi_gcd_bezout,
     solve_unary,
 )
 
+from helpers import fibonacci_pair, recursive_egcd
+
 small = integers(min_value=-10**6, max_value=10**6)
+
+
+def residues(sol):
+    return tuple(range(sol.x0, sol.step * sol.count, sol.step))
 
 
 def test_extended_gcd_known_values():
@@ -38,6 +45,21 @@ def test_extended_gcd_identity(a, b):
     u, v = cert.coefficients
     assert cert.gcd == math.gcd(a, b)
     assert u * a + v * b == cert.gcd
+
+
+@given(integers(), integers())
+def test_egcd_keeps_the_recursive_coefficients(a, b):
+    assert _egcd(a, b) == recursive_egcd(a, b)
+
+
+def test_egcd_at_euclid_worst_case():
+    # consecutive Fibonacci numbers take the most division steps for their
+    # size; ~1200 steps here, deeper than the default recursion limit
+    f0, f1 = fibonacci_pair(250)
+    for a, b in ((f0, f1), (f1, f0), (-f1, f0), (f0, -f1)):
+        g, u, v = _egcd(a, b)
+        assert g == 1 and u * a + v * b == 1
+        assert (g, u, v) == recursive_egcd(a, b)
 
 
 def test_multi_gcd_bezout_known_values():
@@ -75,7 +97,7 @@ def test_gcd_reexport():
 def test_solve_unary_known_case():
     sol = solve_unary(3, 6, 9)
     assert (sol.x0, sol.step, sol.count) == (2, 3, 3)
-    assert sol.residues() == (2, 5, 8)
+    assert residues(sol) == (2, 5, 8)
 
 
 def test_solve_unary_unit_coefficient():
@@ -91,7 +113,7 @@ def test_solve_unary_unsolvable():
 def test_solve_unary_zero_coefficient():
     sol = solve_unary(0, 0, 5)
     assert sol.count == 5
-    assert sol.residues() == (0, 1, 2, 3, 4)
+    assert residues(sol) == (0, 1, 2, 3, 4)
 
 
 def test_solve_unary_rejects_nonpositive_modulus():
@@ -110,7 +132,7 @@ def test_solve_unary_matches_scan(a, b, m):
     if sol is None:
         assert expected == ()
     else:
-        assert sol.residues() == expected
+        assert residues(sol) == expected
         assert 0 <= sol.x0 < sol.step
 
 

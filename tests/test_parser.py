@@ -91,6 +91,15 @@ def test_more_rejections():
     assert "trailing input" in str(_error("x ≡ 1 (mod 5) extra"))
 
 
+def test_only_ascii_digits_are_digits():
+    # each of these passes str.isdigit() (or isalnum()) but is no ASCII digit
+    assert _error("x ≡ 1 (mod 7²)").pos == 13
+    assert "expected an integer" in str(_error("x ≡ ³ (mod 7)"))
+    assert "expected a term" in str(_error("٣x ≡ 1 (mod 7)"))
+    assert "expected '≡' or '='" in str(_error("x² ≡ 1 (mod 7)"))
+    assert parse("x2 ≡ 1 (mod 7)").variables == ("x2",)
+
+
 def test_parse_error_is_value_error():
     assert issubclass(ParseError, ValueError)
 
