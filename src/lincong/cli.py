@@ -1,7 +1,7 @@
 """Command-line front end: solve, enumerate, check, verify.
 
-Exit codes: 0 success, 2 usage/parse/sizing error, 3 unsolvable instance,
-4 oracle disagreement.
+Exit codes: 0 success (also when the reader of stdout closes it early),
+2 usage/parse/sizing error, 3 unsolvable instance, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -58,10 +59,11 @@ class OutputRecord:
             "p2": str(s.expansion_count),
             "s": str(s.basis_size),
         }
+        # json encodes the row tuples as arrays, so they need no copying
         if self.basis is not None:
-            doc["basis"] = [list(v) for v in self.basis]
+            doc["basis"] = self.basis
         if self.solutions is not None:
-            doc["solutions"] = [list(v) for v in self.solutions]
+            doc["solutions"] = self.solutions
         doc["truncated"] = self.truncated
         return doc
 
@@ -95,6 +97,12 @@ def _check_limit(limit):
         raise ValueError("--limit must be nonnegative")
 
 
+def _print_json(record: OutputRecord):
+    # the document is a fresh tree without cycles, so json's default check
+    # for them, a dict insert and delete per row, is skipped
+    print(json.dumps(record.as_dict(), ensure_ascii=False, check_circular=False))
+
+
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
     print(f"congruence: {format_congruence(parsed)}")
     print(f"d = {s.gcd_all}")
@@ -102,6 +110,13 @@ def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
     print(f"solutions (p1) = {s.solution_count}")
     print(f"per-seed (p2) = {s.expansion_count}")
     print(f"basis size (s) = {s.basis_size}")
+
+
+def _write_rows(rows, arity: int):
+    # one residue vector per line, space-separated; "%d" renders an int
+    # exactly as str() does, and one format per row beats join(map(str, ...))
+    row_format = " ".join(["%d"] * arity) + "\n"
+    sys.stdout.writelines(row_format % row for row in rows)
 
 
 def cmd_solve(args) -> int:
@@ -117,13 +132,12 @@ def cmd_solve(args) -> int:
         truncated=s.solvable and args.limit is not None and args.limit < s.basis_size,
     )
     if args.format == "json":
-        print(json.dumps(record.as_dict(), ensure_ascii=False))
+        _print_json(record)
     else:
         _print_summary_text(parsed, s)
         if basis is not None:
             print("basis:")
-            for row in basis:
-                print(" ".join(map(str, row)))
+            _write_rows(basis, c.arity)
             if record.truncated:
                 print("# truncated")
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
@@ -138,15 +152,14 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
-    stream = (sol for seed in iter_basis(c) for sol in expand(seed, c))
+    stream = itertools.chain.from_iterable(expand(seed, c) for seed in iter_basis(c))
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
     if args.format == "json":
         record = OutputRecord(summary=s, solutions=list(stream), truncated=truncated)
-        print(json.dumps(record.as_dict(), ensure_ascii=False))
+        _print_json(record)
     else:
-        for row in stream:
-            print(" ".join(map(str, row)))
+        _write_rows(stream, c.arity)
         if truncated:
             print("# truncated")
     return EXIT_OK
@@ -192,9 +205,17 @@ def cmd_verify(args) -> int:
         for _ in range(BATCH_SIZE):
             c = _random_instance(rng)
             report = oracle_verify(c, cap=args.cap)
-            if not (report.agrees_with_summary and report.agrees_with_basis):
+            failed = []
+            if not report.agrees_with_summary:
+                failed.append("count")
+            if not report.agrees_with_basis:
+                failed.append("set")
+            if failed:
                 disagreements += 1
-                print(f"disagreement: coeffs={c.coeffs} rhs={c.rhs} mod={c.modulus}")
+                print(f"disagreement on {' and '.join(failed)}: "
+                      f"coeffs={c.coeffs} rhs={c.rhs} mod={c.modulus}")
+                print(f"  reproduce: lincong verify --coeffs={','.join(map(str, c.coeffs))} "
+                      f"--rhs={c.rhs} --mod={c.modulus}")
         print(f"verified {BATCH_SIZE} random instances (seed {args.seed}): "
               f"{BATCH_SIZE - disagreements} agree, {disagreements} disagree")
         return EXIT_OK if disagreements == 0 else EXIT_MISMATCH
@@ -255,10 +276,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+def _discard_stdout():
+    # after a broken pipe, point the stdout descriptor at the null device so
+    # the interpreter's final flush of what is still buffered cannot fail too
     try:
-        return args.func(args)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, e.g. StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    # counts and moduli may have any number of digits, so lift the int/str
+    # digit limit for the call (Python 3.10 before 3.10.7 has none)
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        args = build_arg_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, e.g. `| head`
+        _discard_stdout()
+        return EXIT_OK
     except ValueError as exc:  # includes ParseError and CapExceededError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(digit_limit)

@@ -212,38 +212,51 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     """All solutions obtained from the seed x0 by stride shifts, lazily.
 
     Yields exactly prod(gcd(a_i, m)) pairwise-distinct solutions
-    x_i = x0_i + (m // gcd(a_i, m)) * t_i with parameter tuples
-    (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order; the
-    first yield is x0 itself.  The seed is validated before any yield.
+    x_i = (x0_i + g_i * t_i) mod m with g_i = m // gcd(a_i, m) and parameter
+    tuples (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order;
+    the first yield is x0 itself.  Coordinate i thus steps through one
+    arithmetic progression of step g_i, rotated to start at x0_i: x0_i,
+    x0_i + g_i, ... below m, then x0_i mod g_i, ... below x0_i.  The
+    progressions are walked lazily (gcd(a_i, m) can be as large as m), and a
+    row costs one tuple concatenation.  The seed is validated before any
+    yield.
     """
     x0 = tuple(x0)
     _require_solution(x0, c)
     return _expand_iter(x0, c)
 
 
-def _lazy_product(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # lexicographic odometer over range(b) per coordinate; itertools.product
-    # would materialize each range as a tuple, unusable for huge moduli
-    if any(b <= 0 for b in bounds):
-        return
-    counters = [0] * len(bounds)
-    while True:
-        yield tuple(counters)
-        i = len(bounds) - 1
-        while i >= 0 and counters[i] == bounds[i] - 1:
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        counters[i] += 1
-
-
 def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
     m = c.modulus
-    bounds = [gcd(a, m) for a in c.coeffs]
-    strides = [m // d for d in bounds]
-    for ts in _lazy_product(bounds):
-        yield tuple((xi + g * t) % m for xi, g, t in zip(x0, strides, ts))
+    # rests[i]: the values coordinate i takes after x0_i, as two ranges
+    rests = []
+    for xi, a in zip(x0[:-1], c.coeffs):
+        g = m // gcd(a, m)
+        rests.append((range(xi + g, m, g), range(xi % g, xi, g)))
+    xl, gl = x0[-1], m // gcd(c.coeffs[-1], m)
+    last_run = (range(xl, m, gl), range(xl % gl, xl, gl))
+    runs = [itertools.chain(*rest) for rest in rests]
+    head = list(x0[:-1])
+    n_lead = len(head)
+    while True:
+        prefix = tuple(head)
+        for r in last_run:
+            for v in r:
+                yield prefix + (v,)
+        # odometer over the prefix: advance the deepest run with a value
+        # left, then restart the exhausted runs after it at their seed value
+        i = n_lead
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            v = next(runs[i], None)
+            if v is not None:
+                break
+        head[i] = v
+        for j in range(i + 1, n_lead):
+            runs[j] = itertools.chain(*rests[j])
+            head[j] = x0[j]
 
 
 def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:

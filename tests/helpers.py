@@ -4,6 +4,7 @@ import itertools
 import random
 import string
 import sys
+from math import gcd
 
 from lincong import LinearCongruence, ParsedCongruence, normalize, summarize
 from lincong.core import are_dependent, module_generators, satisfies
@@ -82,3 +83,23 @@ def greedy_basis(c: LinearCongruence) -> list[tuple[int, ...]]:
         if len(kept) == target:
             break
     return kept
+
+
+def reference_expand(x0, c: LinearCongruence) -> list[tuple[int, ...]]:
+    """The expansion of x0 by a generic odometer: every parameter tuple
+    (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order, mapped
+    to (x0_i + g_i * t_i) mod m coordinate by coordinate."""
+    m = c.modulus
+    bounds = [gcd(a, m) for a in c.coeffs]
+    strides = [m // d for d in bounds]
+    rows = []
+    counters = [0] * len(bounds)
+    while True:
+        rows.append(tuple((xi + g * t) % m for xi, g, t in zip(x0, strides, counters)))
+        i = len(bounds) - 1
+        while i >= 0 and counters[i] == bounds[i] - 1:
+            counters[i] = 0
+            i -= 1
+        if i < 0:
+            return rows
+        counters[i] += 1

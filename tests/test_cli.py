@@ -9,15 +9,38 @@ import sys
 
 import pytest
 
+import lincong.cli
 from lincong.cli import main
+from lincong.oracle import OracleReport
 
 REF_EXPR = "2x - 6y ≡ 2 (mod 12)"
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def decimal(n):
+    """str(n) with the interpreter's int/str digit limit lifted for the call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_solve_text(capsys):
@@ -193,6 +216,26 @@ def test_enumerate_json_full(capsys):
     assert doc["truncated"] is False
 
 
+@pytest.mark.parametrize("expr", [
+    "3x ≡ 6 (mod 15)",                  # arity 1, p1 = 3
+    "2a + 4b + 6c + 3d ≡ 1 (mod 12)",   # arity 4, p1 = 1728
+])
+@pytest.mark.parametrize("limit", [None, 0, 2, 3, 1728, 5000])
+def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
+    flags = [] if limit is None else ["--limit", str(limit)]
+    code, text, _ = run(capsys, "enumerate", expr, *flags)
+    assert code == 0
+    code, out, _ = run(capsys, "enumerate", expr, "--format", "json", *flags)
+    assert code == 0
+    doc = json.loads(out)
+    p1 = int(doc["p1"])
+    cut = limit is not None and limit < p1
+    rows = [" ".join(map(str, row)) for row in doc["solutions"]]
+    assert len(rows) == (min(limit, p1) if limit is not None else p1)
+    assert doc["truncated"] is cut
+    assert text == "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else "")
+
+
 def test_enumerate_unsolvable(capsys):
     code, out, err = run(capsys, "enumerate", "2x ≡ 1 (mod 4)")
     assert code == 3
@@ -256,6 +299,36 @@ def test_verify_seed_batch(capsys):
     assert "200 agree, 0 disagree" in out
 
 
+@pytest.mark.parametrize("count_ok,set_ok,names", [
+    (False, True, "count"), (True, False, "set"), (False, False, "count and set"),
+])
+def test_verify_seed_names_failed_check_and_reproducer(capsys, monkeypatch,
+                                                       count_ok, set_ok, names):
+    calls = []
+
+    def disagreeing(c, cap):
+        calls.append(c)
+        ok = len(calls) != 2
+        return OracleReport(0, frozenset(), ok or count_ok, ok or set_ok)
+
+    monkeypatch.setattr(lincong.cli, "oracle_verify", disagreeing)
+    code, out, _ = run(capsys, "verify", "--seed", "3")
+    assert code == 4
+    c = calls[1]
+    coeffs = ",".join(map(str, c.coeffs))
+    assert out.splitlines() == [
+        f"disagreement on {names}: coeffs={c.coeffs} rhs={c.rhs} mod={c.modulus}",
+        f"  reproduce: lincong verify --coeffs={coeffs} --rhs={c.rhs} --mod={c.modulus}",
+        "verified 200 random instances (seed 3): 199 agree, 1 disagree",
+    ]
+
+
+def test_verify_seed_agreeing_output_is_one_line(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "5")
+    assert code == 0
+    assert out == "verified 200 random instances (seed 5): 200 agree, 0 disagree\n"
+
+
 def test_verify_seed_rejects_instance(capsys):
     code, _, err = run(capsys, "verify", REF_EXPR, "--seed", "3")
     assert code == 2
@@ -269,12 +342,45 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_module_entry_point():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "lincong", "solve",
          "2x - 6y = 2 (mod 12)", "--format", "json"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s"] == "2"
+
+
+def test_enumerate_into_closed_pipe_exits_cleanly():
+    # p1 = 10**10 rows: the writer is still going when the reader hangs up
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lincong", "enumerate", "x + y ≡ 0 (mod 100000)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    try:
+        assert proc.stdout.readline() == b"0 0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_solve_sixty_unknowns_renders_counts_past_the_digit_limit(capsys):
+    m = 10**100 - 1
+    coeffs = ",".join(str(a) for a in range(1, 61))
+    code, out, err = run(capsys, "solve", f"--coeffs={coeffs}", "--rhs=1",
+                         f"--mod={m}", "--limit", "0")
+    assert (code, err) == (0, "")
+    assert f"solutions (p1) = {decimal(m ** 59)}" in out.splitlines()
+    assert out.endswith("basis:\n# truncated\n")
+
+
+def test_solve_parses_a_5000_digit_modulus(capsys):
+    m = 10**4999 + 9
+    literal = decimal(m)
+    code, out, err = run(capsys, "solve", f"x ≡ 1 (mod {literal})", "--limit", "0")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == f"congruence: 1*x ≡ 1 (mod {literal})"
+    assert "solutions (p1) = 1" in lines
+    assert "basis size (s) = 1" in lines

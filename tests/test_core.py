@@ -25,7 +25,7 @@ from lincong.core import (
 )
 from lincong.oracle import brute_force
 
-from helpers import greedy_basis, random_instances
+from helpers import greedy_basis, random_instances, reference_expand
 
 # 2x - 6y = 2 (mod 12), the worked two-variable example used throughout.
 REF = normalize([2, -6], 2, 12)
@@ -148,6 +148,42 @@ def test_expand_validates_seed_eagerly():
         expand((13, 0), REF)  # not reduced
     with pytest.raises(ValueError):
         expand((1,), REF)  # wrong arity
+
+
+@composite
+def seeded_instances(draw):
+    """A solvable instance of arity 1-5 and a seed anywhere in its solution set."""
+    n = draw(integers(min_value=1, max_value=5))
+    coeffs = draw(lists(integers(min_value=-30, max_value=30),
+                        min_size=n, max_size=n))
+    m = draw(integers(min_value=1, max_value=12 if n <= 3 else 7))
+    c = normalize(coeffs, draw(integers(min_value=-30, max_value=30)), m)
+    basis = list(itertools.islice(iter_basis(c), 20))
+    if not basis:
+        c = normalize(coeffs, 0, m)
+        basis = list(itertools.islice(iter_basis(c), 20))
+    row = basis[draw(integers(min_value=0, max_value=len(basis) - 1))]
+    shifts = draw(lists(integers(min_value=0, max_value=50), min_size=n, max_size=n))
+    strides = module_generators(c).strides
+    return c, tuple((x + g * t) % m for x, g, t in zip(row, strides, shifts))
+
+
+@settings(max_examples=150)
+@given(seeded_instances())
+def test_expand_matches_reference_odometer(case):
+    c, seed = case
+    assert list(expand(seed, c)) == reference_expand(seed, c)
+
+
+def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
+    # a_i = 0 makes gcd(a_i, m) = m: that coordinate runs through all of [0, m)
+    m = 10**300
+    first = normalize([0, 1], 5, m)
+    assert list(itertools.islice(expand((m - 2, 5), first), 3)) == [
+        (m - 2, 5), (m - 1, 5), (0, 5)]
+    last = normalize([1, 0], 5, m)
+    assert list(itertools.islice(expand((5, m - 1), last), 3)) == [
+        (5, m - 1), (5, 0), (5, 1)]
 
 
 def test_enumerate_raw_reference_order():
