@@ -154,7 +154,8 @@ def cmd_enumerate(args) -> int:
     truncated = args.limit is not None and args.limit < s.solution_count
     stream = itertools.chain.from_iterable(expand(seed, c) for seed in iter_basis(c))
     if args.limit is not None:
-        stream = itertools.islice(stream, args.limit)
+        # no process prints sys.maxsize rows; islice takes no larger stop
+        stream = itertools.islice(stream, min(args.limit, sys.maxsize))
     if args.format == "json":
         record = OutputRecord(summary=s, solutions=list(stream), truncated=truncated)
         _print_json(record)

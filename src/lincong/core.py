@@ -24,14 +24,19 @@ solution, and emits the solutions in lexicographic order at O(n) big-int
 operations per row, within the box [0, g_i) for a basis and [0, m) for the
 full solution set.
 
-All functions are pure; enumeration is lazy wherever the output can be large.
+Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
+gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
+and every other function reads that record.  All functions are pure;
+enumeration is lazy wherever the output can be large.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import intmath
@@ -80,6 +85,23 @@ class LinearCongruence:
     def arity(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def summary(self) -> SolveSummary:
+        """Derive the record, once, on first use: 2n gcd calls for arity n."""
+        m = self.modulus
+        gcds = tuple(gcd(a, m) for a in self.coeffs)
+        h = [m]  # h[-1]: gcd of m and the coefficients taken so far, from the right
+        for a in reversed(self.coeffs):
+            h.append(gcd(a, h[-1]))
+        d = h[-1]
+        p1, p2 = d * m ** (self.arity - 1), prod(gcds)
+        s, rest = divmod(p1, p2)
+        if rest:
+            raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
+        return SolveSummary(gcd_all=d, solvable=self.rhs % d == 0, solution_count=p1,
+                            expansion_count=p2, basis_size=s, gcds=gcds,
+                            strides=tuple(m // g for g in gcds), suffix_gcds=tuple(h[:0:-1]))
+
 
 @dataclass(frozen=True)
 class StrideLattice:
@@ -109,7 +131,7 @@ class SolutionBasis:
 
 @dataclass(frozen=True)
 class SolveSummary:
-    """The derived scalars of an instance.
+    """Every quantity derived from an instance, as LinearCongruence.summary.
 
     solution_count and basis_size describe the solvable case; both are
     reported even for unsolvable instances (they depend only on the
@@ -121,45 +143,31 @@ class SolveSummary:
     solution_count: int  # gcd_all * m**(n-1), distinct solutions when solvable
     expansion_count: int # prod(gcd(ai, m)), solutions one seed expands into
     basis_size: int      # solution_count // expansion_count, always exact
+    gcds: tuple[int, ...]         # gcd(a_i, m), expansion steps per coordinate
+    strides: tuple[int, ...]      # g_i = m // gcd(a_i, m), the step size
+    suffix_gcds: tuple[int, ...]  # gcd(a_i, ..., a_n, m), the first is gcd_all
 
 
 def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongruence:
     """Build the canonical instance: modulus |m|, everything reduced mod m.
 
     Normalization never changes the solution set.  Rejects a zero modulus and
-    an empty coefficient list.
+    (through LinearCongruence) an empty coefficient list.
     """
     if raw_m == 0:
         raise ValueError("modulus must be nonzero")
-    coeffs = tuple(raw_coeffs)
-    if not coeffs:
-        raise ValueError("at least one coefficient is required")
     m = abs(raw_m)
-    return LinearCongruence(tuple(a % m for a in coeffs), raw_b % m, m)
+    return LinearCongruence(tuple(a % m for a in raw_coeffs), raw_b % m, m)
 
 
 def summarize(c: LinearCongruence) -> SolveSummary:
-    """Solvability plus the counting scalars of the instance."""
-    m = c.modulus
-    d = m
-    for a in c.coeffs:
-        d = gcd(d, a)
-    p2 = 1
-    for a in c.coeffs:
-        p2 *= gcd(a, m)
-    return SolveSummary(
-        gcd_all=d,
-        solvable=c.rhs % d == 0,
-        solution_count=d * m ** (c.arity - 1),
-        expansion_count=p2,
-        basis_size=intmath.basis_size(c.coeffs, m),
-    )
+    """Solvability, the counting scalars and the per-coordinate gcds: c.summary."""
+    return c.summary
 
 
 def module_generators(c: LinearCongruence) -> StrideLattice:
     """The stride lattice of the instance: g_i = m // gcd(a_i, m)."""
-    m = c.modulus
-    return StrideLattice(strides=tuple(m // gcd(a, m) for a in c.coeffs), modulus=m)
+    return StrideLattice(strides=c.summary.strides, modulus=c.modulus)
 
 
 def are_dependent(x: Sequence[int], y: Sequence[int], lattice: StrideLattice) -> bool:
@@ -190,8 +198,7 @@ def find_particular(c: LinearCongruence) -> Solution | None:
     x_i = u_i * y mod m.  Such a y exists exactly when the congruence is
     solvable, because gcd(g0, m) = gcd(a1, ..., an, m).
     """
-    s = summarize(c)
-    if not s.solvable:
+    if not c.summary.solvable:
         return None
     cert = intmath.multi_gcd_bezout(c.coeffs)
     y = intmath.solve_unary(cert.gcd, c.rhs, c.modulus)
@@ -227,13 +234,10 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
 
 
 def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
-    m = c.modulus
+    m, strides = c.modulus, c.summary.strides
     # rests[i]: the values coordinate i takes after x0_i, as two ranges
-    rests = []
-    for xi, a in zip(x0[:-1], c.coeffs):
-        g = m // gcd(a, m)
-        rests.append((range(xi + g, m, g), range(xi % g, xi, g)))
-    xl, gl = x0[-1], m // gcd(c.coeffs[-1], m)
+    rests = [(range(xi + g, m, g), range(xi % g, xi, g)) for xi, g in zip(x0[:-1], strides)]
+    xl, gl = x0[-1], strides[-1]
     last_run = (range(xl, m, gl), range(xl % gl, xl, gl))
     runs = [itertools.chain(*rest) for rest in rests]
     head = list(x0[:-1])
@@ -261,20 +265,16 @@ def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
 
 def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
     # Every solution x with 0 <= x_i < bounds[i], in lexicographic order; each
-    # bound must be a multiple of g_i = m // gcd(a_i, m).  With
+    # bound must be a multiple of g_i = m // gcd(a_i, m).  With the suffix gcd
     # h_i = gcd(a_i, ..., a_n, m), the tail sum a_i*x_i + ... + a_n*x_n covers
     # exactly the multiples of h_i mod m, so a prefix extends to a solution iff
     # the residual left for the tail is such a multiple.  The admissible x_i
     # are then the solutions of a_i*x_i = r (mod h_{i+1}), an arithmetic
     # progression whose step divides g_i: the walk never enters a dead branch
     # and costs at most n solve_unary calls per yielded row.
-    a, m = c.coeffs, c.modulus
-    last = c.arity - 1
-    h = [m] * (last + 2)
-    for i in range(last, -1, -1):
-        h[i] = gcd(a[i], h[i + 1])
-    if c.rhs % h[0]:
+    if not c.summary.solvable:
         return
+    a, m, h, last = c.coeffs, c.modulus, c.summary.suffix_gcds, c.arity - 1
     x = [0] * last
     steps = [0] * last
     residual = [c.rhs] + [0] * last  # residual[i]: what x_i, ..., x_n must make up
@@ -325,11 +325,11 @@ def iter_basis(c: LinearCongruence,
     order instead (classes are told apart by the key x_i mod g_i); the stream
     must cover every class.
     """
-    strides = module_generators(c).strides
+    strides = c.summary.strides
     if candidates is None:
         yield from _lex_solutions(c, strides)
         return
-    target = summarize(c).basis_size
+    target = c.summary.basis_size
     seen: set[Solution] = set()
     for cand in candidates:
         cand = tuple(cand)
@@ -357,17 +357,14 @@ def build_basis(c: LinearCongruence,
     caps how many representatives are collected (a guardrail for instances
     with a huge basis).
     """
-    if not summarize(c).solvable:
+    rec = c.summary
+    if not rec.solvable:
         return None
     reps: Iterator[Solution] = iter_basis(c, candidates)
     if limit is not None:
-        reps = itertools.islice(reps, limit)
-    m = c.modulus
-    return SolutionBasis(
-        solutions=tuple(reps),
-        param_bounds=tuple(gcd(a, m) for a in c.coeffs),
-        strides=tuple(m // gcd(a, m) for a in c.coeffs),
-    )
+        # no process collects sys.maxsize rows; islice takes no larger stop
+        reps = itertools.islice(reps, min(limit, sys.maxsize))
+    return SolutionBasis(solutions=tuple(reps), param_bounds=rec.gcds, strides=rec.strides)
 
 
 def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solution]:

@@ -108,7 +108,8 @@ def basis_size(coeffs: Sequence[int], m: int) -> int:
 
     Computes gcd(a1, ..., an, m) * |m|**(n-1) // prod(gcd(ai, m)).  The
     division is exact for every choice of coefficients and nonzero modulus,
-    and the result does not depend on b.
+    and the result does not depend on b.  The solver reads s from core's
+    SolveSummary record; this separate derivation is what tests check it by.
     """
     if m == 0:
         raise ValueError("modulus must be nonzero")

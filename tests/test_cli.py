@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import lincong.cli
+import lincong.core
 from lincong.cli import main
 from lincong.oracle import OracleReport
 
@@ -220,7 +221,7 @@ def test_enumerate_json_full(capsys):
     "3x ≡ 6 (mod 15)",                  # arity 1, p1 = 3
     "2a + 4b + 6c + 3d ≡ 1 (mod 12)",   # arity 4, p1 = 1728
 ])
-@pytest.mark.parametrize("limit", [None, 0, 2, 3, 1728, 5000])
+@pytest.mark.parametrize("limit", [None, 0, 2, 3, 1728, 5000, 10**20])
 def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
     flags = [] if limit is None else ["--limit", str(limit)]
     code, text, _ = run(capsys, "enumerate", expr, *flags)
@@ -234,6 +235,38 @@ def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
     assert len(rows) == (min(limit, p1) if limit is not None else p1)
     assert doc["truncated"] is cut
     assert text == "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_limit_above_maxsize_prints_the_full_basis(capsys, fmt):
+    # a --limit past sys.maxsize cuts nothing, so the output is the unlimited one
+    argv = ["solve", "--coeffs=2,-6", "--rhs=2", "--mod=12", "--format", fmt]
+    assert run(capsys, *argv) == run(capsys, *argv, "--limit", str(10**20))
+
+
+@pytest.mark.parametrize("arity,argv", [
+    (3, ["solve", "x + y + z ≡ 0 (mod 20)"]),
+    (3, ["solve", "x + y + z ≡ 0 (mod 1000)", "--limit", "0"]),
+    (3, ["enumerate", "x + y + z ≡ 0 (mod 1000)", "--limit", "60"]),
+    (3, ["enumerate", "x + y + z ≡ 0 (mod 20)", "--format", "json"]),
+    (3, ["verify", "x + y + z ≡ 0 (mod 20)"]),
+    (5, ["enumerate", "2a + 4b + 6c + 3d + 5e ≡ 1 (mod 12)", "--limit", "500"]),
+])
+def test_cli_derives_the_instance_quantities_once(capsys, monkeypatch, arity, argv):
+    # the record of d, gcd(a_i, m), strides, suffix gcds, p1, p2 and s costs
+    # 2n gcd calls, made once per command however many rows it prints
+    calls = []
+    real_gcd = lincong.core.gcd
+
+    def counted_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(lincong.core, "gcd", counted_gcd)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
+    assert len(calls) <= 2 * arity
 
 
 def test_enumerate_unsolvable(capsys):

@@ -1,6 +1,7 @@
 """Core solver: normalization, counting, expansion, dependence, bases."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -96,6 +97,64 @@ def test_summarize_more_instances():
     assert (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size) \
         == (3, 9, 9, 1)
     assert s.solvable
+
+
+@composite
+def record_instances(draw):
+    # arity 1-5 with m**n <= 3125, small enough to brute-force and expand
+    n = draw(integers(min_value=1, max_value=5))
+    m = draw(integers(min_value=1, max_value=(60, 24, 12, 7, 5)[n - 1]))
+    coeffs = draw(lists(integers(min_value=-3 * m, max_value=3 * m),
+                        min_size=n, max_size=n))
+    return normalize(coeffs, draw(integers(min_value=-3 * m, max_value=3 * m)), m)
+
+
+def check_record_folds(c):
+    """Compare the record's gcd fields and basis_size with direct math.gcd folds."""
+    s, m = summarize(c), c.modulus
+    assert s.gcd_all == math.gcd(*c.coeffs, m)
+    assert s.solvable == (c.rhs % s.gcd_all == 0)
+    assert s.gcds == tuple(math.gcd(a, m) for a in c.coeffs)
+    assert s.strides == tuple(m // math.gcd(a, m) for a in c.coeffs)
+    assert s.suffix_gcds == tuple(math.gcd(*c.coeffs[i:], m) for i in range(c.arity))
+    assert s.expansion_count == math.prod(math.gcd(a, m) for a in c.coeffs)
+    assert s.basis_size == intmath.basis_size(c.coeffs, m)
+    assert s.solution_count == s.basis_size * s.expansion_count
+
+
+@settings(max_examples=150)
+@given(record_instances())
+def test_record_matches_independent_derivations(c):
+    check_record_folds(c)
+    s = summarize(c)
+    assert len(brute_force(c)) == (s.solution_count if s.solvable else 0)
+    if s.solvable:
+        assert len(set(expand(find_particular(c), c))) == s.expansion_count
+
+
+def test_record_matches_independent_derivations_300_digit_modulus():
+    m = 12 * 10**298  # 2**300 * 3 * 5**298
+    c = normalize([8, 9, 7, 10**298 + 1, -6 * 10**297], 5, m)
+    check_record_folds(c)
+    s = summarize(c)
+    assert s.gcds == (8, 3, 1, 1, 6 * 10**297)
+    assert s.solution_count == m**4
+    p = find_particular(c)
+    assert len(set(itertools.islice(expand(p, c), 10**4))) == 10**4
+    c = normalize([8, 9, 7, 10**298 + 1], 5, m)
+    assert len(set(expand(find_particular(c), c))) == summarize(c).expansion_count == 24
+
+
+def test_record_is_derived_once_and_kept_on_the_instance():
+    c = normalize([2, 4, 6], 0, 12)
+    s = summarize(c)
+    assert summarize(c) is s is c.summary
+    assert module_generators(c).strides == s.strides
+    basis = build_basis(c)
+    assert (basis.param_bounds, basis.strides) == (s.gcds, s.strides)
+    # an equal instance has a record of its own, with equal fields
+    other = normalize([2, 4, 6], 0, 12)
+    assert other == c and summarize(other) == s and summarize(other) is not s
 
 
 def test_module_generators_strides():
@@ -215,6 +274,7 @@ def test_build_basis_is_deterministic():
 def test_build_basis_respects_limit():
     assert build_basis(REF, limit=1).solutions == ((1, 0),)
     assert build_basis(REF, limit=99).solutions == ((1, 0), (4, 1))
+    assert build_basis(REF, limit=10**20) == build_basis(REF)  # past sys.maxsize
 
 
 def test_build_basis_unsolvable_returns_none():
