@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .core import (
     LinearCongruence,
@@ -35,37 +34,6 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
-
-
-@dataclass
-class OutputRecord:
-    """What a solve/enumerate invocation reports.
-
-    Counts are rendered as decimal strings because they can exceed any fixed
-    integer width; truncated is set iff --limit cut the output short.
-    """
-
-    summary: SolveSummary
-    basis: list[tuple[int, ...]] | None = None
-    solutions: list[tuple[int, ...]] | None = None
-    truncated: bool = False
-
-    def as_dict(self) -> dict:
-        s = self.summary
-        doc: dict = {
-            "d": str(s.gcd_all),
-            "solvable": s.solvable,
-            "p1": str(s.solution_count),
-            "p2": str(s.expansion_count),
-            "s": str(s.basis_size),
-        }
-        # json encodes the row tuples as arrays, so they need no copying
-        if self.basis is not None:
-            doc["basis"] = self.basis
-        if self.solutions is not None:
-            doc["solutions"] = self.solutions
-        doc["truncated"] = self.truncated
-        return doc
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -97,10 +65,18 @@ def _check_limit(limit):
         raise ValueError("--limit must be nonnegative")
 
 
-def _print_json(record: OutputRecord):
+def _print_json(s: SolveSummary, rows_key: str, rows, truncated: bool):
+    # counts are decimal strings because they can exceed any fixed integer
+    # width; an unsolvable solve has no basis key; json encodes the row tuples
+    # as arrays, so they need no copying
+    doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
+           "p2": str(s.expansion_count), "s": str(s.basis_size)}
+    if rows is not None:
+        doc[rows_key] = rows
+    doc["truncated"] = truncated
     # the document is a fresh tree without cycles, so json's default check
     # for them, a dict insert and delete per row, is skipped
-    print(json.dumps(record.as_dict(), ensure_ascii=False, check_circular=False))
+    print(json.dumps(doc, ensure_ascii=False, check_circular=False))
 
 
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
@@ -123,22 +99,16 @@ def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
     _check_limit(args.limit)
     s = summarize(c)
-    basis = None
-    if s.solvable:
-        basis = list(build_basis(c, limit=args.limit).solutions)
-    record = OutputRecord(
-        summary=s,
-        basis=basis,
-        truncated=s.solvable and args.limit is not None and args.limit < s.basis_size,
-    )
+    basis = build_basis(c, limit=args.limit).solutions if s.solvable else None
+    truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
     if args.format == "json":
-        _print_json(record)
+        _print_json(s, "basis", basis, truncated)
     else:
         _print_summary_text(parsed, s)
         if basis is not None:
             print("basis:")
             _write_rows(basis, c.arity)
-            if record.truncated:
+            if truncated:
                 print("# truncated")
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
@@ -157,8 +127,7 @@ def cmd_enumerate(args) -> int:
         # no process prints sys.maxsize rows; islice takes no larger stop
         stream = itertools.islice(stream, min(args.limit, sys.maxsize))
     if args.format == "json":
-        record = OutputRecord(summary=s, solutions=list(stream), truncated=truncated)
-        _print_json(record)
+        _print_json(s, "solutions", list(stream), truncated)
     else:
         _write_rows(stream, c.arity)
         if truncated:

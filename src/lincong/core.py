@@ -72,6 +72,8 @@ class LinearCongruence:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not all(isinstance(v, int) for v in (*self.coeffs, self.rhs, self.modulus)):
+            raise ValueError("coefficients, rhs and modulus must be integers")
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1 (use normalize() on raw input)")
         if not self.coeffs:
@@ -322,8 +324,9 @@ def iter_basis(c: LinearCongruence,
     unsolvable instance yields nothing.
 
     With `candidates`, keeps the first candidate of every class in stream
-    order instead (classes are told apart by the key x_i mod g_i); the stream
-    must cover every class.
+    order instead (classes are told apart by the key x_i mod g_i); every
+    candidate must be a solution reduced into [0, m), and the stream must
+    cover every class.
     """
     strides = c.summary.strides
     if candidates is None:
@@ -333,8 +336,7 @@ def iter_basis(c: LinearCongruence,
     seen: set[Solution] = set()
     for cand in candidates:
         cand = tuple(cand)
-        if len(cand) != c.arity:
-            raise ValueError(f"arity mismatch: expected {c.arity} residues, got {len(cand)}")
+        _require_solution(cand, c)
         key = tuple(xi % g for xi, g in zip(cand, strides))
         if key in seen:
             continue

@@ -1,13 +1,18 @@
 """Exhaustive ground-truth solver, for differential testing of the fast paths.
 
-brute_force scans every tuple in [0, m)**n and shares nothing with the
-solvers in core beyond the LinearCongruence type; that independence is the
-point.
+brute_force scans every tuple in [0, m)**n: itertools.product walks the first
+n-1 coordinates and each prefix scans the last one as a lazy range(m), so
+memory stays constant for one unknown and for n >= 2 only range(m) is pooled.
+It uses no solver maths and shares nothing with core beyond the
+LinearCongruence type; that independence is the point.  verify compares its
+set with the counting and basis machinery of core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from .core import LinearCongruence, build_basis, enumerate_all, summarize
 
@@ -34,17 +39,12 @@ def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, .
     if space > cap:
         raise CapExceededError(
             f"search space m**n = {space} exceeds the cap of {cap} tuples")
-    m = c.modulus
+    m, b = c.modulus, c.rhs
+    *lead, last = c.coeffs
     found = set()
-    for index in range(space):
-        # decode the index as n base-m digits; coordinate order is
-        # irrelevant for a set
-        x = []
-        for _ in range(c.arity):
-            index, digit = divmod(index, m)
-            x.append(digit)
-        if sum(a * xi for a, xi in zip(c.coeffs, x)) % m == c.rhs:
-            found.add(tuple(x))
+    for prefix in product(range(m), repeat=c.arity - 1):
+        r = sum(map(mul, lead, prefix)) - b
+        found.update(prefix + (x,) for x in range(m) if (r + last * x) % m == 0)
     return found
 
 

@@ -162,11 +162,12 @@ def parse(text: str) -> ParsedCongruence:
         raise ParseError("missing modulus: expected '(mod m)'", s.pos)
     s.expect("(")
     s.skip_ws()
-    if not (s.peek().isalpha()):
-        raise ParseError("expected 'mod'", s.pos)
-    word, word_pos = s.identifier()
-    if word != "mod":
-        raise ParseError("expected 'mod'", word_pos)
+    # the keyword is letters only, so "(mod3)" reads like "(mod 3)"
+    word_start = s.i
+    while s.peek().isalpha():
+        s.i += 1
+    if s.text[word_start:s.i] != "mod":
+        raise ParseError("expected 'mod'", word_start + 1)
     s.skip_ws()
     mod_pos = s.pos
     modulus = s.signed_integer()

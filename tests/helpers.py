@@ -103,3 +103,19 @@ def reference_expand(x0, c: LinearCongruence) -> list[tuple[int, ...]]:
         if i < 0:
             return rows
         counters[i] += 1
+
+
+def reference_brute_force(c: LinearCongruence) -> set[tuple[int, ...]]:
+    """Reference exhaustive scan: decode every index in range(m**n) as n
+    base-m digits and keep the tuples that solve the congruence."""
+    m = c.modulus
+    found = set()
+    for index in range(m ** c.arity):
+        # coordinate order is irrelevant for a set
+        x = []
+        for _ in range(c.arity):
+            index, digit = divmod(index, m)
+            x.append(digit)
+        if sum(a * xi for a, xi in zip(c.coeffs, x)) % m == c.rhs:
+            found.add(tuple(x))
+    return found

@@ -64,6 +64,11 @@ def test_normalize_rejects_degenerate_input():
         normalize([1], 0, 0)
     with pytest.raises(ValueError):
         normalize([], 0, 5)
+    for raw in (([1.5], 0, 4), ([1], 0.5, 4), ([1], 0, 4.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            normalize(*raw)
+    # bool is an int subclass, so it is accepted like 1 and 0
+    assert normalize([True, False], True, 3) == normalize([1, 0], 1, 3)
 
 
 def test_instance_validation():
@@ -294,6 +299,11 @@ def test_iter_basis_reports_exhausted_candidates():
         list(iter_basis(REF, candidates=[(1, 0)]))
     with pytest.raises(ValueError):
         list(iter_basis(REF, candidates=[(1, 0), (4, 1, 0)]))
+    # candidates must be reduced solutions
+    with pytest.raises(ValueError, match="does not satisfy"):
+        build_basis(REF, candidates=[(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="not reduced"):
+        build_basis(REF, candidates=[(13, 0), (4, 1)])
 
 
 def test_enumerate_all_reference():

@@ -1,13 +1,16 @@
 """Brute-force oracle and differential verification."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.strategies import composite, integers, lists
 
 from lincong.core import normalize, summarize
 from lincong.oracle import CapExceededError, brute_force, verify
 
-from helpers import random_instances
+from helpers import random_instances, reference_brute_force
 
 REF = normalize([2, -6], 2, 12)
 
@@ -34,6 +37,41 @@ def test_brute_force_cap():
     assert "5" in str(err.value)
     with pytest.raises(CapExceededError):
         brute_force(normalize([1, 1, 1], 0, 500))  # 500**3 over default cap
+
+
+@composite
+def scan_instances(draw):
+    # arity 1-5 with m**n <= 4096; solvable or not, zero coefficients included
+    n = draw(integers(min_value=1, max_value=5))
+    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
+    coeffs = draw(lists(integers(min_value=-2 * m, max_value=2 * m),
+                        min_size=n, max_size=n))
+    return normalize(coeffs, draw(integers(min_value=-2 * m, max_value=2 * m)), m)
+
+
+@settings(max_examples=200)
+@given(scan_instances())
+@example(normalize([5, 3, 2], 0, 1))           # m = 1: the one tuple (0, 0, 0)
+@example(normalize([0, 0], 0, 4))              # every tuple solves
+@example(normalize([0, 3, 0, 0, 1], 2, 5))     # zero coefficients among others
+@example(normalize([2, 4], 1, 6))              # unsolvable, d = 2
+@example(normalize([0], 1, 7))                 # unsolvable, every coefficient zero
+@example(normalize([0, 0, 0, 0, 0], 0, 5))     # arity 5 at the largest m
+def test_brute_force_matches_reference_scan(c):
+    assert brute_force(c) == reference_brute_force(c)
+
+
+def test_brute_force_scans_one_unknown_in_constant_memory():
+    # pooling range(m) as product(range(m), repeat=1) does would hold a
+    # 10**5-element tuple of ints, about 4 MB
+    tracemalloc.start()
+    try:
+        found = brute_force(normalize([7], 5, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == {(85_715,)}
+    assert peak < 1_000_000
 
 
 def test_verify_reference():

@@ -91,6 +91,15 @@ def test_more_rejections():
     assert "trailing input" in str(_error("x ≡ 1 (mod 5) extra"))
 
 
+def test_mod_keyword_ends_where_its_letters_end():
+    # whitespace is insignificant, so a digit may follow the keyword directly
+    assert parse("x ≡ 1 (mod3)") == parse("x ≡ 1 (mod 3)")
+    assert parse("2x - 6y ≡ 2 (mod12)") == parse("2x - 6y ≡ 2 (mod 12)")
+    for text in ("x ≡ 1 (modulo 3)", "x ≡ 1 (mud 5)", "x ≡ 1 (3)"):
+        exc = _error(text)
+        assert (exc.pos, str(exc)) == (8, "position 8: expected 'mod'")
+
+
 def test_only_ascii_digits_are_digits():
     # each of these passes str.isdigit() (or isalnum()) but is no ASCII digit
     assert _error("x ≡ 1 (mod 7²)").pos == 13
