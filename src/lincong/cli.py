@@ -12,13 +12,14 @@ import json
 import os
 import random
 import sys
+from functools import cache
 
 from .core import (
     LinearCongruence,
     SolveSummary,
+    _expand_iter,
     are_dependent,
     build_basis,
-    expand,
     iter_basis,
     module_generators,
     normalize,
@@ -122,7 +123,8 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
-    stream = itertools.chain.from_iterable(expand(seed, c) for seed in iter_basis(c))
+    # the seeds are constructed solutions, so they skip expand()'s seed check
+    stream = itertools.chain.from_iterable(_expand_iter(seed, c) for seed in iter_basis(c))
     if args.limit is not None:
         # no process prints sys.maxsize rows; islice takes no larger stop
         stream = itertools.islice(stream, min(args.limit, sys.maxsize))
@@ -212,6 +214,11 @@ def _add_instance_args(p: argparse.ArgumentParser):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands on every call.
+
+    main() builds its own one per process and reuses it, so changing a parser
+    returned here never changes what main() does.
+    """
     ap = argparse.ArgumentParser(
         prog="lincong",
         description="Solve linear congruences a1*x1 + ... + an*xn ≡ b (mod m).")
@@ -246,6 +253,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _main_parser() -> argparse.ArgumentParser:
+    # main's own parser, built on its first call and reused by every later
+    # one: building it costs about 1 ms, parsing an argv with it about 0.1 ms.
+    # argparse keeps no state between parse_args calls, and callers of
+    # build_arg_parser() get a fresh parser, so nothing can alter this one.
+    return build_arg_parser()
+
+
 def _discard_stdout():
     # after a broken pipe, point the stdout descriptor at the null device so
     # the interpreter's final flush of what is still buffered cannot fail too
@@ -266,7 +282,7 @@ def main(argv=None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _main_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

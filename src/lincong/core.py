@@ -20,14 +20,18 @@ d = gcd(a1, ..., an, m), the facts this module is built on are:
 
 Bases and solution streams are therefore constructed, not searched for: one
 left-to-right walk over the coordinates visits only prefixes that extend to a
-solution, and emits the solutions in lexicographic order at O(n) big-int
-operations per row, within the box [0, g_i) for a basis and [0, m) for the
-full solution set.
+solution, and emits the solutions in lexicographic order, within the box
+[0, g_i) for a basis and [0, m) for the full solution set.  At coordinate i
+the admissible values form one progression whose step and least member
+follow from n per-level constants (one modular inverse each), derived when
+the walk starts; a row then costs one multiply, one floor division and one
+mod per coordinate, and no gcd.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
-and every other function reads that record.  All functions are pure;
-enumeration is lazy wherever the output can be large.
+and every other function reads that record; the walk's level constants are
+left out of it, so counting alone never pays for them.  All functions are
+pure; enumeration is lazy wherever the output can be large.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import intmath
 
@@ -62,6 +66,11 @@ __all__ = [
 Solution = tuple[int, ...]
 
 
+def _require_ints(coeffs: tuple, rhs, modulus) -> None:
+    if not all(isinstance(v, int) for v in (*coeffs, rhs, modulus)):
+        raise ValueError("coefficients, rhs and modulus must be integers")
+
+
 @dataclass(frozen=True)
 class LinearCongruence:
     """A normalized instance: modulus >= 1, coefficients and rhs in [0, modulus)."""
@@ -72,8 +81,7 @@ class LinearCongruence:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not all(isinstance(v, int) for v in (*self.coeffs, self.rhs, self.modulus)):
-            raise ValueError("coefficients, rhs and modulus must be integers")
+        _require_ints(self.coeffs, self.rhs, self.modulus)
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1 (use normalize() on raw input)")
         if not self.coeffs:
@@ -153,9 +161,12 @@ class SolveSummary:
 def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongruence:
     """Build the canonical instance: modulus |m|, everything reduced mod m.
 
-    Normalization never changes the solution set.  Rejects a zero modulus and
-    (through LinearCongruence) an empty coefficient list.
+    Normalization never changes the solution set.  Rejects values that are
+    not integers, a zero modulus and (through LinearCongruence) an empty
+    coefficient list, each with a ValueError.
     """
+    raw_coeffs = tuple(raw_coeffs)
+    _require_ints(raw_coeffs, raw_b, raw_m)  # before % and abs() can fail otherwise
     if raw_m == 0:
         raise ValueError("modulus must be nonzero")
     m = abs(raw_m)
@@ -265,31 +276,43 @@ def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
             head[j] = x0[j]
 
 
+def _level_constants(c: LinearCongruence) -> tuple[list[int], list[int]]:
+    # (u, steps) for the walk.  With h_{n+1} = m, level i solves
+    # a_i*x_i = r (mod h_{i+1}) for residuals r that are multiples of
+    # h_i = gcd(a_i, h_{i+1}); its solutions are x_i = u_i*(r // h_i) mod
+    # step_i and their shifts by step_i, where step_i = h_{i+1} // h_i and u_i
+    # inverts a_i // h_i mod step_i (pow(x, -1, 1) == 0 covers step_i = 1).
+    h = (*c.summary.suffix_gcds, c.modulus)
+    steps = [h[i + 1] // h[i] for i in range(c.arity)]
+    return [pow(a // hi, -1, step) for a, hi, step in zip(c.coeffs, h, steps)], steps
+
+
 def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
     # Every solution x with 0 <= x_i < bounds[i], in lexicographic order; each
     # bound must be a multiple of g_i = m // gcd(a_i, m).  With the suffix gcd
     # h_i = gcd(a_i, ..., a_n, m), the tail sum a_i*x_i + ... + a_n*x_n covers
     # exactly the multiples of h_i mod m, so a prefix extends to a solution iff
     # the residual left for the tail is such a multiple.  The admissible x_i
-    # are then the solutions of a_i*x_i = r (mod h_{i+1}), an arithmetic
-    # progression whose step divides g_i: the walk never enters a dead branch
-    # and costs at most n solve_unary calls per yielded row.
+    # form one progression of step h_{i+1} // h_i (a step that divides g_i),
+    # whose least member comes from per-level constants derived once when the
+    # walk starts (_level_constants): the walk never enters a dead branch, and
+    # a row costs one multiply, one floor division and one mod per level.
     if not c.summary.solvable:
         return
     a, m, h, last = c.coeffs, c.modulus, c.summary.suffix_gcds, c.arity - 1
+    u, steps = _level_constants(c)
     x = [0] * last
-    steps = [0] * last
     residual = [c.rhs] + [0] * last  # residual[i]: what x_i, ..., x_n must make up
     i = 0
     while True:
         while i < last:
-            sol = intmath.solve_unary(a[i], residual[i], h[i + 1])
-            x[i], steps[i] = sol.x0, sol.step
-            residual[i + 1] = (residual[i] - a[i] * sol.x0) % m
+            r = residual[i]
+            xi = x[i] = u[i] * (r // h[i]) % steps[i]
+            residual[i + 1] = (r - a[i] * xi) % m
             i += 1
-        sol = intmath.solve_unary(a[last], residual[last], m)
         prefix = tuple(x)
-        for v in range(sol.x0, bounds[last], sol.step):
+        first = u[last] * (residual[last] // h[last]) % steps[last]
+        for v in range(first, bounds[last], steps[last]):
             yield prefix + (v,)
         # odometer: advance the deepest prefix coordinate that has another value
         i = last - 1
@@ -312,57 +335,31 @@ def enumerate_raw(c: LinearCongruence) -> Iterator[Solution]:
     return _lex_solutions(c, (c.modulus,) * c.arity)
 
 
-def iter_basis(c: LinearCongruence,
-               candidates: Iterable[Sequence[int]] | None = None) -> Iterator[Solution]:
-    """Yield one representative per dependence class, until a full basis is out.
+def iter_basis(c: LinearCongruence) -> Iterator[Solution]:
+    """Yield one representative per dependence class: a full basis, lazily.
 
-    By default the representatives are the reduced solutions, those with
+    The representatives are the reduced solutions, those with
     0 <= x_i < g_i = m // gcd(a_i, m) in every coordinate, in lexicographic
     order.  Every class has exactly one reduced member, and it is the least
     member of its class, so this is also the greedy basis of enumerate_raw(c).
     It is constructed directly, at O(n) big-int operations per row; an
     unsolvable instance yields nothing.
-
-    With `candidates`, keeps the first candidate of every class in stream
-    order instead (classes are told apart by the key x_i mod g_i); every
-    candidate must be a solution reduced into [0, m), and the stream must
-    cover every class.
     """
-    strides = c.summary.strides
-    if candidates is None:
-        yield from _lex_solutions(c, strides)
-        return
-    target = c.summary.basis_size
-    seen: set[Solution] = set()
-    for cand in candidates:
-        cand = tuple(cand)
-        _require_solution(cand, c)
-        key = tuple(xi % g for xi, g in zip(cand, strides))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield cand
-        if len(seen) == target:
-            return
-    raise RuntimeError(f"candidate stream exhausted after {len(seen)} of "
-                       f"{target} independent solutions; this is a bug")
+    return _lex_solutions(c, c.summary.strides)
 
 
-def build_basis(c: LinearCongruence,
-                candidates: Iterable[Sequence[int]] | None = None,
-                limit: int | None = None) -> SolutionBasis | None:
+def build_basis(c: LinearCongruence, *, limit: int | None = None) -> SolutionBasis | None:
     """A full basis of independent solutions, or None when unsolvable.
 
-    By default the basis is the reduced solutions in lexicographic order (see
-    iter_basis), which makes it deterministic; passing `candidates` may pick
-    different representatives but always the same number of them.  `limit`
-    caps how many representatives are collected (a guardrail for instances
-    with a huge basis).
+    The basis is the reduced solutions in lexicographic order (see
+    iter_basis), which makes it deterministic.  `limit` caps how many
+    representatives are collected (a guardrail for instances with a huge
+    basis).
     """
     rec = c.summary
     if not rec.solvable:
         return None
-    reps: Iterator[Solution] = iter_basis(c, candidates)
+    reps = iter_basis(c)
     if limit is not None:
         # no process collects sys.maxsize rows; islice takes no larger stop
         reps = itertools.islice(reps, min(limit, sys.maxsize))

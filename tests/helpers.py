@@ -67,14 +67,17 @@ def recursive_egcd(a: int, b: int) -> tuple[int, int, int]:
         sys.setrecursionlimit(limit)
 
 
-def greedy_basis(c: LinearCongruence) -> list[tuple[int, ...]]:
-    """Reference basis by search: scan [0, m)**n in lexicographic order and
-    keep every solution independent of all kept so far, until basis_size
-    are kept.  Costs O(m**n * s); for small instances only."""
+def greedy_basis(c: LinearCongruence, candidates=None) -> list[tuple[int, ...]]:
+    """Reference basis by search: scan the candidates (by default [0, m)**n in
+    lexicographic order) and keep every solution independent of all kept so
+    far, until basis_size are kept.  Costs O(candidates * s); for small
+    instances only."""
     lattice = module_generators(c)
     target = summarize(c).basis_size
     kept: list[tuple[int, ...]] = []
-    for cand in itertools.product(range(c.modulus), repeat=c.arity):
+    if candidates is None:
+        candidates = itertools.product(range(c.modulus), repeat=c.arity)
+    for cand in candidates:
         if not satisfies(cand, c):
             continue
         if any(are_dependent(cand, rep, lattice) for rep in kept):

@@ -11,6 +11,7 @@ import timeit
 from contextlib import contextmanager
 
 from lincong import (
+    SolutionBasis,
     are_dependent,
     basis_size,
     brute_force,
@@ -26,7 +27,7 @@ from lincong import (
     summarize,
 )
 
-from helpers import random_instances, random_parsed
+from helpers import greedy_basis, random_instances, random_parsed
 
 SEED = 1729
 
@@ -152,9 +153,11 @@ def test_criterion_8_basis_size_is_ordering_independent():
         for c in INSTANCES:
             s = summarize(c)
             forward = build_basis(c)
-            backward = build_basis(c, candidates=list(enumerate_raw(c))[::-1])
+            backward = greedy_basis(c, list(enumerate_raw(c))[::-1])
             assert len(forward.solutions) == s.basis_size
-            assert len(backward.solutions) == s.basis_size
+            assert len(backward) == s.basis_size
+            backward_basis = SolutionBasis(tuple(backward), s.gcds, s.strides)
+            assert set(enumerate_all(backward_basis, c)) == set(enumerate_raw(c))
 
 
 def test_criterion_9_parser_round_trip():

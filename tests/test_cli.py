@@ -1,5 +1,7 @@
 """Command-line behavior: subcommands, exit codes, JSON stability."""
 
+import argparse
+import hashlib
 import io
 import json
 import os
@@ -13,6 +15,8 @@ import lincong.cli
 import lincong.core
 from lincong.cli import main
 from lincong.oracle import OracleReport
+
+from test_golden import CASES, GOLDEN
 
 REF_EXPR = "2x - 6y ≡ 2 (mod 12)"
 
@@ -372,6 +376,43 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
+    # main builds its parser once per process: the golden corpus, then a
+    # usage error and --help, then the corpus again in reverse order
+    built = []
+    build = lincong.cli.build_arg_parser
+    monkeypatch.setattr(lincong.cli, "build_arg_parser", lambda: built.append(1) or build())
+    lincong.cli._main_parser.cache_clear()
+
+    def digests(names):
+        got = {}
+        for name in names:
+            code = main(CASES[name])
+            captured = capsys.readouterr()
+            got[name] = (code, hashlib.sha256(
+                (captured.out + captured.err).encode("utf-8")).hexdigest())
+        return got
+
+    assert digests(list(CASES)) == GOLDEN
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", REF_EXPR, "--no-such-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--limit" in capsys.readouterr().out
+    assert digests(reversed(list(CASES))) == GOLDEN
+    assert len(built) == 1
+    # build_arg_parser() returns a new parser each time; changing one
+    # leaves main alone
+    ap = build()
+    assert ap is not build()
+    subcommands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands.choices["solve"].set_defaults(func=lambda args: 99)
+    assert ap.parse_args(CASES["solve-text"]).func(None) == 99
+    assert digests(["solve-text"]) == {"solve-text": GOLDEN["solve-text"]}
 
 
 def test_module_entry_point():

@@ -6,12 +6,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import composite, integers, lists
+from hypothesis.strategies import builds, composite, integers, just, lists, one_of
 
-from lincong import intmath
+from lincong import core, intmath
 from lincong.cli import main
 from lincong.core import (
     LinearCongruence,
+    SolutionBasis,
+    _level_constants,
     are_dependent,
     build_basis,
     enumerate_all,
@@ -64,7 +66,8 @@ def test_normalize_rejects_degenerate_input():
         normalize([1], 0, 0)
     with pytest.raises(ValueError):
         normalize([], 0, 5)
-    for raw in (([1.5], 0, 4), ([1], 0.5, 4), ([1], 0, 4.0)):
+    for raw in (([1.5], 0, 4), ([1], 0.5, 4), ([1], 0, 4.0),
+                (['1'], 0, 4), ([1], '0', 4), ([1], 0, '4')):
         with pytest.raises(ValueError, match="must be integers"):
             normalize(*raw)
     # bool is an int subclass, so it is accepted like 1 and 0
@@ -289,21 +292,30 @@ def test_build_basis_unsolvable_returns_none():
 
 def test_build_basis_alternative_ordering_same_size():
     reversed_rows = list(enumerate_raw(REF))[::-1]
-    basis = build_basis(REF, candidates=reversed_rows)
-    assert basis.solutions == ((10, 11), (7, 10))
-    assert len(basis.solutions) == len(build_basis(REF).solutions) == 2
+    picked = greedy_basis(REF, reversed_rows)
+    assert picked == [(10, 11), (7, 10)]
+    assert len(picked) == len(build_basis(REF).solutions) == 2
+    basis = SolutionBasis(tuple(picked), (2, 6), (6, 2))
+    assert set(enumerate_all(basis, REF)) == set(LIST_A + LIST_B)
 
 
-def test_iter_basis_reports_exhausted_candidates():
-    with pytest.raises(RuntimeError):
-        list(iter_basis(REF, candidates=[(1, 0)]))
-    with pytest.raises(ValueError):
-        list(iter_basis(REF, candidates=[(1, 0), (4, 1, 0)]))
-    # candidates must be reduced solutions
-    with pytest.raises(ValueError, match="does not satisfy"):
-        build_basis(REF, candidates=[(0, 0), (0, 1)])
-    with pytest.raises(ValueError, match="not reduced"):
-        build_basis(REF, candidates=[(13, 0), (4, 1)])
+def test_any_representative_per_class_expands_to_the_oracle_set():
+    rng = random.Random(5)
+    for c in random_instances(13, 40, arities=(1, 2, 3), mod_bound=12):
+        s = summarize(c)
+        # a random member of each class: its reduced member shifted by strides
+        reps = [tuple((x + g * rng.randrange(d)) % c.modulus
+                      for x, g, d in zip(row, s.strides, s.gcds)) for row in iter_basis(c)]
+        assert greedy_basis(c, reps) == reps  # pairwise independent, one per class
+        rows = list(enumerate_all(SolutionBasis(tuple(reps), s.gcds, s.strides), c))
+        assert len(rows) == s.solution_count
+        assert set(rows) == brute_force(c)
+    # a basis given from outside is checked seed by seed as it expands
+    for seeds, message in ((((0, 0), (0, 1)), "does not satisfy"),
+                           (((13, 0), (4, 1)), "not reduced"),
+                           (((1, 0), (4, 1, 0)), "arity mismatch")):
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_all(SolutionBasis(seeds, (2, 6), (6, 2)), REF))
 
 
 def test_enumerate_all_reference():
@@ -400,10 +412,13 @@ def test_shuffled_candidates_pick_one_member_of_every_class():
     for c in random_instances(11, 40, arities=(2, 3), mod_bound=12):
         stream = list(enumerate_raw(c))
         rng.shuffle(stream)
-        picked = list(iter_basis(c, candidates=stream))
-        assert len(picked) == summarize(c).basis_size
+        picked = greedy_basis(c, stream)
+        s = summarize(c)
+        assert len(picked) == s.basis_size
         assert {_class_key(x, c) for x in picked} \
             == {_class_key(x, c) for x in iter_basis(c)}
+        basis = SolutionBasis(tuple(picked), s.gcds, s.strides)
+        assert set(enumerate_all(basis, c)) == brute_force(c)
 
 
 def test_first_row_deep_in_lexicographic_order(capsys):
@@ -436,20 +451,64 @@ def test_basis_at_high_arity_needs_no_recursion():
     ([2, 2], 0, 10**12),
     ([1, 1000], 999, 10**6),  # a search would try 999 dead prefixes first
 ])
-def test_basis_rows_cost_at_most_n_unary_solves_each(monkeypatch, coeffs, rhs, m):
-    calls = 0
+def test_basis_rows_cost_at_most_n_unary_solves_each(monkeypatch, capsys, coeffs, rhs, m):
+    # tighter than the name: no solve_unary call at all, and one modular
+    # inverse per level when a walk starts, however many rows it yields
+    calls = {"solve_unary": 0, "inverse": 0}
     solve = intmath.solve_unary
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
+    def counted_solve(*args):
+        calls["solve_unary"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(intmath, "solve_unary", counted)
+    def counted_pow(*args):
+        calls["inverse"] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(intmath, "solve_unary", counted_solve)
+    monkeypatch.setattr(core, "pow", counted_pow, raising=False)
     c = normalize(coeffs, rhs, m)
-    n = c.arity
     for k in (1, 2, 5, 40):
-        calls = 0
+        calls.update(solve_unary=0, inverse=0)
         rows = list(itertools.islice(iter_basis(c), k))
         assert len(rows) == min(k, summarize(c).basis_size)
-        assert calls <= n * (k + 1)
+        assert calls == {"solve_unary": 0, "inverse": c.arity}
+    # counts alone start no walk
+    calls.update(solve_unary=0, inverse=0)
+    argv = ["solve", "--coeffs=" + ",".join(map(str, coeffs)), f"--rhs={rhs}", f"--mod={m}"]
+    assert main(argv + ["--limit", "0"]) == 0
+    assert calls == {"solve_unary": 0, "inverse": 0}
+    capsys.readouterr()
+
+
+def _smooth(e2, e3, e5):
+    return 2**e2 * 3**e3 * 5**e5
+
+
+# moduli and coefficients up to about 10**30; smooth values share factors
+SMOOTH = builds(_smooth, integers(0, 40), integers(0, 18), integers(0, 12))
+
+
+@composite
+def level_cases(draw):
+    n = draw(integers(min_value=1, max_value=6))
+    m = draw(one_of(just(1), integers(min_value=1, max_value=10**30), SMOOTH))
+    coeffs = draw(lists(one_of(just(0), integers(min_value=-10**30, max_value=10**30), SMOOTH),
+                        min_size=n, max_size=n))
+    multiples = draw(lists(integers(min_value=0, max_value=10**30), min_size=n, max_size=n))
+    return normalize(coeffs, 0, m), multiples
+
+
+@settings(max_examples=300)
+@given(level_cases())
+def test_level_constants_agree_with_unary_solves(case):
+    # for every residual r the walk can meet at level i (a multiple of h_i),
+    # the constants give the least solution of a_i*x = r (mod h_{i+1}) and
+    # the step between solutions, as an egcd-based solve does
+    c, multiples = case
+    h = (*summarize(c).suffix_gcds, c.modulus)
+    u, steps = _level_constants(c)
+    for i, (a, t) in enumerate(zip(c.coeffs, multiples)):
+        r = h[i] * t
+        sol = intmath.solve_unary(a, r, h[i + 1])
+        assert (u[i] * (r // h[i]) % steps[i], steps[i]) == (sol.x0, sol.step)
