@@ -7,7 +7,6 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -17,7 +16,7 @@ from functools import cache
 from .core import (
     LinearCongruence,
     SolveSummary,
-    _expand_iter,
+    _expand_runs,
     are_dependent,
     build_basis,
     iter_basis,
@@ -35,6 +34,7 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
+_SLICE = 1024  # most rows `enumerate` renders into one string
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -68,16 +68,18 @@ def _check_limit(limit):
 
 def _print_json(s: SolveSummary, rows_key: str, rows, truncated: bool):
     # counts are decimal strings because they can exceed any fixed integer
-    # width; an unsolvable solve has no basis key; json encodes the row tuples
-    # as arrays, so they need no copying
-    doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
-           "p2": str(s.expansion_count), "s": str(s.basis_size)}
+    # width; an unsolvable solve has no rows key.  rows is the JSON text of
+    # the row array in pieces, written as they come between the summary keys
+    # and the truncated flag, so a long array is never held whole
+    summary = json.dumps({"d": str(s.gcd_all), "solvable": s.solvable,
+                          "p1": str(s.solution_count), "p2": str(s.expansion_count),
+                          "s": str(s.basis_size)})
+    out = sys.stdout
+    out.write(summary[:-1])
     if rows is not None:
-        doc[rows_key] = rows
-    doc["truncated"] = truncated
-    # the document is a fresh tree without cycles, so json's default check
-    # for them, a dict insert and delete per row, is skipped
-    print(json.dumps(doc, ensure_ascii=False, check_circular=False))
+        out.write(f", \"{rows_key}\": ")
+        out.writelines(rows)
+    out.write(', "truncated": true}\n' if truncated else ', "truncated": false}\n')
 
 
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
@@ -96,6 +98,50 @@ def _write_rows(rows, arity: int):
     sys.stdout.writelines(row_format % row for row in rows)
 
 
+def _in_slices(runs):
+    # runs of at most _SLICE rows, so a run of any length streams in bounded
+    # memory; slicing a range costs O(1) however long it is
+    for prefix, run in runs:
+        while run:
+            yield prefix, run[:_SLICE]
+            run = run[_SLICE:]
+
+
+def _first_rows(runs, limit: int):
+    # the runs that carry the first `limit` rows; the last one is cut short
+    for prefix, run in runs:
+        k = len(run)
+        if limit <= k:
+            if limit:
+                yield prefix, run[:limit]
+            return
+        limit -= k
+        yield prefix, run
+
+
+def _text_runs(runs, arity: int):
+    # one line per row, space-separated: a run's prefix is formatted once and
+    # its last-coordinate values are joined onto it ("%d" renders an int
+    # exactly as str() does)
+    lead = "%d " * (arity - 1)
+    for prefix, run in runs:
+        head = lead % prefix
+        yield head + ("\n" + head).join(map(str, run)) + "\n"
+
+
+def _json_runs(runs, arity: int):
+    # the same rows as a JSON array of arrays, byte for byte as json.dumps
+    # writes it, one piece per run
+    lead = "%d, " * (arity - 1)
+    yield "["
+    sep = ""
+    for prefix, run in runs:
+        head = "[" + lead % prefix
+        yield sep + head + ("], " + head).join(map(str, run)) + "]"
+        sep = ", "
+    yield "]"
+
+
 def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
     _check_limit(args.limit)
@@ -103,7 +149,10 @@ def cmd_solve(args) -> int:
     basis = build_basis(c, limit=args.limit).solutions if s.solvable else None
     truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
     if args.format == "json":
-        _print_json(s, "basis", basis, truncated)
+        # the basis is a fresh tree without cycles, so json's default check
+        # for them, a dict insert and delete per row, is skipped
+        rows = None if basis is None else [json.dumps(basis, check_circular=False)]
+        _print_json(s, "basis", rows, truncated)
     else:
         _print_summary_text(parsed, s)
         if basis is not None:
@@ -123,15 +172,17 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
-    # the seeds are constructed solutions, so they skip expand()'s seed check
-    stream = itertools.chain.from_iterable(_expand_iter(seed, c) for seed in iter_basis(c))
+    # the seeds are constructed solutions, so they skip expand()'s seed check;
+    # a run is never longer than gcd(a_n, m), so most instances need no slicing
+    runs = _expand_runs(iter_basis(c), c)
+    if s.gcds[-1] > _SLICE:
+        runs = _in_slices(runs)
     if args.limit is not None:
-        # no process prints sys.maxsize rows; islice takes no larger stop
-        stream = itertools.islice(stream, min(args.limit, sys.maxsize))
+        runs = _first_rows(runs, args.limit)
     if args.format == "json":
-        _print_json(s, "solutions", list(stream), truncated)
+        _print_json(s, "solutions", _json_runs(runs, c.arity), truncated)
     else:
-        _write_rows(stream, c.arity)
+        sys.stdout.writelines(_text_runs(runs, c.arity))
         if truncated:
             print("# truncated")
     return EXIT_OK

@@ -25,7 +25,10 @@ solution, and emits the solutions in lexicographic order, within the box
 the admissible values form one progression whose step and least member
 follow from n per-level constants (one modular inverse each), derived when
 the walk starts; a row then costs one multiply, one floor division and one
-mod per coordinate, and no gcd.
+mod per coordinate, and no gcd.  The expansion of a seed is walked in runs:
+the first n-1 coordinates are fixed once per run while the last steps
+through one progression, held as a `range`, so a consumer such as the CLI
+can render a run without building a tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -41,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import intmath
 
@@ -219,13 +222,15 @@ def find_particular(c: LinearCongruence) -> Solution | None:
     return tuple(u * y.x0 % c.modulus for u in cert.coefficients)
 
 
-def _require_solution(x: Solution, c: LinearCongruence) -> None:
+def _checked_seed(x: Sequence[int], c: LinearCongruence) -> Solution:
+    x = tuple(x)
     if len(x) != c.arity:
         raise ValueError(f"arity mismatch: expected {c.arity} residues, got {len(x)}")
     if any(not 0 <= xi < c.modulus for xi in x):
         raise ValueError(f"{x} is not reduced into [0, {c.modulus})")
     if not satisfies(x, c):
         raise ValueError(f"{x} does not satisfy the congruence")
+    return x
 
 
 def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
@@ -237,43 +242,63 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     the first yield is x0 itself.  Coordinate i thus steps through one
     arithmetic progression of step g_i, rotated to start at x0_i: x0_i,
     x0_i + g_i, ... below m, then x0_i mod g_i, ... below x0_i.  The
-    progressions are walked lazily (gcd(a_i, m) can be as large as m), and a
-    row costs one tuple concatenation.  The seed is validated before any
-    yield.
+    progressions are walked lazily (gcd(a_i, m) can be as large as m), in
+    runs: the first n-1 coordinates are fixed once per run, and the last one
+    steps through a `range`, so a row costs one tuple concatenation (the CLI
+    renders the runs without building the tuples).  The seed is validated
+    before any yield.
     """
-    x0 = tuple(x0)
-    _require_solution(x0, c)
-    return _expand_iter(x0, c)
+    return _rows(_expand_runs((_checked_seed(x0, c),), c))
 
 
-def _expand_iter(x0: Solution, c: LinearCongruence) -> Iterator[Solution]:
-    m, strides = c.modulus, c.summary.strides
-    # rests[i]: the values coordinate i takes after x0_i, as two ranges
-    rests = [(range(xi + g, m, g), range(xi % g, xi, g)) for xi, g in zip(x0[:-1], strides)]
-    xl, gl = x0[-1], strides[-1]
-    last_run = (range(xl, m, gl), range(xl % gl, xl, gl))
-    runs = [itertools.chain(*rest) for rest in rests]
-    head = list(x0[:-1])
-    n_lead = len(head)
-    while True:
-        prefix = tuple(head)
-        for r in last_run:
-            for v in r:
-                yield prefix + (v,)
-        # odometer over the prefix: advance the deepest run with a value
-        # left, then restart the exhausted runs after it at their seed value
-        i = n_lead
+def _rows(runs: Iterator[tuple[Solution, range]]) -> Iterator[Solution]:
+    return (prefix + (v,) for prefix, run in runs for v in run)
+
+
+def _expand_runs(seeds: Iterable[Solution],
+                 c: LinearCongruence) -> Iterator[tuple[Solution, range]]:
+    # The expansions of the seeds, one after another in expand's order, as
+    # runs: (prefix, run) pairs, where prefix holds the first n-1 coordinates
+    # and run is the range of values the last one takes with them.  The last
+    # coordinate steps through range(x0_n, m, g_n) and then, rotated, through
+    # range(x0_n % g_n, x0_n, g_n), which is empty (and skipped) for a
+    # reduced seed.  Only the lead coordinates with gcd(a_i, m) > 1 move;
+    # they are picked once per call, so a seed whose lead coordinates are all
+    # fixed is one run (two if it is not reduced), with no odometer to set up.
+    m, rec = c.modulus, c.summary
+    strides, gl = rec.strides, rec.strides[-1]
+    moving = [i for i, d in enumerate(rec.gcds[:-1]) if d > 1]
+    for x0 in seeds:
+        xl = x0[-1]
+        last = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else (range(xl, m, gl),)
+        if not moving:
+            prefix = x0[:-1]
+            for run in last:
+                yield prefix, run
+            continue
+        # rests[k]: the values moving coordinate k takes after its seed value
+        rests = [(range(x0[i] + strides[i], m, strides[i]),
+                  range(x0[i] % strides[i], x0[i], strides[i])) for i in moving]
+        values = [itertools.chain(*rest) for rest in rests]
+        head = list(x0[:-1])
         while True:
-            i -= 1
-            if i < 0:
-                return
-            v = next(runs[i], None)
-            if v is not None:
+            prefix = tuple(head)
+            for run in last:
+                yield prefix, run
+            # odometer: advance the deepest moving coordinate with a value
+            # left, then restart the exhausted ones after it at their seed value
+            k = len(moving)
+            while k:
+                k -= 1
+                v = next(values[k], None)
+                if v is not None:
+                    break
+            else:
                 break
-        head[i] = v
-        for j in range(i + 1, n_lead):
-            runs[j] = itertools.chain(*rests[j])
-            head[j] = x0[j]
+            head[moving[k]] = v
+            for j in range(k + 1, len(moving)):
+                values[j] = itertools.chain(*rests[j])
+                head[moving[j]] = x0[moving[j]]
 
 
 def _level_constants(c: LinearCongruence) -> tuple[list[int], list[int]]:
@@ -370,7 +395,7 @@ def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solutio
     """Every distinct solution, lazily: the expansions of the basis in order.
 
     For a full basis this yields exactly summarize(c).solution_count pairwise
-    distinct solutions; as a set it equals enumerate_raw(c).
+    distinct solutions; as a set it equals enumerate_raw(c).  Each seed is
+    checked as expand checks it, when the walk reaches it.
     """
-    for seed in basis.solutions:
-        yield from expand(seed, c)
+    return _rows(_expand_runs((_checked_seed(x, c) for x in basis.solutions), c))

@@ -74,6 +74,11 @@ class _Scanner:
     def peek(self) -> str:
         return self.text[self.i] if self.i < len(self.text) else ""
 
+    def at_sign(self) -> bool:
+        # a tuple, not "+-": peek() is "" at the end of the text, and "" is in
+        # every string
+        return self.peek() in ("+", "-")
+
     def advance(self) -> str:
         ch = self.peek()
         self.i += 1
@@ -101,7 +106,7 @@ class _Scanner:
     def signed_integer(self) -> int:
         self.skip_ws()
         sign = 1
-        if self.peek() in "+-":
+        if self.at_sign():
             sign = -1 if self.advance() == "-" else 1
         return sign * self.unsigned_integer()
 
@@ -137,7 +142,7 @@ def parse(text: str) -> ParsedCongruence:
 
     s.skip_ws()
     sign = 1
-    if s.peek() in "+-":
+    if s.at_sign():
         sign = -1 if s.advance() == "-" else 1
     while True:
         coeff, name, name_pos = _term(s)
@@ -146,7 +151,7 @@ def parse(text: str) -> ParsedCongruence:
         variables.append(name)
         coeffs.append(sign * coeff)
         s.skip_ws()
-        if s.peek() in "+-":
+        if s.at_sign():
             sign = -1 if s.advance() == "-" else 1
             continue
         break

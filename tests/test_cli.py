@@ -8,12 +8,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import composite, integers, lists
 
 import lincong.cli
 import lincong.core
 from lincong.cli import main
+from lincong.core import build_basis, enumerate_all, normalize, summarize
 from lincong.oracle import OracleReport
 
 from test_golden import CASES, GOLDEN
@@ -239,6 +245,82 @@ def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
     assert len(rows) == (min(limit, p1) if limit is not None else p1)
     assert doc["truncated"] is cut
     assert text == "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else "")
+
+
+@composite
+def solvable_instances(draw):
+    # arity 1-5 with m**n <= 4096, small enough to list every row
+    n = draw(integers(min_value=1, max_value=5))
+    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
+    coeffs = draw(lists(integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
+    c = normalize(coeffs, draw(integers(min_value=0, max_value=m - 1)), m)
+    return c if summarize(c).solvable else normalize(coeffs, 0, m)
+
+
+def reference_enumerate(c, fmt, limit):
+    """What `enumerate` printed when it rendered one row at a time: a "%d"
+    format per row for text, json.dumps of the whole document for JSON."""
+    s = summarize(c)
+    rows = list(enumerate_all(build_basis(c), c))
+    cut = limit is not None and limit < len(rows)
+    if cut:
+        rows = rows[:limit]
+    if fmt == "json":
+        doc = {"d": str(s.gcd_all), "solvable": True, "p1": str(s.solution_count),
+               "p2": str(s.expansion_count), "s": str(s.basis_size),
+               "solutions": rows, "truncated": cut}
+        return json.dumps(doc, ensure_ascii=False) + "\n"
+    row_format = " ".join(["%d"] * c.arity) + "\n"
+    return "".join(row_format % row for row in rows) + ("# truncated\n" if cut else "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(solvable_instances())
+def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
+    s = summarize(c)
+    p1, run = s.solution_count, s.gcds[-1]  # every run of a reduced seed has gcd(a_n, m) rows
+    limits = [None, 0, 1, run, run + run // 2, p1 - 1, p1, p1 + 1, 10**20]
+    instance = [f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}", f"--mod={c.modulus}"]
+    for limit in limits:
+        flags = [] if limit is None else ["--limit", str(limit)]
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["enumerate", *instance, "--format", fmt, *flags]) == 0
+            assert out.getvalue() == reference_enumerate(c, fmt, limit), (limit, fmt)
+
+
+def test_enumerate_streams_a_run_of_10_to_the_300_rows():
+    # a_1 = 0 makes gcd(a_1, m) = m: the only basis row expands into one run
+    # of 10**300 values, which is written in slices as it is walked
+    argv = ["enumerate", "--coeffs=0", "--rhs=0", f"--mod={decimal(10**300)}"]
+    proc = subprocess.Popen([sys.executable, "-m", "lincong", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    # a writer that never gets to its first line is killed, so the reads end
+    deadline = threading.Timer(30, proc.kill)
+    deadline.start()
+    try:
+        assert [proc.stdout.readline() for _ in range(3)] == [b"0\n", b"1\n", b"2\n"]
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.stderr.close()
+
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        with redirect_stdout(Discard()):
+            assert main([*argv, "--limit", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

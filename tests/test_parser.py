@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis.strategies import one_of, text
 
 from lincong.parser import ParsedCongruence, ParseError, format_congruence, parse
 
@@ -89,6 +91,33 @@ def test_more_rejections():
     assert "expected '≡' or '='" in str(_error("2x 3y ≡ 1 (mod 5)"))
     assert "expected 'mod'" in str(_error("x ≡ 1 (mud 5)"))
     assert "trailing input" in str(_error("x ≡ 1 (mod 5) extra"))
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("", 1, "expected a term such as '3x' or 'y'"),
+    ("   ", 4, "expected a term such as '3x' or 'y'"),
+    ("x", 2, "expected '≡' or '=' after the left-hand side"),
+    ("2x - 6y", 8, "expected '≡' or '=' after the left-hand side"),
+    ("x +", 4, "expected a term such as '3x' or 'y'"),
+    ("x ≡", 4, "expected an integer"),
+    ("x ≡ -", 6, "expected an integer"),
+    ("x ≡ 1 (mod", 11, "expected an integer"),
+    ("x ≡ 1 (mod 5", 13, "expected ')'"),
+])
+def test_end_of_input_is_reported_where_the_text_ends(text, pos, message):
+    # the end of the text is no sign: each error points at most one past the
+    # last character
+    exc = _error(text)
+    assert str(exc) == f"position {pos}: {message}"
+    assert exc.pos <= len(text) + 1
+
+
+@given(one_of(text(), text(alphabet="xy_09+-*≡=() mod\t²")))
+def test_any_text_parses_or_fails_with_a_position_inside_it(text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert 1 <= exc.pos <= len(text) + 1
 
 
 def test_mod_keyword_ends_where_its_letters_end():
