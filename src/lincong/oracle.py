@@ -1,11 +1,14 @@
 """Exhaustive ground-truth solver, for differential testing of the fast paths.
 
-brute_force scans every tuple in [0, m)**n: itertools.product walks the first
-n-1 coordinates and each prefix scans the last one as a lazy range(m), so
-memory stays constant for one unknown and for n >= 2 only range(m) is pooled.
-It uses no solver maths and shares nothing with core beyond the
-LinearCongruence type; that independence is the point.  verify compares its
-set with the counting and basis machinery of core.
+brute_force tabulates every tuple in [0, m)**n.  For one unknown it scans
+range(m) lazily, in constant memory.  For n >= 2 it first groups the m values
+of the last coordinate by the residue a_n*x contributes, then walks the first
+n-1 coordinates with itertools.product and looks up, per prefix, the last
+coordinates that complete it: m**(n-1) lookups, m table entries and one tuple
+per solution, instead of m**n checks.  It uses no solver maths (no gcd, no
+inverse) and shares nothing with core beyond the LinearCongruence type; that
+independence is the point.  verify compares its set with the counting and
+basis machinery of core.
 """
 
 from __future__ import annotations
@@ -34,17 +37,26 @@ class OracleReport:
 
 
 def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, ...]]:
-    """The exact solution set, by scanning all m**n residue tuples."""
+    """The exact solution set, by tabulating all m**n residue tuples.
+
+    The cap bounds m**n, the size of the space tabulated.
+    """
     space = c.modulus ** c.arity
     if space > cap:
         raise CapExceededError(
             f"search space m**n = {space} exceeds the cap of {cap} tuples")
     m, b = c.modulus, c.rhs
     *lead, last = c.coeffs
+    if not lead:
+        return {(x,) for x in range(m) if (last * x - b) % m == 0}
+    # by_residue[r]: the last coordinates x, as 1-tuples, with a_n*x ≡ r (mod m)
+    by_residue: dict[int, list[tuple[int]]] = {}
+    for x in range(m):
+        by_residue.setdefault(last * x % m, []).append((x,))
     found = set()
-    for prefix in product(range(m), repeat=c.arity - 1):
-        r = sum(map(mul, lead, prefix)) - b
-        found.update(prefix + (x,) for x in range(m) if (r + last * x) % m == 0)
+    for prefix in product(range(m), repeat=len(lead)):
+        for tail in by_residue.get((b - sum(map(mul, lead, prefix))) % m, ()):
+            found.add(prefix + tail)
     return found
 
 

@@ -101,7 +101,12 @@ class _Scanner:
             self.i += 1
         if start == self.i:
             raise ParseError("expected an integer", self.pos)
-        return int(self.text[start:self.i])
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # ASCII digits only, so over int()'s digit limit
+            raise ParseError(
+                f"integer of {self.i - start} digits exceeds the interpreter's "
+                "int/str digit limit", start + 1) from None
 
     def signed_integer(self) -> int:
         self.skip_ws()

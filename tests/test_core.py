@@ -512,3 +512,57 @@ def test_level_constants_agree_with_unary_solves(case):
         r = h[i] * t
         sol = intmath.solve_unary(a, r, h[i + 1])
         assert (u[i] * (r // h[i]) % steps[i], steps[i]) == (sol.x0, sol.step)
+
+
+BIG = 10**2000
+# smooth values up to about 10**1800
+BIG_SMOOTH = builds(_smooth, integers(0, 3000), integers(0, 1000), integers(0, 600))
+
+
+@composite
+def big_raw_instances(draw):
+    """Raw (coeffs, b, m) with |m| up to about 10**2000 and arity 1-12.
+
+    Smooth moduli and coefficients make gcd(a_i, m) and d range from 1 to
+    hundreds of digits instead of being almost always 1; the modulus may be
+    negative or zero, as raw input may be.
+    """
+    n = draw(integers(min_value=1, max_value=12))
+    m = draw(one_of(integers(min_value=-BIG, max_value=BIG), BIG_SMOOTH))
+    values = one_of(integers(min_value=-2 * BIG, max_value=2 * BIG),
+                    BIG_SMOOTH, just(0))
+    coeffs = draw(lists(values, min_size=n, max_size=n))
+    return coeffs, draw(values), m
+
+
+def _in_lex_order_and_reduced(rows, bounds, c):
+    assert all(x < y for x, y in zip(rows, rows[1:]))
+    for x in rows:
+        assert satisfies(x, c)
+        assert all(0 <= v < g for v, g in zip(x, bounds))
+
+
+@settings(max_examples=30, deadline=None)
+@given(big_raw_instances())
+def test_big_instances_are_exact_and_walk_in_order(raw):
+    coeffs, b, m = raw
+    if m == 0:
+        with pytest.raises(ValueError, match="nonzero"):
+            normalize(coeffs, b, m)
+        return
+    c = normalize(coeffs, b, m)
+    check_record_folds(c)
+    s = summarize(c)
+    x0 = find_particular(c)
+    assert (x0 is not None) == s.solvable
+    if x0 is not None:
+        assert satisfies(x0, c)
+        assert all(0 <= v < c.modulus for v in x0)
+    basis = list(itertools.islice(iter_basis(c), 5))
+    raw_rows = list(itertools.islice(enumerate_raw(c), 5))
+    _in_lex_order_and_reduced(basis, s.strides, c)
+    _in_lex_order_and_reduced(raw_rows, (c.modulus,) * c.arity, c)
+    assert len(basis) == (min(5, s.basis_size) if s.solvable else 0)
+    assert len(raw_rows) == (min(5, s.solution_count) if s.solvable else 0)
+    # the least solution is the least member of its class, so reduced
+    assert basis[:1] == raw_rows[:1]

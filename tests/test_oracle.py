@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis.strategies import composite, integers, lists
 
-from lincong.core import normalize, summarize
+from lincong.core import LinearCongruence, normalize, summarize
 from lincong.oracle import CapExceededError, brute_force, verify
 
 from helpers import random_instances, reference_brute_force
@@ -72,6 +72,44 @@ def test_brute_force_scans_one_unknown_in_constant_memory():
         tracemalloc.stop()
     assert found == {(85_715,)}
     assert peak < 1_000_000
+
+
+class CountingInt(int):
+    """An int that counts the multiplications it takes part in."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.products = 0
+        return self
+
+    def __mul__(self, other):
+        self.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("n, m", [(2, 60), (3, 15), (4, 7)])
+def test_brute_force_multiplies_the_last_coefficient_once_per_value(n, m):
+    # each value of the last coordinate is visited once per call, not once
+    # per prefix: m products, where a scan of every tuple makes m**n
+    last = CountingInt(5)
+    c = LinearCongruence((1,) * (n - 1) + (last,), 3, m)
+    found = brute_force(c)
+    assert last.products <= m
+    assert found == reference_brute_force(c)
+
+
+@pytest.mark.parametrize("c", [
+    normalize([3, 5, 0], 2, 9),     # last coefficient 0: one residue class
+    normalize([0, 4, 0], 0, 8),     # ... after a zero lead coefficient
+    normalize([4, 6, 7], 3, 12),    # gcd(a_n, m) = 1: one last value a residue
+    normalize([10, 1], 7, 30),
+    normalize([6, 9, 3], 2, 12),    # unsolvable, d = 3
+    normalize([4, 2, 6, 8], 1, 10), # unsolvable, d = 2
+])
+def test_brute_force_table_cases_match_reference_scan(c):
+    assert brute_force(c) == reference_brute_force(c)
 
 
 def test_verify_reference():

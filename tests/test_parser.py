@@ -1,6 +1,7 @@
 """Expression grammar: parsing, error positions, canonical formatting."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -136,6 +137,35 @@ def test_only_ascii_digits_are_digits():
     assert "expected a term" in str(_error("٣x ≡ 1 (mod 7)"))
     assert "expected '≡' or '='" in str(_error("x² ≡ 1 (mod 7)"))
     assert parse("x2 ≡ 1 (mod 7)").variables == ("x2",)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit of 4,300, for the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int/str digit limit")
+@pytest.mark.parametrize("before, after", [
+    ("", "x ≡ 1 (mod 5)"),
+    ("x ≡ -", " (mod 5)"),
+    ("x ≡ 1 (mod ", ")"),
+])
+def test_literal_over_the_digit_limit_points_at_its_first_digit(
+        default_digit_limit, before, after):
+    # the CLI lifts the limit for its call; a library caller keeps it and gets
+    # a positioned error instead of int()'s
+    exc = _error(before + "7" * 5000 + after)
+    assert exc.pos == len(before) + 1
+    assert "5000 digits" in str(exc)
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    assert parse(before + "7" * default_digit_limit + after)
 
 
 def test_parse_error_is_value_error():
