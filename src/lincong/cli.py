@@ -122,22 +122,31 @@ def _first_rows(runs, limit: int):
 def _text_runs(runs, arity: int):
     # one line per row, space-separated: a run's prefix is formatted once and
     # its last-coordinate values are joined onto it ("%d" renders an int
-    # exactly as str() does)
+    # exactly as str() does).  A seed's runs all take the same values, so they
+    # are rendered once and reused while the next run compares equal (range
+    # equality is O(1)); a run cut by --limit differs and is rendered afresh
     lead = "%d " * (arity - 1)
+    shown = tail = None
     for prefix, run in runs:
+        if run != shown:
+            shown, tail = run, list(map(str, run))
         head = lead % prefix
-        yield head + ("\n" + head).join(map(str, run)) + "\n"
+        yield head + ("\n" + head).join(tail) + "\n"
 
 
 def _json_runs(runs, arity: int):
     # the same rows as a JSON array of arrays, byte for byte as json.dumps
-    # writes it, one piece per run
+    # writes it, one piece per run; last-coordinate values are rendered once
+    # per distinct run, as in _text_runs
     lead = "%d, " * (arity - 1)
     yield "["
     sep = ""
+    shown = tail = None
     for prefix, run in runs:
+        if run != shown:
+            shown, tail = run, list(map(str, run))
         head = "[" + lead % prefix
-        yield sep + head + ("], " + head).join(map(str, run)) + "]"
+        yield sep + head + ("], " + head).join(tail) + "]"
         sep = ", "
     yield "]"
 

@@ -40,7 +40,8 @@ def random_parsed(rng: random.Random) -> ParsedCongruence:
 def fibonacci_pair(digits: int) -> tuple[int, int]:
     """Consecutive Fibonacci numbers (F_k, F_{k+1}), F_{k+1} the first with `digits` digits."""
     f0, f1 = 0, 1
-    while len(str(f1)) < digits:
+    least = 10 ** (digits - 1)  # the least number of `digits` digits
+    while f1 < least:
         f0, f1 = f1, f0 + f1
     return f0, f1
 

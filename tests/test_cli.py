@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -261,7 +262,12 @@ def reference_enumerate(c, fmt, limit):
     """What `enumerate` printed when it rendered one row at a time: a "%d"
     format per row for text, json.dumps of the whole document for JSON."""
     s = summarize(c)
-    rows = list(enumerate_all(build_basis(c), c))
+    rows = enumerate_all(build_basis(c), c)
+    if limit is not None:
+        # one row past the limit tells whether it cuts; islice takes no
+        # stop above sys.maxsize
+        rows = itertools.islice(rows, min(limit + 1, sys.maxsize))
+    rows = list(rows)
     cut = limit is not None and limit < len(rows)
     if cut:
         rows = rows[:limit]
@@ -288,6 +294,71 @@ def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
             with redirect_stdout(out):
                 assert main(["enumerate", *instance, "--format", fmt, *flags]) == 0
             assert out.getvalue() == reference_enumerate(c, fmt, limit), (limit, fmt)
+
+
+@pytest.fixture
+def str_calls(monkeypatch):
+    """The values lincong.cli converts with str(), recorded by a shadowing wrapper."""
+    converted = []
+
+    def counting_str(value=""):
+        converted.append(value)
+        return str(value)
+
+    monkeypatch.setattr(lincong.cli, "str", counting_str, raising=False)
+    return converted
+
+
+def enumerate_output(c, fmt, limit=None):
+    argv = ["enumerate", f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
+            f"--mod={c.modulus}", "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_renders_a_seeds_last_values_once(str_calls, fmt):
+    # one seed whose 32 runs all take the same 250 last-coordinate values:
+    # 8,000 rows from 250 conversions, plus the four JSON summary counts
+    c = normalize([224, 750], 0, 4000)
+    s = summarize(c)
+    assert (s.basis_size, s.gcds, s.solution_count) == (1, (32, 250), 8000)
+    assert enumerate_output(c, fmt) == reference_enumerate(c, fmt, None)
+    assert len(str_calls) <= s.basis_size * s.gcds[-1] + 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_reuses_a_run_shared_by_two_seeds(str_calls, fmt):
+    # x2 moves (gcd 2) and every reduced seed has x3 = 0, so all 12 runs of
+    # the 6 seeds are range(12): rendered once for the whole stream
+    c = normalize([1, 2, 0], 0, 12)
+    s = summarize(c)
+    assert (s.basis_size, s.gcds) == (6, (1, 2, 12))
+    assert {x[-1] for x in build_basis(c).solutions} == {0}
+    assert enumerate_output(c, fmt) == reference_enumerate(c, fmt, None)
+    assert len(str_calls) == 12 + (4 if fmt == "json" else 0)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_slices_long_runs_across_a_prefix(fmt):
+    # gcd(a_2, m) = 4096 > 1024: each prefix's run is written as four slices,
+    # and the limit crosses into the second prefix and cuts its first slice
+    c = normalize([2048, 0], 0, 4096)
+    assert summarize(c).gcds == (2048, 4096)
+    assert enumerate_output(c, fmt, 5000) == reference_enumerate(c, fmt, 5000)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", [250, 750, 790, 1000, 1001])
+def test_enumerate_renders_a_cut_run_afresh(fmt, limit):
+    # 790 cuts the fourth run right after three equal ones were rendered
+    # from the cache; the cut run is shorter, so it must not reuse them
+    c = normalize([224, 750], 0, 4000)
+    assert enumerate_output(c, fmt, limit) == reference_enumerate(c, fmt, limit)
 
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():

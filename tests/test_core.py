@@ -28,7 +28,7 @@ from lincong.core import (
 )
 from lincong.oracle import brute_force
 
-from helpers import greedy_basis, random_instances, reference_expand
+from helpers import fibonacci_pair, greedy_basis, random_instances, reference_expand
 
 # 2x - 6y = 2 (mod 12), the worked two-variable example used throughout.
 REF = normalize([2, -6], 2, 12)
@@ -566,3 +566,41 @@ def test_big_instances_are_exact_and_walk_in_order(raw):
     assert len(raw_rows) == (min(5, s.solution_count) if s.solvable else 0)
     # the least solution is the least member of its class, so reduced
     assert basis[:1] == raw_rows[:1]
+
+
+@composite
+def fibonacci_instances(draw):
+    """One- and two-unknown instances built on consecutive Fibonacci numbers
+    (F_k, F_{k+1}) of 2 to 2,000 digits, the inputs on which Euclid's
+    algorithm takes the most steps for their size."""
+    f0, f1 = fibonacci_pair(draw(integers(min_value=2, max_value=2000)))
+    coeffs, m = draw(one_of(
+        just(([f0], f1)), just(([f1], f0)), just(([-f0], f1)),
+        just(([f0, f1], f0 * f1)), just(([f1, -f0], f0 * f1)),
+        just(([f0, f0 * f1], f1 * f1)), just(([f1, f0], f1))))
+    b = draw(integers(min_value=-m, max_value=m))
+    multiples = draw(lists(integers(min_value=0, max_value=f1), min_size=2, max_size=2))
+    return normalize(coeffs, b, m), multiples
+
+
+@settings(max_examples=40, deadline=None)
+@given(fibonacci_instances())
+def test_fibonacci_instances_are_exact_and_walk_in_order(case):
+    c, multiples = case
+    s = summarize(c)
+    x0 = find_particular(c)
+    assert (x0 is not None) == s.solvable
+    if x0 is not None:
+        assert satisfies(x0, c)
+        assert all(0 <= v < c.modulus for v in x0)
+    # the level constants (one pow(x, -1, step) each) give the egcd-based
+    # solution of every residual the walk can meet
+    h = (*s.suffix_gcds, c.modulus)
+    u, steps = _level_constants(c)
+    for i, (a, t) in enumerate(zip(c.coeffs, multiples)):
+        r = h[i] * t
+        sol = intmath.solve_unary(a, r, h[i + 1])
+        assert (u[i] * (r // h[i]) % steps[i], steps[i]) == (sol.x0, sol.step)
+    basis = list(itertools.islice(iter_basis(c), 5))
+    _in_lex_order_and_reduced(basis, s.strides, c)
+    assert len(basis) == (min(5, s.basis_size) if s.solvable else 0)

@@ -1,5 +1,6 @@
 """Brute-force oracle and differential verification."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis.strategies import composite, integers, lists
 
-from lincong.core import LinearCongruence, normalize, summarize
+import lincong.oracle
+from lincong.core import LinearCongruence, build_basis, normalize, summarize
 from lincong.oracle import CapExceededError, brute_force, verify
 
 from helpers import random_instances, reference_brute_force
@@ -134,6 +136,53 @@ def test_verify_random_instances():
         assert report.agrees_with_summary, c
         assert report.agrees_with_basis, c
         assert report.solution_count == summarize(c).solution_count
+
+
+def test_verify_holds_one_copy_of_the_scan():
+    # every tuple of [0, 400)**2 solves, p1 = 160,000: the scan's set is
+    # checked against the basis by striking rows off it, not by building a
+    # second set of regenerated tuples
+    c = normalize([0, 0], 0, 400)
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            result = f(c)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    scan_peak, found = peak(brute_force)
+    del found
+    verify_peak, report = peak(verify)
+    assert report.solution_count == 160_000
+    assert report.agrees_with_summary and report.agrees_with_basis
+    assert verify_peak <= 1.4 * scan_peak
+
+
+def test_verify_rejects_overlapping_expansions(monkeypatch):
+    # a basis that lists one seed twice regenerates the same set with a
+    # duplicate row, so its expansions are not the disjoint cover the count
+    # p1 = s * p2 rests on
+    def repeated_seed(c):
+        basis = build_basis(c)
+        return dataclasses.replace(basis, solutions=basis.solutions + basis.solutions[:1])
+
+    monkeypatch.setattr(lincong.oracle, "build_basis", repeated_seed)
+    report = verify(REF)
+    assert report.agrees_with_summary
+    assert not report.agrees_with_basis
+
+
+def test_verify_rejects_a_basis_that_misses_rows(monkeypatch):
+    def short(c):
+        basis = build_basis(c)
+        return dataclasses.replace(basis, solutions=basis.solutions[1:])
+
+    monkeypatch.setattr(lincong.oracle, "build_basis", short)
+    report = verify(REF)
+    assert report.agrees_with_summary
+    assert not report.agrees_with_basis
 
 
 def test_solvability_matches_oracle():
