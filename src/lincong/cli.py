@@ -7,6 +7,7 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,6 @@ from .core import (
     SolveSummary,
     _expand_runs,
     are_dependent,
-    build_basis,
     iter_basis,
     module_generators,
     normalize,
@@ -34,7 +34,7 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
-_SLICE = 1024  # most rows `enumerate` renders into one string
+_SLICE = 1024  # most rows rendered into one string
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -68,17 +68,17 @@ def _check_limit(limit):
 
 def _print_json(s: SolveSummary, rows_key: str, rows, truncated: bool):
     # counts are decimal strings because they can exceed any fixed integer
-    # width; an unsolvable solve has no rows key.  rows is the JSON text of
-    # the row array in pieces, written as they come between the summary keys
-    # and the truncated flag, so a long array is never held whole
+    # width; an unsolvable solve has no rows key.  rows are the array's items
+    # in pieces, written inside its brackets as they come, never held whole
     summary = json.dumps({"d": str(s.gcd_all), "solvable": s.solvable,
                           "p1": str(s.solution_count), "p2": str(s.expansion_count),
                           "s": str(s.basis_size)})
     out = sys.stdout
     out.write(summary[:-1])
     if rows is not None:
-        out.write(f", \"{rows_key}\": ")
+        out.write(f", \"{rows_key}\": [")
         out.writelines(rows)
+        out.write("]")
     out.write(', "truncated": true}\n' if truncated else ', "truncated": false}\n')
 
 
@@ -91,11 +91,40 @@ def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
     print(f"basis size (s) = {s.basis_size}")
 
 
-def _write_rows(rows, arity: int):
-    # one residue vector per line, space-separated; "%d" renders an int
-    # exactly as str() does, and one format per row beats join(map(str, ...))
-    row_format = " ".join(["%d"] * arity) + "\n"
-    sys.stdout.writelines(row_format % row for row in rows)
+def _punctuation(fmt: str, arity: int) -> tuple[str, str, str]:
+    # (lead, close, joiner) of both formats: a row is lead % its first n-1
+    # values, its last value and close, and rows are joined by joiner, as
+    # json.dumps writes them for JSON ("%d" renders an int as str() does)
+    if fmt == "json":
+        return "[" + "%d, " * (arity - 1), "]", ", "
+    return "%d " * (arity - 1), "\n", ""
+
+
+def _rendered_rows(rows, punct):
+    # one "%" format per row, joined into pieces of up to _SLICE rows, so
+    # rows of any number stream in bounded memory with few writes
+    lead, close, joiner = punct
+    row_format = lead + "%d" + close
+    sep = ""
+    while piece := joiner.join([row_format % row for row in itertools.islice(rows, _SLICE)]):
+        yield sep + piece
+        sep = joiner
+
+
+def _rendered_runs(runs, punct):
+    # one piece per run, its prefix formatted once.  A seed's runs all take
+    # the same last values, so they are rendered once and reused while the next
+    # run compares equal (O(1) for ranges); a run cut by --limit is not equal
+    lead, close, joiner = punct
+    glue = close + joiner
+    sep = ""
+    shown = tail = None
+    for prefix, run in runs:
+        if run != shown:
+            shown, tail = run, list(map(str, run))
+        head = lead % prefix
+        yield sep + head + (glue + head).join(tail) + close
+        sep = joiner
 
 
 def _in_slices(runs):
@@ -108,65 +137,35 @@ def _in_slices(runs):
 
 
 def _first_rows(runs, limit: int):
-    # the runs that carry the first `limit` rows; the last one is cut short
-    for prefix, run in runs:
-        k = len(run)
-        if limit <= k:
-            if limit:
+    # the runs that carry the first `limit` rows; the last one is cut short,
+    # and a limit of 0 pulls no run, so the walk never starts
+    if limit:
+        for prefix, run in runs:
+            if limit <= len(run):
                 yield prefix, run[:limit]
-            return
-        limit -= k
-        yield prefix, run
-
-
-def _text_runs(runs, arity: int):
-    # one line per row, space-separated: a run's prefix is formatted once and
-    # its last-coordinate values are joined onto it ("%d" renders an int
-    # exactly as str() does).  A seed's runs all take the same values, so they
-    # are rendered once and reused while the next run compares equal (range
-    # equality is O(1)); a run cut by --limit differs and is rendered afresh
-    lead = "%d " * (arity - 1)
-    shown = tail = None
-    for prefix, run in runs:
-        if run != shown:
-            shown, tail = run, list(map(str, run))
-        head = lead % prefix
-        yield head + ("\n" + head).join(tail) + "\n"
-
-
-def _json_runs(runs, arity: int):
-    # the same rows as a JSON array of arrays, byte for byte as json.dumps
-    # writes it, one piece per run; last-coordinate values are rendered once
-    # per distinct run, as in _text_runs
-    lead = "%d, " * (arity - 1)
-    yield "["
-    sep = ""
-    shown = tail = None
-    for prefix, run in runs:
-        if run != shown:
-            shown, tail = run, list(map(str, run))
-        head = "[" + lead % prefix
-        yield sep + head + ("], " + head).join(tail) + "]"
-        sep = ", "
-    yield "]"
+                return
+            limit -= len(run)
+            yield prefix, run
 
 
 def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
     _check_limit(args.limit)
     s = summarize(c)
-    basis = build_basis(c, limit=args.limit).solutions if s.solvable else None
     truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
+    # the basis streams from the walk as it is written, and --limit 0 pulls no
+    # row, so counts alone start no walk; islice takes no stop above sys.maxsize
+    rows = iter_basis(c)
+    if args.limit is not None:
+        rows = itertools.islice(rows, min(args.limit, sys.maxsize))
+    rows = _rendered_rows(rows, _punctuation(args.format, c.arity)) if s.solvable else None
     if args.format == "json":
-        # the basis is a fresh tree without cycles, so json's default check
-        # for them, a dict insert and delete per row, is skipped
-        rows = None if basis is None else [json.dumps(basis, check_circular=False)]
         _print_json(s, "basis", rows, truncated)
     else:
         _print_summary_text(parsed, s)
-        if basis is not None:
+        if rows is not None:
             print("basis:")
-            _write_rows(basis, c.arity)
+            sys.stdout.writelines(rows)
             if truncated:
                 print("# truncated")
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
@@ -188,10 +187,11 @@ def cmd_enumerate(args) -> int:
         runs = _in_slices(runs)
     if args.limit is not None:
         runs = _first_rows(runs, args.limit)
+    pieces = _rendered_runs(runs, _punctuation(args.format, c.arity))
     if args.format == "json":
-        _print_json(s, "solutions", _json_runs(runs, c.arity), truncated)
+        _print_json(s, "solutions", pieces, truncated)
     else:
-        sys.stdout.writelines(_text_runs(runs, c.arity))
+        sys.stdout.writelines(pieces)
         if truncated:
             print("# truncated")
     return EXIT_OK

@@ -109,6 +109,30 @@ def reference_expand(x0, c: LinearCongruence) -> list[tuple[int, ...]]:
         counters[i] += 1
 
 
+def assert_same_text(got: str, want: str, context=None):
+    """Fail unless got == want, naming the lengths and the first line that
+    differs (cut to a window around its first differing character).
+
+    A plain `assert got == want` in a test module makes pytest build a full
+    diff of the two strings on failure, which for outputs of thousands of
+    rows takes minutes; this check is exactly as strict and fails at once.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    i = next((k for k, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    g = got_lines[i] if i < len(got_lines) else ""
+    w = want_lines[i] if i < len(want_lines) else ""
+    j = next((k for k, pair in enumerate(zip(g, w)) if pair[0] != pair[1]), min(len(g), len(w)))
+    start = max(0, j - 40)
+    where = "" if context is None else f"{context!r}: "
+    raise AssertionError(
+        f"{where}got {len(got)} chars in {len(got_lines)} lines, expected {len(want)} chars "
+        f"in {len(want_lines)} lines; first difference at line {i + 1}, column {j + 1}: "
+        f"got {g[start:j + 40]!r}, expected {w[start:j + 40]!r}")
+
+
 def reference_brute_force(c: LinearCongruence) -> set[tuple[int, ...]]:
     """Reference exhaustive scan: decode every index in range(m**n) as n
     base-m digits and keep the tuples that solve the congruence."""

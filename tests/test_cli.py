@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import composite, integers, lists
 
 import lincong.cli
@@ -22,13 +23,22 @@ import lincong.core
 from lincong.cli import main
 from lincong.core import build_basis, enumerate_all, normalize, summarize
 from lincong.oracle import OracleReport
+from lincong.parser import ParsedCongruence, format_congruence
 
+from helpers import assert_same_text
 from test_golden import CASES, GOLDEN
 
 REF_EXPR = "2x - 6y ≡ 2 (mod 12)"
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+class Discard(io.TextIOBase):
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
 
 
 def run(capsys, *argv):
@@ -245,7 +255,7 @@ def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
     rows = [" ".join(map(str, row)) for row in doc["solutions"]]
     assert len(rows) == (min(limit, p1) if limit is not None else p1)
     assert doc["truncated"] is cut
-    assert text == "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else "")
+    assert_same_text(text, "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else ""))
 
 
 @composite
@@ -293,7 +303,7 @@ def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
             out = io.StringIO()
             with redirect_stdout(out):
                 assert main(["enumerate", *instance, "--format", fmt, *flags]) == 0
-            assert out.getvalue() == reference_enumerate(c, fmt, limit), (limit, fmt)
+            assert_same_text(out.getvalue(), reference_enumerate(c, fmt, limit), (limit, fmt))
 
 
 @pytest.fixture
@@ -327,7 +337,7 @@ def test_enumerate_renders_a_seeds_last_values_once(str_calls, fmt):
     c = normalize([224, 750], 0, 4000)
     s = summarize(c)
     assert (s.basis_size, s.gcds, s.solution_count) == (1, (32, 250), 8000)
-    assert enumerate_output(c, fmt) == reference_enumerate(c, fmt, None)
+    assert_same_text(enumerate_output(c, fmt), reference_enumerate(c, fmt, None))
     assert len(str_calls) <= s.basis_size * s.gcds[-1] + 4
 
 
@@ -339,7 +349,7 @@ def test_enumerate_reuses_a_run_shared_by_two_seeds(str_calls, fmt):
     s = summarize(c)
     assert (s.basis_size, s.gcds) == (6, (1, 2, 12))
     assert {x[-1] for x in build_basis(c).solutions} == {0}
-    assert enumerate_output(c, fmt) == reference_enumerate(c, fmt, None)
+    assert_same_text(enumerate_output(c, fmt), reference_enumerate(c, fmt, None))
     assert len(str_calls) == 12 + (4 if fmt == "json" else 0)
 
 
@@ -349,7 +359,7 @@ def test_enumerate_slices_long_runs_across_a_prefix(fmt):
     # and the limit crosses into the second prefix and cuts its first slice
     c = normalize([2048, 0], 0, 4096)
     assert summarize(c).gcds == (2048, 4096)
-    assert enumerate_output(c, fmt, 5000) == reference_enumerate(c, fmt, 5000)
+    assert_same_text(enumerate_output(c, fmt, 5000), reference_enumerate(c, fmt, 5000))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -358,7 +368,7 @@ def test_enumerate_renders_a_cut_run_afresh(fmt, limit):
     # 790 cuts the fourth run right after three equal ones were rendered
     # from the cache; the cut run is shorter, so it must not reuse them
     c = normalize([224, 750], 0, 4000)
-    assert enumerate_output(c, fmt, limit) == reference_enumerate(c, fmt, limit)
+    assert_same_text(enumerate_output(c, fmt, limit), reference_enumerate(c, fmt, limit))
 
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():
@@ -380,14 +390,120 @@ def test_enumerate_streams_a_run_of_10_to_the_300_rows():
         proc.kill()
         proc.stderr.close()
 
-    class Discard(io.TextIOBase):
-        def write(self, text):
-            return len(text)
-
     tracemalloc.start()
     try:
         with redirect_stdout(Discard()):
             assert main([*argv, "--limit", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@composite
+def instances(draw):
+    # arity 1-5 with m**n <= 4096, solvable or not
+    n = draw(integers(min_value=1, max_value=5))
+    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
+    coeffs = draw(lists(integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
+    return normalize(coeffs, draw(integers(min_value=0, max_value=m - 1)), m)
+
+
+def reference_solve(c, fmt, limit):
+    """What `solve` printed when it collected its basis with build_basis: a
+    "%d" format per row for text, json.dumps of the whole document for JSON."""
+    s = summarize(c)
+    basis = build_basis(c, limit=limit)
+    truncated = s.solvable and limit is not None and limit < s.basis_size
+    if fmt == "json":
+        doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
+               "p2": str(s.expansion_count), "s": str(s.basis_size)}
+        if basis is not None:
+            doc["basis"] = basis.solutions
+        doc["truncated"] = truncated
+        return json.dumps(doc) + "\n"
+    names = tuple(f"x{i}" for i in range(1, c.arity + 1))
+    lines = [f"congruence: {format_congruence(ParsedCongruence(names, c.coeffs, c.rhs, c.modulus))}",
+             f"d = {s.gcd_all}", f"solvable = {'true' if s.solvable else 'false'}",
+             f"solutions (p1) = {s.solution_count}", f"per-seed (p2) = {s.expansion_count}",
+             f"basis size (s) = {s.basis_size}"]
+    if basis is not None:
+        row_format = " ".join(["%d"] * c.arity)
+        lines += ["basis:", *(row_format % row for row in basis.solutions)]
+        lines += ["# truncated"] if truncated else []
+    return "".join(line + "\n" for line in lines)
+
+
+def solve_output(c, fmt, limit):
+    argv = ["solve", f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
+            f"--mod={c.modulus}", "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == (0 if summarize(c).solvable else 3)
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+@example(normalize([2], 1, 4))  # unsolvable
+@example(normalize([4, 6, 0], 1, 8))  # unsolvable
+@example(normalize([1, 1], 0, 2048))  # s = 2048: two full pieces of rows
+def test_solve_streams_the_basis_byte_for_byte(c):
+    s = summarize(c).basis_size
+    for limit in [None, 0, 1, s - 1, s, s + 1, 10**20]:
+        for fmt in ("text", "json"):
+            assert_same_text(solve_output(c, fmt, limit), reference_solve(c, fmt, limit),
+                             (limit, fmt))
+
+
+def _capped_address_space():
+    # the child may map at most 1 GiB, so a solve that collects its basis
+    # fails within seconds instead of growing for as long as memory lasts
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_streams_a_basis_of_10_to_the_10_rows(fmt):
+    # s = 10**10: the summary and the first rows arrive while the walk goes
+    # on, and the writer exits 0 when the reader hangs up
+    argv = ["solve", "x + y + z ≡ 0 (mod 100000)", "--format", fmt]
+    proc = subprocess.Popen([sys.executable, "-m", "lincong", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=subprocess_env(), preexec_fn=_capped_address_space)
+    deadline = threading.Timer(30, proc.kill)
+    deadline.start()
+    try:
+        if fmt == "text":
+            assert [proc.stdout.readline() for _ in range(9)] == [
+                line.encode() + b"\n" for line in [
+                    "congruence: 1*x + 1*y + 1*z ≡ 0 (mod 100000)", "d = 1", "solvable = true",
+                    "solutions (p1) = 10000000000", "per-seed (p2) = 1",
+                    "basis size (s) = 10000000000", "basis:", "0 0 0", "0 1 99999"]]
+        else:
+            rows = ", ".join(f"[0, {y}, {-y % 100000}]" for y in range(20))
+            head = ('{"d": "1", "solvable": true, "p1": "10000000000", "p2": "1", '
+                    '"s": "10000000000", "basis": [' + rows)
+            assert proc.stdout.read(200) == head.encode()[:200]
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_solve_holds_a_bounded_piece_of_its_basis():
+    # 200,000 rows written as they are walked; a collected basis of as many
+    # 3-tuples takes tens of MB.  One format only: tracemalloc makes each row
+    # about twenty times slower, and text and JSON share the row renderer
+    argv = ["solve", "x + y + z ≡ 0 (mod 100000)", "--format", "json", "--limit", "200000"]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(Discard()):
+            assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

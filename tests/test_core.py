@@ -473,11 +473,12 @@ def test_basis_rows_cost_at_most_n_unary_solves_each(monkeypatch, capsys, coeffs
         rows = list(itertools.islice(iter_basis(c), k))
         assert len(rows) == min(k, summarize(c).basis_size)
         assert calls == {"solve_unary": 0, "inverse": c.arity}
-    # counts alone start no walk
-    calls.update(solve_unary=0, inverse=0)
-    argv = ["solve", "--coeffs=" + ",".join(map(str, coeffs)), f"--rhs={rhs}", f"--mod={m}"]
-    assert main(argv + ["--limit", "0"]) == 0
-    assert calls == {"solve_unary": 0, "inverse": 0}
+    # counts alone start no walk, for solve and for enumerate in both formats
+    instance = ["--coeffs=" + ",".join(map(str, coeffs)), f"--rhs={rhs}", f"--mod={m}", "--limit=0"]
+    for command, fmt in [("solve", "text"), ("enumerate", "text"), ("enumerate", "json")]:
+        calls.update(solve_unary=0, inverse=0)
+        assert main([command, *instance, "--format", fmt]) == 0
+        assert calls == {"solve_unary": 0, "inverse": 0}, (command, fmt)
     capsys.readouterr()
 
 
