@@ -25,10 +25,13 @@ solution, and emits the solutions in lexicographic order, within the box
 the admissible values form one progression whose step and least member
 follow from n per-level constants (one modular inverse each), derived when
 the walk starts; a row then costs one multiply, one floor division and one
-mod per coordinate, and no gcd.  The expansion of a seed is walked in runs:
-the first n-1 coordinates are fixed once per run while the last steps
-through one progression, held as a `range`, so a consumer such as the CLI
-can render a run without building a tuple per row.
+mod per coordinate, and no gcd.  The least solution (find_particular) is
+that walk's first row.  The expansion of a seed steps each coordinate round
+its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
+gcd(a_i, m) steps; it is walked in runs: the first n-1 coordinates are fixed
+once per run while the last steps through its cycle as one or two `range`s,
+so a consumer such as the CLI can render a run without building a tuple per
+row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -45,8 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
-
-from . import intmath
 
 __all__ = [
     "LinearCongruence",
@@ -206,20 +207,13 @@ def satisfies(x: Sequence[int], c: LinearCongruence) -> bool:
 
 
 def find_particular(c: LinearCongruence) -> Solution | None:
-    """One deterministic solution of the instance, or None when unsolvable.
+    """The lexicographically least solution of the instance, or None when unsolvable.
 
-    Combines a Bezout certificate of the coefficients with a one-unknown
-    solve: with g0 = gcd(a1, ..., an) and coefficients u_i such that
-    sum(u_i * a_i) = g0, any y with g0*y = b (mod m) gives the solution
-    x_i = u_i * y mod m.  Such a y exists exactly when the congruence is
-    solvable, because gcd(g0, m) = gcd(a1, ..., an, m).
+    It is the first row of the reduced walk: the least member of its class
+    is reduced, so this is also the first row of iter_basis(c), of
+    enumerate_raw(c) and of the basis `solve` prints.
     """
-    if not c.summary.solvable:
-        return None
-    cert = intmath.multi_gcd_bezout(c.coeffs)
-    y = intmath.solve_unary(cert.gcd, c.rhs, c.modulus)
-    assert y is not None  # guaranteed by solvability
-    return tuple(u * y.x0 % c.modulus for u in cert.coefficients)
+    return next(_lex_solutions(c, c.summary.strides), None)
 
 
 def _checked_seed(x: Sequence[int], c: LinearCongruence) -> Solution:
@@ -239,14 +233,13 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     Yields exactly prod(gcd(a_i, m)) pairwise-distinct solutions
     x_i = (x0_i + g_i * t_i) mod m with g_i = m // gcd(a_i, m) and parameter
     tuples (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order;
-    the first yield is x0 itself.  Coordinate i thus steps through one
-    arithmetic progression of step g_i, rotated to start at x0_i: x0_i,
-    x0_i + g_i, ... below m, then x0_i mod g_i, ... below x0_i.  The
-    progressions are walked lazily (gcd(a_i, m) can be as large as m), in
-    runs: the first n-1 coordinates are fixed once per run, and the last one
-    steps through a `range`, so a row costs one tuple concatenation (the CLI
-    renders the runs without building the tuples).  The seed is validated
-    before any yield.
+    the first yield is x0 itself.  Coordinate i thus steps round its cycle
+    x0_i, x0_i + g_i, ... mod m, which comes back to x0_i after gcd(a_i, m)
+    steps.  The cycles are walked lazily (gcd(a_i, m) can be as large as m),
+    by an odometer over the first n-1 coordinates, in runs: those are fixed
+    once per run, and the last one steps through a `range`, so a row costs
+    one tuple concatenation (the CLI renders the runs without building the
+    tuples).  The seed is validated before any yield.
     """
     return _rows(_expand_runs((_checked_seed(x0, c),), c))
 
@@ -262,43 +255,29 @@ def _expand_runs(seeds: Iterable[Solution],
     # and run is the range of values the last one takes with them.  The last
     # coordinate steps through range(x0_n, m, g_n) and then, rotated, through
     # range(x0_n % g_n, x0_n, g_n), which is empty (and skipped) for a
-    # reduced seed.  Only the lead coordinates with gcd(a_i, m) > 1 move;
-    # they are picked once per call, so a seed whose lead coordinates are all
-    # fixed is one run (two if it is not reduced), with no odometer to set up.
+    # reduced seed.  Only the lead coordinates with gcd(a_i, m) > 1 move,
+    # each round its cycle x0_i, x0_i + g_i, ... mod m, which comes back to
+    # x0_i after gcd(a_i, m) steps.
     m, rec = c.modulus, c.summary
     strides, gl = rec.strides, rec.strides[-1]
-    moving = [i for i, d in enumerate(rec.gcds[:-1]) if d > 1]
+    moving = [i for i in reversed(range(c.arity - 1)) if rec.gcds[i] > 1]  # deepest first
     for x0 in seeds:
         xl = x0[-1]
         last = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else (range(xl, m, gl),)
-        if not moving:
-            prefix = x0[:-1]
-            for run in last:
-                yield prefix, run
-            continue
-        # rests[k]: the values moving coordinate k takes after its seed value
-        rests = [(range(x0[i] + strides[i], m, strides[i]),
-                  range(x0[i] % strides[i], x0[i], strides[i])) for i in moving]
-        values = [itertools.chain(*rest) for rest in rests]
         head = list(x0[:-1])
         while True:
             prefix = tuple(head)
             for run in last:
                 yield prefix, run
-            # odometer: advance the deepest moving coordinate with a value
-            # left, then restart the exhausted ones after it at their seed value
-            k = len(moving)
-            while k:
-                k -= 1
-                v = next(values[k], None)
-                if v is not None:
+            # odometer: step the deepest moving coordinate round its cycle; one
+            # that came back to its seed value has wrapped, so it is already
+            # reset, and the step carries into the next
+            for i in moving:
+                head[i] = (head[i] + strides[i]) % m
+                if head[i] != x0[i]:
                     break
             else:
                 break
-            head[moving[k]] = v
-            for j in range(k + 1, len(moving)):
-                values[j] = itertools.chain(*rests[j])
-                head[moving[j]] = x0[moving[j]]
 
 
 def _level_constants(c: LinearCongruence) -> tuple[list[int], list[int]]:

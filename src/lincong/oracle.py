@@ -37,16 +37,26 @@ class OracleReport:
     agrees_with_basis: bool
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or by its bit length past Python's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, ...]]:
     """The exact solution set, by tabulating all m**n residue tuples.
 
-    The cap bounds m**n, the size of the space tabulated.
+    The cap bounds m**n, the size of the space tabulated.  A refusal does not
+    build m**n, whose digits grow with n: m >= 2**(bits(m) - 1), so
+    n * (bits(m) - 1) >= bits(cap) already puts m**n past the cap, and only
+    otherwise, when m**n is at most cap**2, is the exact power computed.
     """
-    space = c.modulus ** c.arity
-    if space > cap:
-        raise CapExceededError(
-            f"search space m**n = {space} exceeds the cap of {cap} tuples")
-    m, b = c.modulus, c.rhs
+    m, n, b = c.modulus, c.arity, c.rhs
+    if n * (m.bit_length() - 1) >= cap.bit_length() or m ** n > cap:
+        raise CapExceededError(f"search space m**n = {_decimal(m)}**{n} "
+                               f"exceeds the cap of {_decimal(cap)} tuples")
     *lead, last = c.coeffs
     if not lead:
         return {(x,) for x in range(m) if (last * x - b) % m == 0}

@@ -496,10 +496,10 @@ def test_solve_streams_a_basis_of_10_to_the_10_rows(fmt):
 
 
 def test_solve_holds_a_bounded_piece_of_its_basis():
-    # 200,000 rows written as they are walked; a collected basis of as many
-    # 3-tuples takes tens of MB.  One format only: tracemalloc makes each row
-    # about twenty times slower, and text and JSON share the row renderer
-    argv = ["solve", "x + y + z ≡ 0 (mod 100000)", "--format", "json", "--limit", "200000"]
+    # 30,000 rows written as they are walked; a collected basis of as many
+    # 3-tuples peaks at about 7.5 MB.  One format only: tracemalloc makes each
+    # row about twenty times slower, and text and JSON share the row renderer
+    argv = ["solve", "x + y + z ≡ 0 (mod 100000)", "--format", "json", "--limit", "30000"]
     tracemalloc.start()
     try:
         with redirect_stdout(Discard()):

@@ -149,8 +149,18 @@ def test_record_matches_independent_derivations_300_digit_modulus():
     assert s.solution_count == m**4
     p = find_particular(c)
     assert len(set(itertools.islice(expand(p, c), 10**4))) == 10**4
+    # the same seed moved by multiples of its strides, so not reduced: the
+    # last coordinate wraps past m - 1 after three rows
+    shifts = (5, 2, 0, 0, 6 * 10**297 - 3)
+    shifted = tuple((x + g * t) % m for x, g, t in zip(p, s.strides, shifts))
+    rows = list(itertools.islice(expand(shifted, c), 10**4))
+    assert len(set(rows)) == 10**4 and all(satisfies(x, c) for x in rows)
+    assert rows[2][4] > rows[3][4] == p[4]
     c = normalize([8, 9, 7, 10**298 + 1], 5, m)
-    assert len(set(expand(find_particular(c), c))) == summarize(c).expansion_count == 24
+    p = find_particular(c)
+    assert len(set(expand(p, c))) == summarize(c).expansion_count == 24
+    shifted = tuple((x + g * t) % m for x, g, t in zip(p, summarize(c).strides, (7, 1, 0, 0)))
+    assert shifted != p and set(expand(shifted, c)) == set(expand(p, c))
 
 
 def test_record_is_derived_once_and_kept_on_the_instance():
@@ -203,6 +213,13 @@ def test_find_particular_unsolvable():
     assert find_particular(normalize([2], 1, 4)) is None
 
 
+@settings(max_examples=150)
+@given(record_instances())
+def test_find_particular_is_the_least_solution(c):
+    # the least tuple of the exhaustive scan, or None when it finds nothing
+    assert find_particular(c) == min(brute_force(c), default=None)
+
+
 def test_expand_reference_lists_in_order():
     assert list(expand((1, 0), REF)) == LIST_A
     assert list(expand((4, 1), REF)) == LIST_B
@@ -239,7 +256,9 @@ def seeded_instances(draw):
 @given(seeded_instances())
 def test_expand_matches_reference_odometer(case):
     c, seed = case
-    assert list(expand(seed, c)) == reference_expand(seed, c)
+    want = reference_expand(seed, c)
+    # one row past the reference, so a walk that never ends fails instead of hanging
+    assert list(itertools.islice(expand(seed, c), len(want) + 1)) == want
 
 
 def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
@@ -351,18 +370,26 @@ def test_enumerate_raw_lazy_single_unknown_full_range():
 
 
 @settings(max_examples=60)
-@given(instances())
-def test_expansion_counts_and_validity(c):
+@given(instances(), lists(integers(min_value=0, max_value=50), min_size=3, max_size=3))
+def test_expansion_counts_and_validity(c, shifts):
     s = summarize(c)
     seed = find_particular(c)
     if not s.solvable:
         assert seed is None
         return
-    grown = list(expand(seed, c))
+    # one row past the count, so a walk that never ends fails instead of hanging
+    grown = list(itertools.islice(expand(seed, c), s.expansion_count + 1))
     assert grown[0] == seed
     assert len(grown) == s.expansion_count
     assert len(set(grown)) == s.expansion_count
     assert all(satisfies(x, c) for x in grown)
+    # a seed moved by multiples of its strides is not reduced, so its cycles
+    # wrap mid-walk; it grows the same class from its own first row
+    shifted = tuple((x + g * t) % c.modulus for x, g, t in zip(seed, s.strides, shifts))
+    regrown = list(itertools.islice(expand(shifted, c), s.expansion_count + 1))
+    assert regrown[0] == shifted
+    assert len(regrown) == s.expansion_count
+    assert set(regrown) == set(grown)
 
 
 @settings(max_examples=60)
@@ -559,6 +586,7 @@ def test_big_instances_are_exact_and_walk_in_order(raw):
     if x0 is not None:
         assert satisfies(x0, c)
         assert all(0 <= v < c.modulus for v in x0)
+    assert x0 == next(enumerate_raw(c), None)
     basis = list(itertools.islice(iter_basis(c), 5))
     raw_rows = list(itertools.islice(enumerate_raw(c), 5))
     _in_lex_order_and_reduced(basis, s.strides, c)
@@ -594,6 +622,7 @@ def test_fibonacci_instances_are_exact_and_walk_in_order(case):
     if x0 is not None:
         assert satisfies(x0, c)
         assert all(0 <= v < c.modulus for v in x0)
+    assert x0 == next(enumerate_raw(c), None)
     # the level constants (one pow(x, -1, step) each) give the egcd-based
     # solution of every residual the walk can meet
     h = (*s.suffix_gcds, c.modulus)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -39,6 +40,36 @@ def test_brute_force_cap():
     assert "5" in str(err.value)
     with pytest.raises(CapExceededError):
         brute_force(normalize([1, 1, 1], 0, 500))  # 500**3 over default cap
+    # the cap is exact at moduli around powers of two, where the bit-length
+    # test is tight
+    for m in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17):
+        for n in (1, 2, 3):
+            c = normalize([1] * n, 0, m)
+            assert len(brute_force(c, cap=m**n)) == m ** (n - 1)
+            with pytest.raises(CapExceededError):
+                brute_force(c, cap=m**n - 1)
+
+
+def test_brute_force_refuses_without_building_the_space():
+    # m**n here has 300,001 digits, and rendering it takes time quadratic in
+    # them before Python 3.12; the refusal names m and n instead.  Computing
+    # the power alone peaks at about 540 KB under tracemalloc.
+    c = normalize([1] * 3000, 0, 10**100)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="exceeds the cap") as err:
+            brute_force(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 32 * 1024
+    assert str(err.value) == (f"search space m**n = {10**100}**3000 "
+                              "exceeds the cap of 10000000 tuples")
+    # a modulus past Python's int-to-str digit limit still gets the refusal
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        brute_force(normalize([1, 1], 0, 10**5000))
 
 
 @composite
