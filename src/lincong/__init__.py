@@ -24,18 +24,17 @@ from .core import (
     satisfies,
     summarize,
 )
-from .intmath import (
-    BezoutCertificate,
-    UnaryCongruenceSolution,
-    basis_size,
-    extended_gcd,
-    multi_gcd_bezout,
-    solve_unary,
-)
-from .oracle import CapExceededError, OracleReport, brute_force, verify
 from .parser import ParsedCongruence, ParseError, format_congruence, parse
 
 __version__ = "0.1.0"
+
+# names of the modules a one-shot CLI call does not use, imported on first
+# access (PEP 562) so that `import lincong.cli` does not pay for them
+_LAZY = {
+    "intmath": ("BezoutCertificate", "UnaryCongruenceSolution", "basis_size",
+                "extended_gcd", "multi_gcd_bezout", "solve_unary"),
+    "oracle": ("CapExceededError", "OracleReport", "brute_force", "verify"),
+}
 
 __all__ = [
     "BezoutCertificate",
@@ -69,3 +68,15 @@ __all__ = [
     "summarize",
     "verify",
 ]
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            from importlib import import_module
+
+            value = import_module(f"{__name__}.{module}")
+            value = value if name == module else getattr(value, name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

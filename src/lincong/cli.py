@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
-import random
 import sys
 from functools import cache
 
 from .core import (
     LinearCongruence,
     SolveSummary,
+    _block_depth,
     _expand_runs,
     are_dependent,
     iter_basis,
@@ -25,7 +24,6 @@ from .core import (
     satisfies,
     summarize,
 )
-from .oracle import DEFAULT_CAP, verify as oracle_verify
 from .parser import ParsedCongruence, format_congruence, parse
 
 EXIT_OK = 0
@@ -34,7 +32,7 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
-_SLICE = 1024  # most rows rendered into one string
+_SLICE = 1024  # most rows rendered into one string, and most rows in one block
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -70,6 +68,8 @@ def _print_json(s: SolveSummary, rows_key: str, rows, truncated: bool):
     # counts are decimal strings because they can exceed any fixed integer
     # width; an unsolvable solve has no rows key.  rows are the array's items
     # in pieces, written inside its brackets as they come, never held whole
+    import json  # only JSON output needs it, so text calls start faster
+
     summary = json.dumps({"d": str(s.gcd_all), "solvable": s.solvable,
                           "p1": str(s.solution_count), "p2": str(s.expansion_count),
                           "s": str(s.basis_size)})
@@ -91,20 +91,20 @@ def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
     print(f"basis size (s) = {s.basis_size}")
 
 
-def _punctuation(fmt: str, arity: int) -> tuple[str, str, str]:
-    # (lead, close, joiner) of both formats: a row is lead % its first n-1
-    # values, its last value and close, and rows are joined by joiner, as
-    # json.dumps writes them for JSON ("%d" renders an int as str() does)
-    if fmt == "json":
-        return "[" + "%d, " * (arity - 1), "]", ", "
-    return "%d " * (arity - 1), "\n", ""
+def _punctuation(fmt: str, arity: int, depth: int = 1) -> tuple[str, str, str, str]:
+    # (lead, suffix, close, joiner) of both formats: a row is lead % its first
+    # n - depth values, suffix % its last depth values, and close, and rows
+    # are joined by joiner, as json.dumps writes them for JSON ("%d" renders
+    # an int as str() does)
+    opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
+    return opening + ("%d" + sep) * (arity - depth), sep.join(["%d"] * depth), close, joiner
 
 
 def _rendered_rows(rows, punct):
     # one "%" format per row, joined into pieces of up to _SLICE rows, so
     # rows of any number stream in bounded memory with few writes
-    lead, close, joiner = punct
-    row_format = lead + "%d" + close
+    lead, suffix, close, joiner = punct
+    row_format = lead + suffix + close
     sep = ""
     while piece := joiner.join([row_format % row for row in itertools.islice(rows, _SLICE)]):
         yield sep + piece
@@ -112,16 +112,19 @@ def _rendered_rows(rows, punct):
 
 
 def _rendered_runs(runs, punct):
-    # one piece per run, its prefix formatted once.  A seed's runs all take
-    # the same last values, so they are rendered once and reused while the next
-    # run compares equal (O(1) for ranges); a run cut by --limit is not equal
-    lead, close, joiner = punct
+    # one piece per (prefix, block): the prefix is formatted once, and the
+    # piece is one join of it onto the block's rendered suffixes.  All the
+    # prefixes of a seed take the same blocks, so a block is rendered once and
+    # reused while the next one compares equal (O(1) for ranges, and fast for
+    # the very same tuple); a block cut by --limit is not equal
+    lead, suffix, close, joiner = punct
+    render = str if suffix == "%d" else suffix.__mod__  # str beats "%d" on a lone value
     glue = close + joiner
     sep = ""
     shown = tail = None
-    for prefix, run in runs:
-        if run != shown:
-            shown, tail = run, list(map(str, run))
+    for prefix, block in runs:
+        if block != shown:
+            shown, tail = block, list(map(render, block))
         head = lead % prefix
         yield sep + head + (glue + head).join(tail) + close
         sep = joiner
@@ -137,15 +140,16 @@ def _in_slices(runs):
 
 
 def _first_rows(runs, limit: int):
-    # the runs that carry the first `limit` rows; the last one is cut short,
-    # and a limit of 0 pulls no run, so the walk never starts
+    # the blocks that carry the first `limit` rows; the last one is cut short
+    # (a slice, of a range or of a block's tuple alike), and a limit of 0 pulls
+    # no block, so the walk never starts
     if limit:
-        for prefix, run in runs:
-            if limit <= len(run):
-                yield prefix, run[:limit]
+        for prefix, block in runs:
+            if limit <= len(block):
+                yield prefix, block[:limit]
                 return
-            limit -= len(run)
-            yield prefix, run
+            limit -= len(block)
+            yield prefix, block
 
 
 def cmd_solve(args) -> int:
@@ -180,14 +184,17 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
-    # the seeds are constructed solutions, so they skip expand()'s seed check;
-    # a run is never longer than gcd(a_n, m), so most instances need no slicing
-    runs = _expand_runs(iter_basis(c), c)
+    # the seeds are constructed solutions, so they skip expand()'s seed check.
+    # A block covers the deepest coordinates and holds at most _SLICE rows,
+    # or it is one run of the last coordinate (depth 1), never longer than
+    # gcd(a_n, m), so only instances with a longer one need slicing
+    depth = _block_depth(c, _SLICE)
+    runs = _expand_runs(iter_basis(c), c, depth)
     if s.gcds[-1] > _SLICE:
         runs = _in_slices(runs)
     if args.limit is not None:
         runs = _first_rows(runs, args.limit)
-    pieces = _rendered_runs(runs, _punctuation(args.format, c.arity))
+    pieces = _rendered_runs(runs, _punctuation(args.format, c.arity, depth))
     if args.format == "json":
         _print_json(s, "solutions", pieces, truncated)
     else:
@@ -222,7 +229,18 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _random_instance(rng: random.Random) -> LinearCongruence:
+def oracle_verify(c: LinearCongruence, cap: int | None):
+    """lincong.oracle.verify, imported on the first call: only `verify` uses it.
+
+    A cap of None is the oracle's DEFAULT_CAP.
+    """
+    from .oracle import DEFAULT_CAP, verify
+
+    return verify(c, cap=DEFAULT_CAP if cap is None else cap)
+
+
+def _random_instance(rng) -> LinearCongruence:
+    # rng is a random.Random; cmd_verify imports random only when it needs one
     n = rng.choice((1, 2, 3))
     coeffs = [rng.randint(-20, 20) for _ in range(n)]
     return normalize(coeffs, rng.randint(-20, 20), rng.randint(1, 20))
@@ -232,6 +250,8 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         if args.expr is not None or args.coeffs is not None:
             raise ValueError("--seed runs a random batch; do not pass an instance too")
+        import random  # only the random batch needs it
+
         rng = random.Random(args.seed)
         disagreements = 0
         for _ in range(BATCH_SIZE):
@@ -304,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check against the brute-force oracle")
     _add_instance_args(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    p.add_argument("--cap", type=int,
                    help="largest m**n the oracle will scan (default 10**7)")
     p.add_argument("--seed", type=int,
                    help=f"verify a batch of {BATCH_SIZE} random instances instead")

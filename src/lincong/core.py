@@ -28,10 +28,13 @@ the walk starts; a row then costs one multiply, one floor division and one
 mod per coordinate, and no gcd.  The least solution (find_particular) is
 that walk's first row.  The expansion of a seed steps each coordinate round
 its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
-gcd(a_i, m) steps; it is walked in runs: the first n-1 coordinates are fixed
-once per run while the last steps through its cycle as one or two `range`s,
-so a consumer such as the CLI can render a run without building a tuple per
-row.
+gcd(a_i, m) steps; it is walked in blocks: the first coordinates are fixed
+once per block while the deepest ones step through their cycles together.
+At depth 1 a block is the last coordinate's cycle as one or two `range`s;
+deeper, it is the product of the deepest coordinates' cycles, built once per
+seed and shared by all its prefixes.  So a consumer such as the CLI can
+render a block once per seed and join every prefix onto it, without building
+a tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "LinearCongruence",
@@ -238,8 +241,9 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     steps.  The cycles are walked lazily (gcd(a_i, m) can be as large as m),
     by an odometer over the first n-1 coordinates, in runs: those are fixed
     once per run, and the last one steps through a `range`, so a row costs
-    one tuple concatenation (the CLI renders the runs without building the
-    tuples).  The seed is validated before any yield.
+    one tuple concatenation.  (The CLI walks the same odometer in blocks of
+    the deepest coordinates and renders them without building the tuples.)
+    The seed is validated before any yield.
     """
     return _rows(_expand_runs((_checked_seed(x0, c),), c))
 
@@ -248,27 +252,56 @@ def _rows(runs: Iterator[tuple[Solution, range]]) -> Iterator[Solution]:
     return (prefix + (v,) for prefix, run in runs for v in run)
 
 
-def _expand_runs(seeds: Iterable[Solution],
-                 c: LinearCongruence) -> Iterator[tuple[Solution, range]]:
+def _block_depth(c: LinearCongruence, most: int) -> int:
+    # How many of the deepest coordinates one block of _expand_runs covers.
+    # At depth 1 a seed's p2 rows are written as p2 // L runs of the last
+    # coordinate, L = gcd(a_n, m).  A block of the deepest coordinates, of R
+    # rows, is rendered once per seed and written p2 // R times, one join
+    # each, so it pays when it saves at least as many runs as it has rows.
+    # The depth is the largest whose block does so within `most` rows, and 1
+    # when none does: a block written once per seed, or one that adds only
+    # coordinates with gcd(a_i, m) = 1 to a run, saves nothing.
+    p2, gcds = c.summary.expansion_count, c.summary.gcds
+    runs = p2 // gcds[-1]
+    depth, rows = 1, gcds[-1]
+    for k in range(2, c.arity + 1):
+        rows *= gcds[-k]
+        if rows > most:
+            break
+        if rows + p2 // rows <= runs:
+            depth = k
+    return depth
+
+
+def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
+                 depth: int = 1) -> Iterator[tuple[Solution, Sequence]]:
     # The expansions of the seeds, one after another in expand's order, as
-    # runs: (prefix, run) pairs, where prefix holds the first n-1 coordinates
-    # and run is the range of values the last one takes with them.  The last
-    # coordinate steps through range(x0_n, m, g_n) and then, rotated, through
-    # range(x0_n % g_n, x0_n, g_n), which is empty (and skipped) for a
-    # reduced seed.  Only the lead coordinates with gcd(a_i, m) > 1 move,
-    # each round its cycle x0_i, x0_i + g_i, ... mod m, which comes back to
-    # x0_i after gcd(a_i, m) steps.
-    m, rec = c.modulus, c.summary
-    strides, gl = rec.strides, rec.strides[-1]
-    moving = [i for i in reversed(range(c.arity - 1)) if rec.gcds[i] > 1]  # deepest first
+    # (prefix, block) pairs: prefix holds the first n - depth coordinates and
+    # block the values the last `depth` take with them, in rows.  Coordinate
+    # i steps round its cycle x0_i, x0_i + g_i, ... mod m, which comes back to
+    # x0_i after gcd(a_i, m) steps: range(x0_i, m, g_i) and then, rotated,
+    # range(x0_i % g_i, x0_i, g_i), which is empty for a reduced seed.  At
+    # depth 1 a block is one of those ranges of the last coordinate (the empty
+    # one is skipped); deeper, a seed has one block, the tuple of the
+    # itertools.product of the deepest cycles, built once and yielded with
+    # every prefix.  Only the prefix coordinates with gcd(a_i, m) > 1 move.
+    m, strides, lead = c.modulus, c.summary.strides, c.arity - depth
+    gl = strides[-1]
+    moving = [i for i in reversed(range(lead)) if c.summary.gcds[i] > 1]  # deepest first
     for x0 in seeds:
-        xl = x0[-1]
-        last = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else (range(xl, m, gl),)
-        head = list(x0[:-1])
+        if depth == 1:
+            xl = x0[-1]
+            blocks = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else \
+                (range(xl, m, gl),)
+        else:
+            cycles = [(*range(x, m, g), *range(x % g, x, g))
+                      for x, g in zip(x0[lead:], strides[lead:])]
+            blocks = (tuple(itertools.product(*cycles)),)
+        head = list(x0[:lead])
         while True:
             prefix = tuple(head)
-            for run in last:
-                yield prefix, run
+            for block in blocks:
+                yield prefix, block
             # odometer: step the deepest moving coordinate round its cycle; one
             # that came back to its seed value has wrapped, so it is already
             # reset, and the step carries into the next

@@ -6,9 +6,9 @@ like m**(n-1) stay exact no matter how large they get.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Sequence
 
 __all__ = [
     "BezoutCertificate",

@@ -13,16 +13,17 @@ import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stdout
+from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis.strategies import composite, integers, lists
+from hypothesis import assume, example, given, settings
+from hypothesis.strategies import composite, integers, lists, sampled_from
 
 import lincong.cli
 import lincong.core
 from lincong.cli import main
 from lincong.core import build_basis, enumerate_all, normalize, summarize
-from lincong.oracle import OracleReport
+from lincong.oracle import OracleReport, brute_force
 from lincong.parser import ParsedCongruence, format_congruence
 
 from helpers import assert_same_text
@@ -268,26 +269,28 @@ def solvable_instances(draw):
     return c if summarize(c).solvable else normalize(coeffs, 0, m)
 
 
-def reference_enumerate(c, fmt, limit):
-    """What `enumerate` printed when it rendered one row at a time: a "%d"
-    format per row for text, json.dumps of the whole document for JSON."""
+def per_row_output(c, fmt, rows, limit):
+    """`enumerate` written one row at a time: a "%d" format per row for text,
+    json.dumps of the whole document for JSON."""
     s = summarize(c)
+    cut = limit is not None and limit < len(rows)
+    rows = rows[:limit] if cut else rows
+    if fmt == "json":
+        return json.dumps({"d": str(s.gcd_all), "solvable": True, "p1": str(s.solution_count),
+                           "p2": str(s.expansion_count), "s": str(s.basis_size),
+                           "solutions": rows, "truncated": cut}) + "\n"
+    row_format = " ".join(["%d"] * c.arity) + "\n"
+    return "".join(row_format % row for row in rows) + ("# truncated\n" if cut else "")
+
+
+def reference_enumerate(c, fmt, limit):
+    """per_row_output of the rows of enumerate_all, up to one past the limit."""
     rows = enumerate_all(build_basis(c), c)
     if limit is not None:
         # one row past the limit tells whether it cuts; islice takes no
         # stop above sys.maxsize
         rows = itertools.islice(rows, min(limit + 1, sys.maxsize))
-    rows = list(rows)
-    cut = limit is not None and limit < len(rows)
-    if cut:
-        rows = rows[:limit]
-    if fmt == "json":
-        doc = {"d": str(s.gcd_all), "solvable": True, "p1": str(s.solution_count),
-               "p2": str(s.expansion_count), "s": str(s.basis_size),
-               "solutions": rows, "truncated": cut}
-        return json.dumps(doc, ensure_ascii=False) + "\n"
-    row_format = " ".join(["%d"] * c.arity) + "\n"
-    return "".join(row_format % row for row in rows) + ("# truncated\n" if cut else "")
+    return per_row_output(c, fmt, list(rows), limit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,6 +372,89 @@ def test_enumerate_renders_a_cut_run_afresh(fmt, limit):
     # from the cache; the cut run is shorter, so it must not reuse them
     c = normalize([224, 750], 0, 4000)
     assert_same_text(enumerate_output(c, fmt, limit), reference_enumerate(c, fmt, limit))
+
+
+def canonical_rows(c):
+    """Every solution in enumerate's order, from the oracle's set alone: the
+    reduced solutions (0 <= x_i < m // gcd(a_i, m)) in lexicographic order,
+    each followed by its shifts x_i + t_i * m // gcd(a_i, m) mod m over the
+    parameter tuples t in lexicographic order."""
+    m = c.modulus
+    gcds = [gcd(a, m) for a in c.coeffs]
+    strides = [m // g for g in gcds]
+    solutions = brute_force(c)
+    seeds = sorted(x for x in solutions if all(xi < g for xi, g in zip(x, strides)))
+    rows = [tuple((xi + g * ti) % m for xi, g, ti in zip(x, strides, t))
+            for x in seeds for t in itertools.product(*map(range, gcds))]
+    assert len(rows) == len(set(rows)) and set(rows) == solutions
+    return rows
+
+
+@composite
+def block_instances(draw):
+    # 3 to 5 unknowns mod a modulus with many divisors, a_i = g_i * u_i with
+    # g_i a divisor of m and u_i a unit, so that gcd(a_i, m) = g_i; only those
+    # that enumerate writes in blocks of two or more coordinates are kept
+    m = draw(sampled_from((12, 18, 24, 30, 36)))
+    n = draw(integers(min_value=3, max_value=5 if m <= 12 else 4 if m <= 24 else 3))
+    divisors = [g for g in range(1, m + 1) if m % g == 0]
+    coeffs = []
+    for _ in range(n):
+        g = draw(sampled_from(divisors))
+        u = draw(sampled_from([u for u in range(1, m // g + 1) if gcd(u, m // g) == 1]))
+        coeffs.append(g * u % m)
+    c = normalize(coeffs, 0, m)
+    c = normalize(coeffs, c.summary.gcd_all * draw(integers(0, m - 1)), m)
+    assume(lincong.core._block_depth(c, lincong.cli._SLICE) >= 2)
+    assume(c.summary.solution_count <= 6000)
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_instances())
+@example(normalize([15, 10, 6, 5], 0, 30))
+@example(normalize([42, 28, 12], 0, 84))
+def test_enumerate_blocks_match_the_oracle_row_for_row(c):
+    # the block covers the deepest coordinates, and a coordinate outside it
+    # moves, so each block is joined onto more than one prefix
+    s = summarize(c)
+    depth = lincong.core._block_depth(c, lincong.cli._SLICE)
+    block = prod(s.gcds[-depth:])
+    assert depth >= 2 and block <= lincong.cli._SLICE and prod(s.gcds[:-depth]) > 1
+    rows, p1 = canonical_rows(c), s.solution_count
+    limits = [0, 1, block // 2, block, block + block // 2, p1 - 1, p1, p1 + 1, None]
+    for limit in limits:
+        for fmt in ("text", "json"):
+            assert_same_text(enumerate_output(c, fmt, limit), per_row_output(c, fmt, rows, limit),
+                             (limit, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
+    # x2, x3 and x4 form blocks of 10 * 6 * 5 = 300 rows, and x1 steps
+    # through 15 values, so the 27,000 rows are 90 joins onto 6 blocks: each
+    # block's suffixes are formatted once, not once per prefix
+    c = normalize([15, 10, 6, 5], 0, 30)
+    s = summarize(c)
+    assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
+    assert lincong.core._block_depth(c, lincong.cli._SLICE) == 3
+    formatted = []
+
+    class CountingFormat(str):
+        def __mod__(self, values):
+            formatted.append(values)
+            return str.__mod__(self, values)
+
+    punctuation = lincong.cli._punctuation
+
+    def counting_punctuation(*args):
+        lead, suffix, close, joiner = punctuation(*args)
+        return lead, CountingFormat(suffix), close, joiner
+
+    monkeypatch.setattr(lincong.cli, "_punctuation", counting_punctuation)
+    assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
+    suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c).solutions)]
+    assert len(formatted) == 300 * len(suffixes) <= 300 * s.basis_size
 
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():
@@ -691,6 +777,35 @@ def test_module_entry_point():
         capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s"] == "2"
+
+
+def test_importing_the_cli_loads_only_what_every_call_uses():
+    # json, random and the oracle serve only some subcommands, intmath none,
+    # and typing nothing at run time, so a cold start does not import them
+    unused = ["json", "random", "typing", "lincong.oracle", "lincong.intmath"]
+    probe = (f"import sys; before = set(sys.modules); import lincong.cli; "
+             f"print(sorted(set(sys.modules) - before & set({unused!r})))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_names_resolve_on_first_use():
+    import lincong
+    import lincong.intmath
+    import lincong.oracle
+
+    names = {}
+    exec("from lincong import *", names)
+    for name in lincong.__all__:
+        module = lincong.intmath if name in lincong.intmath.__all__ else \
+            lincong.oracle if name in lincong.oracle.__all__ else lincong
+        assert names[name] is getattr(module, name) is getattr(lincong, name)
+    from lincong import intmath, oracle, verify
+    assert (intmath, oracle, verify) == (lincong.intmath, lincong.oracle, lincong.oracle.verify)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        lincong.nonexistent
 
 
 def test_enumerate_into_closed_pipe_exits_cleanly():

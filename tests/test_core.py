@@ -261,6 +261,21 @@ def test_expand_matches_reference_odometer(case):
     assert list(itertools.islice(expand(seed, c), len(want) + 1)) == want
 
 
+@settings(max_examples=150)
+@given(seeded_instances())
+def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
+    # a block of the deepest coordinates, joined onto each prefix, is the
+    # product of their cycles, rotated for a seed that is not reduced: every
+    # depth walks the same rows in the same order, here for two seeds in turn
+    c, seed = case
+    want = reference_expand(seed, c)
+    for depth in range(1, c.arity + 1):
+        blocks = core._expand_runs((seed, seed), c, depth)
+        rows = (prefix + (row if depth > 1 else (row,))
+                for prefix, block in blocks for row in block)
+        assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, depth
+
+
 def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
     # a_i = 0 makes gcd(a_i, m) = m: that coordinate runs through all of [0, m)
     m = 10**300
