@@ -13,6 +13,7 @@ import sys
 from functools import cache
 
 from .core import (
+    _BLOCK_ROWS,
     LinearCongruence,
     SolveSummary,
     _block_depth,
@@ -32,7 +33,6 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
-_SLICE = 1024  # most rows rendered into one string, and most rows in one block
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -64,10 +64,17 @@ def _check_limit(limit):
         raise ValueError("--limit must be nonnegative")
 
 
-def _print_json(s: SolveSummary, rows_key: str, rows, truncated: bool):
-    # counts are decimal strings because they can exceed any fixed integer
-    # width; an unsolvable solve has no rows key.  rows are the array's items
-    # in pieces, written inside its brackets as they come, never held whole
+def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool):
+    # the rows and the cut mark of both commands: rows are pieces of text, or
+    # of the JSON array's items, written as they come and never held whole.
+    # In JSON, counts are decimal strings because they can exceed any fixed
+    # integer width, and an unsolvable solve (rows None) has no rows key
+    if fmt == "text":
+        if rows is not None:
+            sys.stdout.writelines(rows)
+        if truncated:
+            print("# truncated")
+        return
     import json  # only JSON output needs it, so text calls start faster
 
     summary = json.dumps({"d": str(s.gcd_all), "solvable": s.solvable,
@@ -89,9 +96,11 @@ def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
     print(f"solutions (p1) = {s.solution_count}")
     print(f"per-seed (p2) = {s.expansion_count}")
     print(f"basis size (s) = {s.basis_size}")
+    if s.solvable:
+        print("basis:")
 
 
-def _punctuation(fmt: str, arity: int, depth: int = 1) -> tuple[str, str, str, str]:
+def _punctuation(fmt: str, arity: int, depth: int) -> tuple[str, str, str, str]:
     # (lead, suffix, close, joiner) of both formats: a row is lead % its first
     # n - depth values, suffix % its last depth values, and close, and rows
     # are joined by joiner, as json.dumps writes them for JSON ("%d" renders
@@ -100,43 +109,24 @@ def _punctuation(fmt: str, arity: int, depth: int = 1) -> tuple[str, str, str, s
     return opening + ("%d" + sep) * (arity - depth), sep.join(["%d"] * depth), close, joiner
 
 
-def _rendered_rows(rows, punct):
-    # one "%" format per row, joined into pieces of up to _SLICE rows, so
-    # rows of any number stream in bounded memory with few writes
-    lead, suffix, close, joiner = punct
-    row_format = lead + suffix + close
-    sep = ""
-    while piece := joiner.join([row_format % row for row in itertools.islice(rows, _SLICE)]):
-        yield sep + piece
-        sep = joiner
-
-
 def _rendered_runs(runs, punct):
     # one piece per (prefix, block): the prefix is formatted once, and the
     # piece is one join of it onto the block's rendered suffixes.  All the
     # prefixes of a seed take the same blocks, so a block is rendered once and
     # reused while the next one compares equal (O(1) for ranges, and fast for
-    # the very same tuple); a block cut by --limit is not equal
+    # the very same tuple); a block cut by --limit is not equal.  A range
+    # holds lone values, which str renders faster than "%d"; any other block
+    # holds tuples, even of one value
     lead, suffix, close, joiner = punct
-    render = str if suffix == "%d" else suffix.__mod__  # str beats "%d" on a lone value
     glue = close + joiner
     sep = ""
     shown = tail = None
     for prefix, block in runs:
         if block != shown:
-            shown, tail = block, list(map(render, block))
+            shown, tail = block, list(map(str if type(block) is range else suffix.__mod__, block))
         head = lead % prefix
         yield sep + head + (glue + head).join(tail) + close
         sep = joiner
-
-
-def _in_slices(runs):
-    # runs of at most _SLICE rows, so a run of any length streams in bounded
-    # memory; slicing a range costs O(1) however long it is
-    for prefix, run in runs:
-        while run:
-            yield prefix, run[:_SLICE]
-            run = run[_SLICE:]
 
 
 def _first_rows(runs, limit: int):
@@ -157,21 +147,20 @@ def cmd_solve(args) -> int:
     _check_limit(args.limit)
     s = summarize(c)
     truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
-    # the basis streams from the walk as it is written, and --limit 0 pulls no
-    # row, so counts alone start no walk; islice takes no stop above sys.maxsize
+    # the basis streams from the walk as it is written, in blocks of whole
+    # rows under an empty prefix; --limit 0 pulls no row, so counts alone
+    # start no walk; islice takes no stop above sys.maxsize
     rows = iter_basis(c)
     if args.limit is not None:
         rows = itertools.islice(rows, min(args.limit, sys.maxsize))
-    rows = _rendered_rows(rows, _punctuation(args.format, c.arity)) if s.solvable else None
-    if args.format == "json":
-        _print_json(s, "basis", rows, truncated)
-    else:
+    blocks = iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ())
+    pieces = None
+    if s.solvable:
+        pieces = _rendered_runs((((), block) for block in blocks),
+                                _punctuation(args.format, c.arity, c.arity))
+    if args.format == "text":
         _print_summary_text(parsed, s)
-        if rows is not None:
-            print("basis:")
-            sys.stdout.writelines(rows)
-            if truncated:
-                print("# truncated")
+    _print_rows(args.format, s, "basis", pieces, truncated)
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
@@ -184,23 +173,13 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
-    # the seeds are constructed solutions, so they skip expand()'s seed check.
-    # A block covers the deepest coordinates and holds at most _SLICE rows,
-    # or it is one run of the last coordinate (depth 1), never longer than
-    # gcd(a_n, m), so only instances with a longer one need slicing
-    depth = _block_depth(c, _SLICE)
+    # the seeds are constructed solutions, so they skip expand()'s seed check
+    depth = _block_depth(c)
     runs = _expand_runs(iter_basis(c), c, depth)
-    if s.gcds[-1] > _SLICE:
-        runs = _in_slices(runs)
     if args.limit is not None:
         runs = _first_rows(runs, args.limit)
     pieces = _rendered_runs(runs, _punctuation(args.format, c.arity, depth))
-    if args.format == "json":
-        _print_json(s, "solutions", pieces, truncated)
-    else:
-        sys.stdout.writelines(pieces)
-        if truncated:
-            print("# truncated")
+    _print_rows(args.format, s, "solutions", pieces, truncated)
     return EXIT_OK
 
 

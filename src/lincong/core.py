@@ -28,13 +28,15 @@ the walk starts; a row then costs one multiply, one floor division and one
 mod per coordinate, and no gcd.  The least solution (find_particular) is
 that walk's first row.  The expansion of a seed steps each coordinate round
 its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
-gcd(a_i, m) steps; it is walked in blocks: the first coordinates are fixed
-once per block while the deepest ones step through their cycles together.
-At depth 1 a block is the last coordinate's cycle as one or two `range`s;
-deeper, it is the product of the deepest coordinates' cycles, built once per
-seed and shared by all its prefixes.  So a consumer such as the CLI can
-render a block once per seed and join every prefix onto it, without building
-a tuple per row.
+gcd(a_i, m) steps; it is walked in blocks of at most 1024 rows: the first
+coordinates are fixed once per block while the deepest ones step through
+their cycles together.  At depth 1 a block is the last coordinate's cycle as
+one or two `range`s, cut into slices when it is longer; deeper, it is the
+product of the deepest coordinates' cycles, built once per seed and shared
+by all its prefixes.  This module alone chooses the depth, and expand,
+enumerate_all and the CLI all walk the same blocks: the CLI renders a block
+once per seed and joins every prefix onto it, without building a tuple per
+row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -72,10 +74,12 @@ __all__ = [
 
 Solution = tuple[int, ...]
 
+_BLOCK_ROWS = 1024  # most rows in one block of _expand_runs
 
-def _require_ints(coeffs: tuple, rhs, modulus) -> None:
-    if not all(isinstance(v, int) for v in (*coeffs, rhs, modulus)):
-        raise ValueError("coefficients, rhs and modulus must be integers")
+
+def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class LinearCongruence:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        _require_ints(self.coeffs, self.rhs, self.modulus)
+        _require_ints((*self.coeffs, self.rhs, self.modulus))
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1 (use normalize() on raw input)")
         if not self.coeffs:
@@ -173,7 +177,7 @@ def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongru
     coefficient list, each with a ValueError.
     """
     raw_coeffs = tuple(raw_coeffs)
-    _require_ints(raw_coeffs, raw_b, raw_m)  # before % and abs() can fail otherwise
+    _require_ints((*raw_coeffs, raw_b, raw_m))  # before % and abs() can fail otherwise
     if raw_m == 0:
         raise ValueError("modulus must be nonzero")
     m = abs(raw_m)
@@ -223,6 +227,7 @@ def _checked_seed(x: Sequence[int], c: LinearCongruence) -> Solution:
     x = tuple(x)
     if len(x) != c.arity:
         raise ValueError(f"arity mismatch: expected {c.arity} residues, got {len(x)}")
+    _require_ints(x, "residues")  # a float would reach range() otherwise
     if any(not 0 <= xi < c.modulus for xi in x):
         raise ValueError(f"{x} is not reduced into [0, {c.modulus})")
     if not satisfies(x, c):
@@ -239,34 +244,38 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     the first yield is x0 itself.  Coordinate i thus steps round its cycle
     x0_i, x0_i + g_i, ... mod m, which comes back to x0_i after gcd(a_i, m)
     steps.  The cycles are walked lazily (gcd(a_i, m) can be as large as m),
-    by an odometer over the first n-1 coordinates, in runs: those are fixed
-    once per run, and the last one steps through a `range`, so a row costs
-    one tuple concatenation.  (The CLI walks the same odometer in blocks of
-    the deepest coordinates and renders them without building the tuples.)
-    The seed is validated before any yield.
+    by an odometer over the leading coordinates, in blocks of the deepest
+    ones, so a row costs one tuple concatenation.  The seed is validated
+    before any yield.
     """
-    return _rows(_expand_runs((_checked_seed(x0, c),), c))
+    return _rows((_checked_seed(x0, c),), c)
 
 
-def _rows(runs: Iterator[tuple[Solution, range]]) -> Iterator[Solution]:
-    return (prefix + (v,) for prefix, run in runs for v in run)
+def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
+    # the expansions of the seeds as tuples, flattened from the blocks the CLI
+    # writes: a depth-1 block holds last-coordinate values, a deeper one rows
+    depth = _block_depth(c)
+    blocks = _expand_runs(seeds, c, depth)
+    if depth == 1:
+        return (prefix + (v,) for prefix, run in blocks for v in run)
+    return (prefix + row for prefix, block in blocks for row in block)
 
 
-def _block_depth(c: LinearCongruence, most: int) -> int:
+def _block_depth(c: LinearCongruence) -> int:
     # How many of the deepest coordinates one block of _expand_runs covers.
     # At depth 1 a seed's p2 rows are written as p2 // L runs of the last
     # coordinate, L = gcd(a_n, m).  A block of the deepest coordinates, of R
     # rows, is rendered once per seed and written p2 // R times, one join
     # each, so it pays when it saves at least as many runs as it has rows.
-    # The depth is the largest whose block does so within `most` rows, and 1
-    # when none does: a block written once per seed, or one that adds only
-    # coordinates with gcd(a_i, m) = 1 to a run, saves nothing.
+    # The depth is the largest whose block does so within _BLOCK_ROWS rows,
+    # and 1 when none does: a block written once per seed, or one that adds
+    # only coordinates with gcd(a_i, m) = 1 to a run, saves nothing.
     p2, gcds = c.summary.expansion_count, c.summary.gcds
     runs = p2 // gcds[-1]
     depth, rows = 1, gcds[-1]
     for k in range(2, c.arity + 1):
         rows *= gcds[-k]
-        if rows > most:
+        if rows > _BLOCK_ROWS:
             break
         if rows + p2 // rows <= runs:
             depth = k
@@ -274,7 +283,7 @@ def _block_depth(c: LinearCongruence, most: int) -> int:
 
 
 def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
-                 depth: int = 1) -> Iterator[tuple[Solution, Sequence]]:
+                 depth: int) -> Iterator[tuple[Solution, Sequence]]:
     # The expansions of the seeds, one after another in expand's order, as
     # (prefix, block) pairs: prefix holds the first n - depth coordinates and
     # block the values the last `depth` take with them, in rows.  Coordinate
@@ -282,12 +291,15 @@ def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
     # x0_i after gcd(a_i, m) steps: range(x0_i, m, g_i) and then, rotated,
     # range(x0_i % g_i, x0_i, g_i), which is empty for a reduced seed.  At
     # depth 1 a block is one of those ranges of the last coordinate (the empty
-    # one is skipped); deeper, a seed has one block, the tuple of the
+    # one is skipped), cut into slices of _BLOCK_ROWS values when gcd(a_n, m)
+    # exceeds that, so a run of any length streams in bounded memory (slicing
+    # a range is O(1)); deeper, a seed has one block, the tuple of the
     # itertools.product of the deepest cycles, built once and yielded with
     # every prefix.  Only the prefix coordinates with gcd(a_i, m) > 1 move.
     m, strides, lead = c.modulus, c.summary.strides, c.arity - depth
     gl = strides[-1]
     moving = [i for i in reversed(range(lead)) if c.summary.gcds[i] > 1]  # deepest first
+    cut = depth == 1 and c.summary.gcds[-1] > _BLOCK_ROWS
     for x0 in seeds:
         if depth == 1:
             xl = x0[-1]
@@ -301,6 +313,9 @@ def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
         while True:
             prefix = tuple(head)
             for block in blocks:
+                while cut and (rest := block[_BLOCK_ROWS:]):  # len() fails past sys.maxsize
+                    yield prefix, block[:_BLOCK_ROWS]
+                    block = rest
                 yield prefix, block
             # odometer: step the deepest moving coordinate round its cycle; one
             # that came back to its seed value has wrapped, so it is already
@@ -391,8 +406,10 @@ def build_basis(c: LinearCongruence, *, limit: int | None = None) -> SolutionBas
     The basis is the reduced solutions in lexicographic order (see
     iter_basis), which makes it deterministic.  `limit` caps how many
     representatives are collected (a guardrail for instances with a huge
-    basis).
+    basis); it must be a nonnegative integer.
     """
+    if limit is not None and not (isinstance(limit, int) and limit >= 0):
+        raise ValueError("limit must be a nonnegative integer")
     rec = c.summary
     if not rec.solvable:
         return None
@@ -410,4 +427,4 @@ def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solutio
     distinct solutions; as a set it equals enumerate_raw(c).  Each seed is
     checked as expand checks it, when the walk reaches it.
     """
-    return _rows(_expand_runs((_checked_seed(x, c) for x in basis.solutions), c))
+    return _rows((_checked_seed(x, c) for x in basis.solutions), c)

@@ -142,8 +142,7 @@ def _term(s: _Scanner) -> tuple[int, str, int]:
 def parse(text: str) -> ParsedCongruence:
     """Parse a congruence expression such as "2x - 6y ≡ 2 (mod 12)"."""
     s = _Scanner(text)
-    variables: list[str] = []
-    coeffs: list[int] = []
+    terms: dict[str, int] = {}  # coefficient by variable name, in written order
 
     s.skip_ws()
     sign = 1
@@ -151,10 +150,9 @@ def parse(text: str) -> ParsedCongruence:
         sign = -1 if s.advance() == "-" else 1
     while True:
         coeff, name, name_pos = _term(s)
-        if name in variables:
+        if name in terms:
             raise ParseError(f"duplicate variable {name!r}", name_pos)
-        variables.append(name)
-        coeffs.append(sign * coeff)
+        terms[name] = sign * coeff
         s.skip_ws()
         if s.at_sign():
             sign = -1 if s.advance() == "-" else 1
@@ -187,7 +185,7 @@ def parse(text: str) -> ParsedCongruence:
     if not s.at_end():
         raise ParseError("unexpected trailing input", s.pos)
 
-    return ParsedCongruence(tuple(variables), tuple(coeffs), rhs, modulus)
+    return ParsedCongruence(tuple(terms), tuple(terms.values()), rhs, modulus)
 
 
 def format_congruence(p: ParsedCongruence) -> str:

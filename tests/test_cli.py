@@ -22,8 +22,8 @@ from hypothesis.strategies import composite, integers, lists, sampled_from
 import lincong.cli
 import lincong.core
 from lincong.cli import main
-from lincong.core import build_basis, enumerate_all, normalize, summarize
-from lincong.oracle import OracleReport, brute_force
+from lincong.core import build_basis, enumerate_all, expand, normalize, summarize
+from lincong.oracle import OracleReport, brute_force, verify
 from lincong.parser import ParsedCongruence, format_congruence
 
 from helpers import assert_same_text
@@ -134,6 +134,24 @@ def test_enumerate_huge_modulus_with_limit(capsys):
                        "--limit", "3")
     assert code == 0
     assert out.splitlines()[:3] == ["0 0", "0 500000000000", "500000000000 0"]
+
+
+def test_solve_limit_pulls_only_the_rows_it_prints(capsys, monkeypatch):
+    # the limit cuts the walk before its rows are grouped into blocks of
+    # 1024, so a block never pulls rows past the limit
+    pulled = []
+    walk = lincong.cli.iter_basis
+
+    def counting_walk(c):
+        for row in walk(c):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
+    code, out, _ = run(capsys, "solve", "x + y + z ≡ 0 (mod 1000)", "--limit", "2")
+    assert code == 0
+    assert out.endswith("basis:\n0 0 0\n0 1 999\n# truncated\n")
+    assert pulled == [(0, 0, 0), (0, 1, 999)]
 
 
 def test_solve_limit_truncates(capsys):
@@ -405,7 +423,7 @@ def block_instances(draw):
         coeffs.append(g * u % m)
     c = normalize(coeffs, 0, m)
     c = normalize(coeffs, c.summary.gcd_all * draw(integers(0, m - 1)), m)
-    assume(lincong.core._block_depth(c, lincong.cli._SLICE) >= 2)
+    assume(lincong.core._block_depth(c) >= 2)
     assume(c.summary.solution_count <= 6000)
     return c
 
@@ -418,9 +436,9 @@ def test_enumerate_blocks_match_the_oracle_row_for_row(c):
     # the block covers the deepest coordinates, and a coordinate outside it
     # moves, so each block is joined onto more than one prefix
     s = summarize(c)
-    depth = lincong.core._block_depth(c, lincong.cli._SLICE)
+    depth = lincong.core._block_depth(c)
     block = prod(s.gcds[-depth:])
-    assert depth >= 2 and block <= lincong.cli._SLICE and prod(s.gcds[:-depth]) > 1
+    assert depth >= 2 and block <= lincong.core._BLOCK_ROWS and prod(s.gcds[:-depth]) > 1
     rows, p1 = canonical_rows(c), s.solution_count
     limits = [0, 1, block // 2, block, block + block // 2, p1 - 1, p1, p1 + 1, None]
     for limit in limits:
@@ -437,7 +455,7 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
     c = normalize([15, 10, 6, 5], 0, 30)
     s = summarize(c)
     assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
-    assert lincong.core._block_depth(c, lincong.cli._SLICE) == 3
+    assert lincong.core._block_depth(c) == 3
     formatted = []
 
     class CountingFormat(str):
@@ -455,6 +473,30 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
     assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
     suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c).solutions)]
     assert len(formatted) == 300 * len(suffixes) <= 300 * s.basis_size
+
+
+def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
+    # expand, enumerate_all, the oracle and enumerate all walk the expansion
+    # at the one depth core chooses, so the oracle checks the very blocks
+    # enumerate writes: here those of x2, x3 and x4
+    c = normalize([15, 10, 6, 5], 0, 30)
+    s = summarize(c)
+    depths = []
+    expand_runs = lincong.core._expand_runs
+
+    def recording(seeds, c, depth):
+        depths.append(depth)
+        return expand_runs(seeds, c, depth)
+
+    monkeypatch.setattr(lincong.core, "_expand_runs", recording)
+    monkeypatch.setattr(lincong.cli, "_expand_runs", recording)
+    basis = build_basis(c)
+    assert len(list(expand(basis.solutions[-1], c))) == s.expansion_count
+    assert len(list(enumerate_all(basis, c))) == s.solution_count
+    report = verify(c)
+    assert report.agrees_with_summary and report.agrees_with_basis
+    assert enumerate_output(c, "text").count("\n") == s.solution_count
+    assert depths == [3] * 4
 
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():

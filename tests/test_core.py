@@ -232,6 +232,8 @@ def test_expand_validates_seed_eagerly():
         expand((13, 0), REF)  # not reduced
     with pytest.raises(ValueError):
         expand((1,), REF)  # wrong arity
+    with pytest.raises(ValueError, match="must be integers"):
+        expand((1.0, 9), normalize([1, 1], 0, 10))  # a float would reach range()
 
 
 @composite
@@ -317,6 +319,9 @@ def test_build_basis_respects_limit():
     assert build_basis(REF, limit=1).solutions == ((1, 0),)
     assert build_basis(REF, limit=99).solutions == ((1, 0), (4, 1))
     assert build_basis(REF, limit=10**20) == build_basis(REF)  # past sys.maxsize
+    for limit in (-1, 2.5, "2"):
+        with pytest.raises(ValueError, match="limit must be a nonnegative integer"):
+            build_basis(REF, limit=limit)
 
 
 def test_build_basis_unsolvable_returns_none():
@@ -347,6 +352,7 @@ def test_any_representative_per_class_expands_to_the_oracle_set():
     # a basis given from outside is checked seed by seed as it expands
     for seeds, message in ((((0, 0), (0, 1)), "does not satisfy"),
                            (((13, 0), (4, 1)), "not reduced"),
+                           (((1.0, 0), (4, 1)), "must be integers"),
                            (((1, 0), (4, 1, 0)), "arity mismatch")):
         with pytest.raises(ValueError, match=message):
             list(enumerate_all(SolutionBasis(seeds, (2, 6), (6, 2)), REF))

