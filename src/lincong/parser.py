@@ -5,10 +5,17 @@ Grammar, with whitespace insignificant throughout:
     congruence := sum ('≡' | '=') integer '(' 'mod' integer ')'
     sum        := ['+' | '-'] term (('+' | '-') term)*
     term       := [integer] ['*'] identifier
-    identifier := letter (letter | digit | '_')*
+    identifier := (letter | '_') (letter | digit | '_')*
 
 A digit is one of the ASCII characters 0-9; other characters that Unicode
-calls digits, such as '²', are rejected with a positioned error.
+calls digits, such as '²' or '٣', are rejected with a positioned error.  A
+letter is a character for which str.isalpha() is true, and whitespace is any
+character for which str.isspace() is true, Unicode spaces such as U+00A0
+and U+3000 included.
+
+Each integer literal and each run of whitespace is read with one match of a
+compiled pattern, so a literal costs one match and its int() conversion
+whatever its length; identifiers are read a character at a time.
 
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
@@ -18,6 +25,7 @@ never zero.  Output always uses '≡'; input may use '=' as well.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = ["ParseError", "ParsedCongruence", "parse", "format_congruence"]
@@ -57,6 +65,13 @@ def _is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
+# A run of digits or of whitespace is one match from the scanner position:
+# [0-9], never \d, which accepts '٣' and '７' too; \s on a str pattern
+# accepts exactly the characters for which str.isspace() is true.
+_DIGITS = re.compile("[0-9]*")
+_SPACES = re.compile(r"\s*")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -68,8 +83,7 @@ class _Scanner:
         return self.i + 1
 
     def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+        self.i = _SPACES.match(self.text, self.i).end()
 
     def peek(self) -> str:
         return self.text[self.i] if self.i < len(self.text) else ""
@@ -97,8 +111,7 @@ class _Scanner:
     def unsigned_integer(self) -> int:
         self.skip_ws()
         start = self.i
-        while _is_digit(self.peek()):
-            self.i += 1
+        self.i = _DIGITS.match(self.text, start).end()
         if start == self.i:
             raise ParseError("expected an integer", self.pos)
         try:
@@ -118,10 +131,13 @@ class _Scanner:
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
         start = self.i
-        if not (self.peek().isalpha() or self.peek() == "_"):
+        ch = self.peek()
+        if not (ch.isalpha() or ch == "_"):
             raise ParseError("expected a variable name", self.pos)
-        while self.peek().isalpha() or _is_digit(self.peek()) or self.peek() == "_":
+        # isalpha(), not \w, which also accepts characters such as '²'
+        while ch.isalpha() or _is_digit(ch) or ch == "_":
             self.i += 1
+            ch = self.peek()
         return self.text[start:self.i], start + 1
 
 

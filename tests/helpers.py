@@ -5,9 +5,12 @@ import random
 import string
 import sys
 from math import gcd
+from unittest import mock
 
+import lincong.parser
 from lincong import LinearCongruence, ParsedCongruence, normalize, summarize
 from lincong.core import are_dependent, module_generators, satisfies
+from lincong.parser import ParseError
 
 
 def random_instances(seed, count, arities=(1, 2, 3),
@@ -147,3 +150,42 @@ def reference_brute_force(c: LinearCongruence) -> set[tuple[int, ...]]:
         if sum(a * xi for a, xi in zip(c.coeffs, x)) % m == c.rhs:
             found.add(tuple(x))
     return found
+
+
+class CharScanner(lincong.parser._Scanner):
+    """The parser's scanner stepping one character at a time through digit
+    runs, whitespace runs and identifiers: the reference for the scanner that
+    reads each digit or whitespace run with one match."""
+
+    def skip_ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def unsigned_integer(self) -> int:
+        self.skip_ws()
+        start = self.i
+        while "0" <= self.peek() <= "9":
+            self.i += 1
+        if start == self.i:
+            raise ParseError("expected an integer", self.pos)
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:
+            raise ParseError(
+                f"integer of {self.i - start} digits exceeds the interpreter's "
+                "int/str digit limit", start + 1) from None
+
+    def identifier(self) -> tuple[str, int]:
+        self.skip_ws()
+        start = self.i
+        if not (self.peek().isalpha() or self.peek() == "_"):
+            raise ParseError("expected a variable name", self.pos)
+        while self.peek().isalpha() or "0" <= self.peek() <= "9" or self.peek() == "_":
+            self.i += 1
+        return self.text[start:self.i], start + 1
+
+
+def reference_parse(text: str) -> ParsedCongruence:
+    """`lincong.parser.parse` reading its text through CharScanner."""
+    with mock.patch.object(lincong.parser, "_Scanner", CharScanner):
+        return lincong.parser.parse(text)

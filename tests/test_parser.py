@@ -6,11 +6,13 @@ import time
 
 import pytest
 from hypothesis import given
-from hypothesis.strategies import one_of, text
+from hypothesis.strategies import (booleans, composite, integers, just, lists, one_of,
+                                   sampled_from, text)
 
+import lincong.parser
 from lincong.parser import ParsedCongruence, ParseError, format_congruence, parse
 
-from helpers import random_parsed
+from helpers import random_parsed, reference_parse
 
 
 def test_parse_reference_expression():
@@ -134,6 +136,50 @@ def test_any_text_parses_or_fails_with_a_position_inside_it(text):
         assert 1 <= exc.pos <= len(text) + 1
 
 
+# the grammar's characters, Unicode spaces, and digits that are not ASCII
+_ALPHABET = "xy_09+-*≡=() mod\t\u00a0\u2003\u3000²٣７"
+_SPACE_RUNS = text(alphabet=" \t\n\u00a0\u2003\u3000", max_size=3)
+_NUMERALS = one_of(text(alphabet="0123456789", min_size=1, max_size=3),
+                   text(alphabet="0123456789", min_size=100, max_size=600))
+
+
+@composite
+def _laid_out_congruences(draw):
+    """Text laid out by the grammar, with Unicode spaces between the tokens
+    and literals of up to hundreds of digits; sometimes one character of the
+    alphabet is put in anywhere."""
+    names = draw(lists(sampled_from(["x", "y1", "_z", "é", "v_2"]),
+                       min_size=1, max_size=4, unique=True))
+    pieces = [draw(sampled_from(["", "+", "-"]))]
+    for k, name in enumerate(names):
+        if k:
+            pieces.append(draw(sampled_from("+-")))
+        pieces += [draw(_SPACE_RUNS), draw(one_of(just(""), _NUMERALS)), draw(_SPACE_RUNS),
+                   draw(sampled_from(["", "*"])), draw(_SPACE_RUNS), name, draw(_SPACE_RUNS)]
+    pieces += [draw(sampled_from("≡=")), draw(_SPACE_RUNS), draw(sampled_from(["", "-"])),
+               draw(_NUMERALS), draw(_SPACE_RUNS), "(", draw(_SPACE_RUNS), "mod", draw(_SPACE_RUNS),
+               draw(sampled_from(["", "-"])), draw(_NUMERALS), draw(_SPACE_RUNS), ")",
+               draw(_SPACE_RUNS)]
+    laid_out = "".join(pieces)
+    if draw(booleans()):
+        at = draw(integers(0, len(laid_out)))
+        laid_out = laid_out[:at] + draw(sampled_from(_ALPHABET)) + laid_out[at:]
+    return laid_out
+
+
+def _outcome(parse_with, text):
+    try:
+        return parse_with(text)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+@given(one_of(_laid_out_congruences(),
+              lists(one_of(sampled_from(_ALPHABET), _SPACE_RUNS, _NUMERALS)).map("".join)))
+def test_parse_agrees_with_the_character_by_character_scanner(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
 def test_mod_keyword_ends_where_its_letters_end():
     # whitespace is insignificant, so a digit may follow the keyword directly
     assert parse("x ≡ 1 (mod3)") == parse("x ≡ 1 (mod 3)")
@@ -150,6 +196,45 @@ def test_only_ascii_digits_are_digits():
     assert "expected a term" in str(_error("٣x ≡ 1 (mod 7)"))
     assert "expected '≡' or '='" in str(_error("x² ≡ 1 (mod 7)"))
     assert parse("x2 ≡ 1 (mod 7)").variables == ("x2",)
+
+
+def _scanner_steps(text):
+    """Calls made from the parser module while it parses text: calls of its
+    own functions and of builtins alike."""
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event in ("call", "c_call") and frame.f_code.co_filename == lincong.parser.__file__:
+            steps += 1
+
+    sys.setprofile(count)
+    try:
+        parse(text)
+    finally:
+        sys.setprofile(None)
+    return steps
+
+
+def test_a_digit_or_whitespace_run_costs_the_same_calls_at_any_length():
+    def laid_out(digits, spaces):
+        n, w = "7" * digits, " " * spaces
+        return f"{w}{n}x{w}-{w}{n}*y{w}≡{w}-{n}{w}({w}mod{w}{n}{w}){w}"
+
+    assert (_scanner_steps(laid_out(3, 3)) == _scanner_steps(laid_out(3000, 3))
+            == _scanner_steps(laid_out(3, 3000)))
+
+
+def test_matchers_accept_exactly_the_unicode_spaces_and_the_ascii_digits():
+    # the tables behind \s and str.isspace() belong to the interpreter, so
+    # this runs on every Python version that CI runs
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+
+    def accepted(pattern):
+        return {ch for ch, match in zip(chars, map(pattern.fullmatch, chars)) if match}
+
+    assert accepted(lincong.parser._SPACES) == {ch for ch in chars if ch.isspace()}
+    assert accepted(lincong.parser._DIGITS) == set("0123456789")
 
 
 @pytest.fixture
