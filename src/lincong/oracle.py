@@ -1,22 +1,29 @@
 """Exhaustive ground-truth solver, for differential testing of the fast paths.
 
 brute_force tabulates every tuple in [0, m)**n.  For one unknown it scans
-range(m) lazily, in constant memory.  For n >= 2 it first groups the m values
-of the last coordinate by the residue a_n*x contributes, then walks the first
-n-1 coordinates with itertools.product and looks up, per prefix, the last
-coordinates that complete it: m**(n-1) lookups, m table entries and one tuple
-per solution, instead of m**n checks.  It uses no solver maths (no gcd, no
-inverse) and shares nothing with core beyond the LinearCongruence type; that
-independence is the point.  verify compares its set with the counting and
-basis machinery of core, striking each regenerated row off the scan's set.
+range(m) lazily, in constant memory.  For n >= 2 it meets in the middle
+(Horowitz and Sahni, J. ACM 21(2), 1974): it splits the unknowns into the
+first k = n//2 and the last n-k, and tabulates each half by residue, so that
+r maps to the half-tuples whose dot product with that half's coefficients is
+r mod m.  A left class r completes only the right class (b - r) mod m, and
+each such pair of classes is joined into solutions by one C-level set update.
+The work is O(m**(n//2) + m**(n - n//2) + p1) tuples, not O(m**n), and each
+coefficient is multiplied m times, once per value of its unknown.  Besides
+the solutions the scan holds the two tables, m**(n//2) + m**(n - n//2)
+tuples (at most m**(n-1) + m, and m**(n-1) <= p1 whenever a solution
+exists), and drops each right class once it is joined.  It uses no
+solver maths (no gcd, no inverse) and shares nothing with core beyond the
+LinearCongruence type; that independence is the point.  verify compares its
+set with the counting and basis machinery of core, striking each regenerated
+row off the scan's set.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from itertools import product, starmap
+from operator import add
 
 from .core import LinearCongruence, build_basis, enumerate_all, summarize
 
@@ -57,18 +64,42 @@ def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, .
     if n * (m.bit_length() - 1) >= cap.bit_length() or m ** n > cap:
         raise CapExceededError(f"search space m**n = {_decimal(m)}**{n} "
                                f"exceeds the cap of {_decimal(cap)} tuples")
-    *lead, last = c.coeffs
-    if not lead:
-        return {(x,) for x in range(m) if (last * x - b) % m == 0}
-    # by_residue[r]: the last coordinates x, as 1-tuples, with a_n*x ≡ r (mod m)
-    by_residue: dict[int, list[tuple[int]]] = {}
-    for x in range(m):
-        by_residue.setdefault(last * x % m, []).append((x,))
+    if n == 1:
+        a = c.coeffs[0]
+        return {(x,) for x in range(m) if (a * x - b) % m == 0}
+    k = n // 2
+    left, right = _residue_table(c.coeffs[:k], m), _residue_table(c.coeffs[k:], m)
     found = set()
-    for prefix in product(range(m), repeat=len(lead)):
-        for tail in by_residue.get((b - sum(map(mul, lead, prefix))) % m, ()):
-            found.add(prefix + tail)
+    # distinct left residues complete distinct right classes, so each right
+    # class is joined at most once and is popped to free it as found grows
+    for r, prefixes in left.items():
+        found.update(starmap(add, product(prefixes, right.pop((b - r) % m, ()))))
     return found
+
+
+def _residue_table(coeffs: tuple[int, ...], m: int) -> dict[int, list[tuple[int, ...]]]:
+    """Residue r -> the tuples y in [0, m)**len(coeffs) with coeffs . y ≡ r (mod m).
+
+    Built one coordinate at a time from the last: class s of the grown table
+    puts each value of the next coordinate, of residue t, in front of every
+    tuple of class s - t of the table so far.
+    """
+    *rest, last = coeffs
+    table = _by_residue(last, m)
+    for a in reversed(rest):
+        column = _by_residue(a, m).items()
+        table = {s: [head + tail for t, heads in column
+                     for tail in table.get((s - t) % m, ()) for head in heads]
+                 for s in range(m)}
+    return table
+
+
+def _by_residue(a: int, m: int) -> dict[int, list[tuple[int]]]:
+    """Residue r -> the 1-tuples (x,), x in [0, m), with a*x ≡ r (mod m)."""
+    column: dict[int, list[tuple[int]]] = {}
+    for x in range(m):
+        column.setdefault(a * x % m, []).append((x,))
+    return column
 
 
 def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:

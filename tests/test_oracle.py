@@ -74,9 +74,9 @@ def test_brute_force_refuses_without_building_the_space():
 
 @composite
 def scan_instances(draw):
-    # arity 1-5 with m**n <= 4096; solvable or not, zero coefficients included
-    n = draw(integers(min_value=1, max_value=5))
-    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
+    # arity 1-7 with m**n <= 4096; solvable or not, zero coefficients included
+    n = draw(integers(min_value=1, max_value=7))
+    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5, 4, 3)[n - 1]))
     coeffs = draw(lists(integers(min_value=-2 * m, max_value=2 * m),
                         min_size=n, max_size=n))
     return normalize(coeffs, draw(integers(min_value=-2 * m, max_value=2 * m)), m)
@@ -85,11 +85,18 @@ def scan_instances(draw):
 @settings(max_examples=200)
 @given(scan_instances())
 @example(normalize([5, 3, 2], 0, 1))           # m = 1: the one tuple (0, 0, 0)
+@example(normalize([1, 2, 3, 4, 5, 6, 7], 0, 1))  # m = 1 at arity 7
 @example(normalize([0, 0], 0, 4))              # every tuple solves
 @example(normalize([0, 3, 0, 0, 1], 2, 5))     # zero coefficients among others
+@example(normalize([0, 0, 3, 5], 4, 8))        # an all-zero left half
+@example(normalize([1, 4], 2, 8))              # only left residues 2 and 6 meet a right one
+@example(normalize([2, 3, 5], 1, 7))           # odd split 1 + 2
+@example(normalize([1, 2, 0, 3, 4], 3, 5))     # odd split 2 + 3
 @example(normalize([2, 4], 1, 6))              # unsolvable, d = 2
+@example(normalize([2, 4, 6, 2, 4, 6], 1, 4))  # unsolvable, d = 2, split 3 + 3
 @example(normalize([0], 1, 7))                 # unsolvable, every coefficient zero
 @example(normalize([0, 0, 0, 0, 0], 0, 5))     # arity 5 at the largest m
+@example(normalize([1, 1, 1, 1, 1, 1, 1], 0, 3))  # arity 7 at the largest m
 def test_brute_force_matches_reference_scan(c):
     assert brute_force(c) == reference_brute_force(c)
 
@@ -131,6 +138,31 @@ def test_brute_force_multiplies_the_last_coefficient_once_per_value(n, m):
     found = brute_force(c)
     assert last.products <= m
     assert found == reference_brute_force(c)
+
+
+@pytest.mark.parametrize("n, m", [(2, 60), (3, 15), (4, 7), (5, 5), (6, 4)])
+def test_brute_force_multiplies_each_coefficient_once_per_value(n, m):
+    # each half's residue table takes a_i*x once for each of the m values of
+    # coordinate i; a scan that walks prefixes takes it once per prefix
+    coeffs = [CountingInt(a % m) for a in (5, 2, 7, 3, 1, 6)[:n]]
+    c = LinearCongruence(tuple(coeffs), 3, m)
+    found = brute_force(c)
+    assert all(a.products <= m for a in coeffs)
+    assert found == reference_brute_force(c)
+
+
+def test_brute_force_tables_stay_within_the_result():
+    # one unknown on the left and two on the right, the most uneven split: the
+    # right table holds m**2 = p1 pairs while the result holds p1 triples, and
+    # each right class is dropped once joined
+    tracemalloc.start()
+    try:
+        found = brute_force(normalize([1, 1, 1], 0, 100))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 10_000
+    assert peak < 1.5 * kept
 
 
 @pytest.mark.parametrize("c", [
