@@ -7,17 +7,14 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from functools import cache
 
 from .core import (
-    _BLOCK_ROWS,
     LinearCongruence,
     SolveSummary,
-    _block_depth,
-    _expand_runs,
+    _blocks,
     are_dependent,
     iter_basis,
     module_generators,
@@ -52,6 +49,8 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
         names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))
         parsed = ParsedCongruence(names, coeffs, args.rhs, args.mod)
     else:
+        if args.rhs is not None or args.mod is not None:
+            raise ValueError("--rhs and --mod go with --coeffs")
         if args.expr is None:
             raise ValueError("an expression (or --coeffs/--rhs/--mod) is required")
         text = sys.stdin.read() if args.expr == "-" else args.expr
@@ -59,19 +58,18 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
-def _check_limit(limit):
-    if limit is not None and limit < 0:
-        raise ValueError("--limit must be nonnegative")
+def _check_nonnegative(value, flag: str):
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
 
 
 def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool):
     # the rows and the cut mark of both commands: rows are pieces of text, or
     # of the JSON array's items, written as they come and never held whole.
     # In JSON, counts are decimal strings because they can exceed any fixed
-    # integer width, and an unsolvable solve (rows None) has no rows key
+    # integer width, and an unsolvable solve has no rows key
     if fmt == "text":
-        if rows is not None:
-            sys.stdout.writelines(rows)
+        sys.stdout.writelines(rows)
         if truncated:
             print("# truncated")
         return
@@ -82,7 +80,7 @@ def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool)
                           "s": str(s.basis_size)})
     out = sys.stdout
     out.write(summary[:-1])
-    if rows is not None:
+    if s.solvable:
         out.write(f", \"{rows_key}\": [")
         out.writelines(rows)
         out.write("]")
@@ -129,35 +127,14 @@ def _rendered_runs(runs, punct):
         sep = joiner
 
 
-def _first_rows(runs, limit: int):
-    # the blocks that carry the first `limit` rows; the last one is cut short
-    # (a slice, of a range or of a block's tuple alike), and a limit of 0 pulls
-    # no block, so the walk never starts
-    if limit:
-        for prefix, block in runs:
-            if limit <= len(block):
-                yield prefix, block[:limit]
-                return
-            limit -= len(block)
-            yield prefix, block
-
-
 def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
-    _check_limit(args.limit)
+    _check_nonnegative(args.limit, "--limit")
     s = summarize(c)
     truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
-    # the basis streams from the walk as it is written, in blocks of whole
-    # rows under an empty prefix; --limit 0 pulls no row, so counts alone
-    # start no walk; islice takes no stop above sys.maxsize
-    rows = iter_basis(c)
-    if args.limit is not None:
-        rows = itertools.islice(rows, min(args.limit, sys.maxsize))
-    blocks = iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ())
-    pieces = None
-    if s.solvable:
-        pieces = _rendered_runs((((), block) for block in blocks),
-                                _punctuation(args.format, c.arity, c.arity))
+    # --limit 0 pulls no row, so counts alone start no walk
+    depth, blocks = _blocks(iter_basis(c), c, expand=False, limit=args.limit)
+    pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
     if args.format == "text":
         _print_summary_text(parsed, s)
     _print_rows(args.format, s, "basis", pieces, truncated)
@@ -166,7 +143,7 @@ def cmd_solve(args) -> int:
 
 def cmd_enumerate(args) -> int:
     c, parsed = _load_instance(args)
-    _check_limit(args.limit)
+    _check_nonnegative(args.limit, "--limit")
     s = summarize(c)
     if not s.solvable:
         print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
@@ -174,11 +151,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_UNSOLVABLE
     truncated = args.limit is not None and args.limit < s.solution_count
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    depth = _block_depth(c)
-    runs = _expand_runs(iter_basis(c), c, depth)
-    if args.limit is not None:
-        runs = _first_rows(runs, args.limit)
-    pieces = _rendered_runs(runs, _punctuation(args.format, c.arity, depth))
+    depth, blocks = _blocks(iter_basis(c), c, limit=args.limit)
+    pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
     _print_rows(args.format, s, "solutions", pieces, truncated)
     return EXIT_OK
 
@@ -226,8 +200,9 @@ def _random_instance(rng) -> LinearCongruence:
 
 
 def cmd_verify(args) -> int:
+    _check_nonnegative(args.cap, "--cap")
     if args.seed is not None:
-        if args.expr is not None or args.coeffs is not None:
+        if any(v is not None for v in (args.expr, args.coeffs, args.rhs, args.mod)):
             raise ValueError("--seed runs a random batch; do not pass an instance too")
         import random  # only the random batch needs it
 

@@ -28,15 +28,15 @@ the walk starts; a row then costs one multiply, one floor division and one
 mod per coordinate, and no gcd.  The least solution (find_particular) is
 that walk's first row.  The expansion of a seed steps each coordinate round
 its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
-gcd(a_i, m) steps; it is walked in blocks of at most 1024 rows: the first
-coordinates are fixed once per block while the deepest ones step through
-their cycles together.  At depth 1 a block is the last coordinate's cycle as
-one or two `range`s, cut into slices when it is longer; deeper, it is the
-product of the deepest coordinates' cycles, built once per seed and shared
-by all its prefixes.  This module alone chooses the depth, and expand,
-enumerate_all and the CLI all walk the same blocks: the CLI renders a block
-once per seed and joins every prefix onto it, without building a tuple per
-row.
+gcd(a_i, m) steps.  One function, _blocks, picks the depth, the batching
+and the row-limit cut of every stream, and expand, enumerate_all and both CLI
+commands walk its blocks of at most 1024 rows.  A basis, and an expansion
+stream at p2 = 1, comes as whole rows; otherwise the first coordinates are
+fixed once per block while the deepest ones step through their cycles
+together: at depth 1 the last coordinate's cycle as one or two `range`s, cut
+into slices when it is longer, deeper the product of the deepest cycles,
+built once per seed and shared by all its prefixes.  The CLI renders a block
+once and joins every prefix onto it, without building a tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -74,7 +74,7 @@ __all__ = [
 
 Solution = tuple[int, ...]
 
-_BLOCK_ROWS = 1024  # most rows in one block of _expand_runs
+_BLOCK_ROWS = 1024  # most rows in one block of _blocks
 
 
 def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
@@ -252,13 +252,38 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
 
 
 def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
-    # the expansions of the seeds as tuples, flattened from the blocks the CLI
-    # writes: a depth-1 block holds last-coordinate values, a deeper one rows
+    # the rows of _blocks' stream as tuples: zip makes 1-tuples of a range's
+    # values; any other block holds tuples, whole rows at depth n (n = 1 too)
+    return (prefix + row for prefix, block in _blocks(seeds, c)[1]
+            for row in (zip(block) if type(block) is range else block))
+
+
+def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True,
+            limit: int | None = None) -> tuple[int, Iterator[tuple[Solution, Sequence]]]:
+    # The one block stream of every writer: the depth and the (prefix, block)
+    # pairs of the first `limit` rows of the seeds' expansions, or of the seeds
+    # when expand is False.  At p2 = 1 both are the seeds, cut (islice takes
+    # no stop above sys.maxsize) before they are batched under an empty prefix
+    # at depth n, so no row past the limit is pulled.
+    if not expand or c.summary.expansion_count == 1:
+        rows = itertools.islice(seeds, None if limit is None else min(limit, sys.maxsize))
+        return c.arity, (((), block) for block in
+                         iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
     depth = _block_depth(c)
     blocks = _expand_runs(seeds, c, depth)
-    if depth == 1:
-        return (prefix + (v,) for prefix, run in blocks for v in run)
-    return (prefix + row for prefix, block in blocks for row in block)
+    return depth, blocks if limit is None else _first_rows(blocks, limit)
+
+
+def _first_rows(blocks: Iterator[tuple[Solution, Sequence]], limit: int) -> Iterator:
+    # the blocks that carry the first `limit` rows, the last one sliced short;
+    # a limit of 0 pulls no block, so the walk never starts
+    if limit:
+        for prefix, block in blocks:
+            if limit <= len(block):
+                yield prefix, block[:limit]
+                return
+            limit -= len(block)
+            yield prefix, block
 
 
 def _block_depth(c: LinearCongruence) -> int:
@@ -425,6 +450,6 @@ def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solutio
 
     For a full basis this yields exactly summarize(c).solution_count pairwise
     distinct solutions; as a set it equals enumerate_raw(c).  Each seed is
-    checked as expand checks it, when the walk reaches it.
+    checked as expand checks it, when the walk reaches its block.
     """
     return _rows((_checked_seed(x, c) for x in basis.solutions), c)

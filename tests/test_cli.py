@@ -154,6 +154,24 @@ def test_solve_limit_pulls_only_the_rows_it_prints(capsys, monkeypatch):
     assert pulled == [(0, 0, 0), (0, 1, 999)]
 
 
+def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, monkeypatch):
+    # at p2 = 1 the basis rows are the solutions; they are cut before they are
+    # batched, so a limit of 60 pulls 60 rows from the walk, not 1024
+    pulled = []
+    walk = lincong.cli.iter_basis
+
+    def counting_walk(c):
+        for row in walk(c):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
+    code, out, _ = run(capsys, "enumerate", "x + y + z ≡ 0 (mod 1000)", "--limit", "60")
+    assert code == 0
+    assert len(pulled) == 60
+    assert out == "".join("%d %d %d\n" % row for row in pulled) + "# truncated\n"
+
+
 def test_solve_limit_truncates(capsys):
     code, out, _ = run(capsys, "solve", REF_EXPR, "--format", "json",
                        "--limit", "1")
@@ -206,6 +224,25 @@ def test_instance_flag_misuse(capsys):
                        "--mod", "5")
     assert code == 2
     assert "comma-separated integers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "x ≡ 1 (mod 3)", "--mod", "7", "--rhs", "2"],
+    ["solve", "x ≡ 1 (mod 3)", "--mod", "7"],
+    ["enumerate", "x ≡ 1 (mod 3)", "--rhs", "2"],
+    ["check", "x ≡ 1 (mod 3)", "1", "1", "--rhs", "2"],
+    ["verify", "x ≡ 1 (mod 3)", "--mod", "7"],
+    ["solve", "--rhs", "2", "--mod", "7"],
+    ["verify", "--seed", "1", "--rhs", "3"],
+    ["verify", "--seed", "1", "--mod", "3"],
+])
+def test_rhs_and_mod_without_coeffs_are_rejected(capsys, argv):
+    # an expression carries its own rhs and modulus, and a random batch
+    # draws them: a stray --rhs or --mod is an error, not silently ignored
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err in ("error: --rhs and --mod go with --coeffs\n",
+                   "error: --seed runs a random batch; do not pass an instance too\n")
 
 
 def test_stdin_expression(capsys, monkeypatch):
@@ -475,6 +512,43 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
     assert len(formatted) == 300 * len(suffixes) <= 300 * s.basis_size
 
 
+@pytest.mark.parametrize("expr", ["x + y ≡ 0 (mod 3000)", "x ≡ 3 (mod 7)", "x ≡ 0 (mod 1)"])
+@pytest.mark.parametrize("limit", [0, 1, 1023, 1024, 1025, 2049, "p1", None])
+def test_enumerate_at_p2_1_writes_the_rows_solve_writes(capsys, expr, limit):
+    # when every expansion is its seed, the solutions are the basis rows, and
+    # enumerate writes them as solve does, byte for byte, in both formats
+    _, summary, _ = run(capsys, "solve", expr, "--format", "json", "--limit", "0")
+    doc = json.loads(summary)
+    assert doc["p2"] == "1"
+    flags = [] if limit is None else ["--limit", doc["p1"] if limit == "p1" else str(limit)]
+    _, solved, _ = run(capsys, "solve", expr, *flags)
+    code, enumerated, _ = run(capsys, "enumerate", expr, *flags)
+    assert code == 0
+    assert_same_text(enumerated, solved.partition("basis:\n")[2], limit)
+    _, solved, _ = run(capsys, "solve", expr, "--format", "json", *flags)
+    code, enumerated, _ = run(capsys, "enumerate", expr, "--format", "json", *flags)
+    assert code == 0
+    assert_same_text(enumerated, solved.replace('"basis": [', '"solutions": [', 1), limit)
+
+
+@pytest.mark.parametrize("limit, sizes", [(None, [1024, 1024, 952]), (2049, [1024, 1024, 1]),
+                                          (1024, [1024])])
+def test_enumerate_at_p2_1_writes_blocks_of_1024_rows(monkeypatch, limit, sizes):
+    # one block, so one join, per 1024 rows, not one per one-row seed
+    c = normalize([1, 1], 0, 3000)
+    written = []
+    rendered_runs = lincong.cli._rendered_runs
+
+    def recording(runs, punct):
+        runs = list(runs)
+        written.extend(len(block) for _, block in runs)
+        return rendered_runs(runs, punct)
+
+    monkeypatch.setattr(lincong.cli, "_rendered_runs", recording)
+    assert enumerate_output(c, "text", limit).count("\n") == sum(sizes) + (limit is not None)
+    assert written == sizes
+
+
 def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
     # expand, enumerate_all, the oracle and enumerate all walk the expansion
     # at the one depth core chooses, so the oracle checks the very blocks
@@ -489,7 +563,6 @@ def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
         return expand_runs(seeds, c, depth)
 
     monkeypatch.setattr(lincong.core, "_expand_runs", recording)
-    monkeypatch.setattr(lincong.cli, "_expand_runs", recording)
     basis = build_basis(c)
     assert len(list(expand(basis.solutions[-1], c))) == s.expansion_count
     assert len(list(enumerate_all(basis, c))) == s.solution_count
@@ -681,6 +754,11 @@ def test_enumerate_negative_limit(capsys):
     code, _, err = run(capsys, "enumerate", REF_EXPR, "--limit", "-1")
     assert code == 2
     assert "--limit" in err
+
+
+@pytest.mark.parametrize("argv", [["x ≡ 0 (mod 5)"], ["--seed", "1"]])
+def test_verify_negative_cap(capsys, argv):
+    assert run(capsys, "verify", "--cap", "-3", *argv) == (2, "", "error: --cap must be nonnegative\n")
 
 
 def test_check_dependent(capsys):
