@@ -15,14 +15,12 @@ from .core import (
     LinearCongruence,
     SolveSummary,
     _blocks,
-    are_dependent,
     iter_basis,
-    module_generators,
     normalize,
     satisfies,
     summarize,
 )
-from .parser import ParsedCongruence, format_congruence, parse
+from .parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,11 +30,20 @@ EXIT_MISMATCH = 4
 BATCH_SIZE = 200  # instances checked by `verify --seed`
 
 
-def _comma_ints(text: str) -> tuple[int, ...]:
+# Every integer given as a flag or a vector is read as the expression grammar
+# reads one, so '٥' or '1_0' is no integer here either.
+def _flag_int(text: str, flag: str) -> int:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        return parse_integer(text)
+    except ParseError:
+        raise ValueError(f"{flag}: expected an integer, got {text!r}") from None
+
+
+def _comma_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(parse_integer, text.split(",")))
+    except ParseError:
+        raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
 
 
 def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
@@ -45,9 +52,10 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("give either an expression or --coeffs/--rhs/--mod, not both")
         if args.rhs is None or args.mod is None:
             raise ValueError("--coeffs requires --rhs and --mod")
-        coeffs = _comma_ints(args.coeffs)
+        coeffs = _comma_ints(args.coeffs, "--coeffs")
         names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))
-        parsed = ParsedCongruence(names, coeffs, args.rhs, args.mod)
+        parsed = ParsedCongruence(names, coeffs, _flag_int(args.rhs, "--rhs"),
+                                  _flag_int(args.mod, "--mod"))
     else:
         if args.rhs is not None or args.mod is not None:
             raise ValueError("--rhs and --mod go with --coeffs")
@@ -159,8 +167,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     c, parsed = _load_instance(args)
-    vec_a = _comma_ints(args.solution_a)
-    vec_b = _comma_ints(args.solution_b)
+    vec_a = _comma_ints(args.solution_a, "solution_a")
+    vec_b = _comma_ints(args.solution_b, "solution_b")
     if len(vec_a) != c.arity or len(vec_b) != c.arity:
         raise ValueError(f"arity mismatch: the congruence has {c.arity} unknowns, "
                          f"got vectors of length {len(vec_a)} and {len(vec_b)}")
@@ -170,15 +178,18 @@ def cmd_check(args) -> int:
         if not satisfies(vec, c):
             print(f"warning: {label} = ({', '.join(map(str, vec))}) does not satisfy "
                   f"the congruence", file=sys.stderr)
-    lattice = module_generators(c)
     print(f"congruence: {format_congruence(parsed)}")
     print(f"a = {' '.join(map(str, vec_a))}")
     print(f"b = {' '.join(map(str, vec_b))}")
-    for i, (xi, yi, g) in enumerate(zip(vec_a, vec_b, lattice.strides), start=1):
+    # a and b are dependent iff a - b lies in the stride lattice: every
+    # remainder printed is 0
+    dependent = True
+    for i, (xi, yi, g) in enumerate(zip(vec_a, vec_b, summarize(c).strides), start=1):
         diff = (xi - yi) % g
-        verdict = "divisible" if diff == 0 else "not divisible"
-        print(f"coordinate {i}: (a - b) ≡ {diff} (mod {g}) -> {verdict}")
-    print("dependent" if are_dependent(vec_a, vec_b, lattice) else "independent")
+        dependent = dependent and diff == 0
+        print(f"coordinate {i}: (a - b) ≡ {diff} (mod {g}) -> "
+              f"{'divisible' if diff == 0 else 'not divisible'}")
+    print("dependent" if dependent else "independent")
     return EXIT_OK
 
 
@@ -243,8 +254,8 @@ def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("expr", nargs="?",
                    help="congruence such as '2x - 6y ≡ 2 (mod 12)'; '-' reads stdin")
     p.add_argument("--coeffs", help="comma-separated coefficients, e.g. 2,-6")
-    p.add_argument("--rhs", type=int, help="right-hand side, with --coeffs")
-    p.add_argument("--mod", type=int, help="modulus, with --coeffs")
+    p.add_argument("--rhs", help="right-hand side, with --coeffs")
+    p.add_argument("--mod", help="modulus, with --coeffs")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

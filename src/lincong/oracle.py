@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add
 
-from .core import LinearCongruence, build_basis, enumerate_all, summarize
+from .core import LinearCongruence, _rows, build_basis, summarize
 
 __all__ = ["DEFAULT_CAP", "CapExceededError", "OracleReport", "brute_force", "verify"]
 
@@ -109,7 +109,8 @@ def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     exactly once.  Each regenerated row is removed from the scan's own set, so
     besides the report's frozenset no second set of p1 tuples is built: a row
     the scan lacks, a row regenerated twice (overlapping expansions) or a
-    scanned row left over is a disagreement.
+    scanned row left over is a disagreement.  So the seeds that build_basis
+    constructed are expanded without enumerate_all's check of each seed.
     """
     found = brute_force(c, cap)
     solutions = frozenset(found)
@@ -118,7 +119,7 @@ def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     basis = build_basis(c)
     try:
         if basis is not None:
-            deque(map(found.remove, enumerate_all(basis, c)), 0)
+            deque(map(found.remove, _rows(basis.solutions, c)), 0)
         agrees_with_basis = not found
     except KeyError:
         agrees_with_basis = False

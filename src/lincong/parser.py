@@ -13,9 +13,9 @@ letter is a character for which str.isalpha() is true, and whitespace is any
 character for which str.isspace() is true, Unicode spaces such as U+00A0
 and U+3000 included.
 
-Each integer literal and each run of whitespace is read with one match of a
-compiled pattern, so a literal costs one match and its int() conversion
-whatever its length; identifiers are read a character at a time.
+Each rule is one match of a compiled pattern, so a literal or a run of
+whitespace costs the same calls whatever its length; identifiers are read a
+character at a time, because no pattern class is exactly str.isalpha().
 
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
@@ -28,9 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-__all__ = ["ParseError", "ParsedCongruence", "parse", "format_congruence"]
-
-_RELATION_CHARS = ("≡", "=")
+__all__ = ["ParseError", "ParsedCongruence", "parse", "parse_integer", "format_congruence"]
 
 
 class ParseError(ValueError):
@@ -59,147 +57,83 @@ class ParsedCongruence:
             raise ValueError("variables must be pairwise distinct")
 
 
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() also accepts characters such as '²' that
-    # int() then rejects
-    return "0" <= ch <= "9"
-
-
-# A run of digits or of whitespace is one match from the scanner position:
-# [0-9], never \d, which accepts '٣' and '７' too; \s on a str pattern
-# accepts exactly the characters for which str.isspace() is true.
+# [0-9], never \d, which accepts '٣' and '７' too; \s on a str pattern accepts
+# exactly the characters for which str.isspace() is true.  The rules use both.
 _DIGITS = re.compile("[0-9]*")
 _SPACES = re.compile(r"\s*")
+_S, _DIGIT = _SPACES.pattern, _DIGITS.pattern[:-1]
+# a sign, a coefficient and a star, each after whitespace; no star without a coefficient
+_TERM = re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
+# the right-hand side and the modulus: a sign, then digits that may be
+# missing, each after whitespace, and the whitespace after them
+_INTEGER = re.compile(rf"{_S}([+-]?){_S}({_DIGIT}*){_S}")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    @property
-    def pos(self) -> int:
-        # 1-based, for error messages
-        return self.i + 1
-
-    def skip_ws(self):
-        self.i = _SPACES.match(self.text, self.i).end()
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def at_sign(self) -> bool:
-        # a tuple, not "+-": peek() is "" at the end of the text, and "" is in
-        # every string
-        return self.peek() in ("+", "-")
-
-    def advance(self) -> str:
-        ch = self.peek()
-        self.i += 1
-        return ch
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.i >= len(self.text)
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.i += 1
-
-    def unsigned_integer(self) -> int:
-        self.skip_ws()
-        start = self.i
-        self.i = _DIGITS.match(self.text, start).end()
-        if start == self.i:
-            raise ParseError("expected an integer", self.pos)
-        try:
-            return int(self.text[start:self.i])
-        except ValueError:  # ASCII digits only, so over int()'s digit limit
-            raise ParseError(
-                f"integer of {self.i - start} digits exceeds the interpreter's "
-                "int/str digit limit", start + 1) from None
-
-    def signed_integer(self) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.at_sign():
-            sign = -1 if self.advance() == "-" else 1
-        return sign * self.unsigned_integer()
-
-    def identifier(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.i
-        ch = self.peek()
-        if not (ch.isalpha() or ch == "_"):
-            raise ParseError("expected a variable name", self.pos)
-        # isalpha(), not \w, which also accepts characters such as '²'
-        while ch.isalpha() or _is_digit(ch) or ch == "_":
-            self.i += 1
-            ch = self.peek()
-        return self.text[start:self.i], start + 1
+def _integer(m: re.Match) -> int:
+    # the value of a _TERM or _INTEGER match; errors point at its first digit
+    sign, digits = m.groups()
+    if not digits:
+        raise ParseError("expected an integer", m.start(2) + 1)
+    try:
+        return int(sign + digits)
+    except ValueError:  # ASCII digits only, so over int()'s digit limit
+        raise ParseError(f"integer of {len(digits)} digits exceeds the interpreter's "
+                         "int/str digit limit", m.start(2) + 1) from None
 
 
-def _term(s: _Scanner) -> tuple[int, str, int]:
-    s.skip_ws()
-    coeff = 1
-    if _is_digit(s.peek()):
-        coeff = s.unsigned_integer()
-        s.skip_ws()
-        if s.peek() == "*":
-            s.advance()
-    elif not (s.peek().isalpha() or s.peek() == "_"):
-        raise ParseError("expected a term such as '3x' or 'y'", s.pos)
-    name, name_pos = s.identifier()
-    return coeff, name, name_pos
+def parse_integer(text: str) -> int:
+    """All of text read as the grammar's integer: " -12 " is -12, "1_0" raises ParseError."""
+    m = _INTEGER.match(text)
+    value = _integer(m)
+    if m.end() != len(text):
+        raise ParseError("unexpected trailing input", m.end() + 1)
+    return value
 
 
 def parse(text: str) -> ParsedCongruence:
     """Parse a congruence expression such as "2x - 6y ≡ 2 (mod 12)"."""
-    s = _Scanner(text)
     terms: dict[str, int] = {}  # coefficient by variable name, in written order
-
-    s.skip_ws()
-    sign = 1
-    if s.at_sign():
-        sign = -1 if s.advance() == "-" else 1
-    while True:
-        coeff, name, name_pos = _term(s)
+    m = _TERM.match(text)
+    while not terms or m.group(1):  # a sign starts every term but the first
+        sign, digits = m.groups()
+        coeff = _integer(m) if digits else -1 if sign == "-" else 1
+        i = m.end()
+        if not ((ch := text[i:i + 1]).isalpha() or ch == "_"):
+            raise ParseError("expected a variable name" if digits
+                             else "expected a term such as '3x' or 'y'", i + 1)
+        j = i + 1
+        while (ch := text[j:j + 1]).isalpha() or "0" <= ch <= "9" or ch == "_":
+            j += 1
+        name = text[i:j]
         if name in terms:
-            raise ParseError(f"duplicate variable {name!r}", name_pos)
-        terms[name] = sign * coeff
-        s.skip_ws()
-        if s.at_sign():
-            sign = -1 if s.advance() == "-" else 1
-            continue
-        break
+            raise ParseError(f"duplicate variable {name!r}", i + 1)
+        terms[name] = coeff
+        m = _TERM.match(text, j)
 
-    s.skip_ws()
-    if s.peek() not in _RELATION_CHARS:
-        raise ParseError("expected '≡' or '=' after the left-hand side", s.pos)
-    s.advance()
+    i = m.start(1)
+    if not text.startswith(("≡", "="), i):
+        raise ParseError("expected '≡' or '=' after the left-hand side", i + 1)
+    m = _INTEGER.match(text, i + 1)
+    rhs = _integer(m)
 
-    rhs = s.signed_integer()
-
-    if s.at_end():
-        raise ParseError("missing modulus: expected '(mod m)'", s.pos)
-    s.expect("(")
-    s.skip_ws()
+    i = m.end()
+    if text[i:i + 1] != "(":
+        raise ParseError("expected '('" if i < len(text)
+                         else "missing modulus: expected '(mod m)'", i + 1)
+    i = _SPACES.match(text, i + 1).end()
     # the keyword is letters only, so "(mod3)" reads like "(mod 3)"
-    word_start = s.i
-    while s.peek().isalpha():
-        s.i += 1
-    if s.text[word_start:s.i] != "mod":
-        raise ParseError("expected 'mod'", word_start + 1)
-    s.skip_ws()
-    mod_pos = s.pos
-    modulus = s.signed_integer()
+    if not text.startswith("mod", i) or text[i + 3:i + 4].isalpha():
+        raise ParseError("expected 'mod'", i + 1)
+    m = _INTEGER.match(text, i + 3)
+    modulus = _integer(m)
     if modulus == 0:
-        raise ParseError("modulus must be nonzero", mod_pos)
-    s.expect(")")
-    if not s.at_end():
-        raise ParseError("unexpected trailing input", s.pos)
+        raise ParseError("modulus must be nonzero", m.start(1) + 1)
+    i = m.end()
+    if text[i:i + 1] != ")":
+        raise ParseError("expected ')'", i + 1)
+    i = _SPACES.match(text, i + 1).end()
+    if i != len(text):
+        raise ParseError("unexpected trailing input", i + 1)
 
     return ParsedCongruence(tuple(terms), tuple(terms.values()), rhs, modulus)
 

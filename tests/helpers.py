@@ -5,9 +5,7 @@ import random
 import string
 import sys
 from math import gcd
-from unittest import mock
 
-import lincong.parser
 from lincong import LinearCongruence, ParsedCongruence, normalize, summarize
 from lincong.core import are_dependent, module_generators, satisfies
 from lincong.parser import ParseError
@@ -152,14 +150,44 @@ def reference_brute_force(c: LinearCongruence) -> set[tuple[int, ...]]:
     return found
 
 
-class CharScanner(lincong.parser._Scanner):
-    """The parser's scanner stepping one character at a time through digit
-    runs, whitespace runs and identifiers: the reference for the scanner that
-    reads each digit or whitespace run with one match."""
+class _CharScanner:
+    """A cursor into the text that reads one character at a time."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.i = 0
+
+    @property
+    def pos(self) -> int:
+        # 1-based, for error messages
+        return self.i + 1
+
+    def peek(self) -> str:
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def at_sign(self) -> bool:
+        # a tuple, not "+-": peek() is "" at the end of the text, and "" is in
+        # every string
+        return self.peek() in ("+", "-")
+
+    def advance(self) -> str:
+        ch = self.peek()
+        self.i += 1
+        return ch
 
     def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
+        while self.peek().isspace():
             self.i += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.i >= len(self.text)
+
+    def expect(self, ch: str):
+        self.skip_ws()
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.i += 1
 
     def unsigned_integer(self) -> int:
         self.skip_ws()
@@ -175,6 +203,13 @@ class CharScanner(lincong.parser._Scanner):
                 f"integer of {self.i - start} digits exceeds the interpreter's "
                 "int/str digit limit", start + 1) from None
 
+    def signed_integer(self) -> int:
+        self.skip_ws()
+        sign = 1
+        if self.at_sign():
+            sign = -1 if self.advance() == "-" else 1
+        return sign * self.unsigned_integer()
+
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
         start = self.i
@@ -185,7 +220,63 @@ class CharScanner(lincong.parser._Scanner):
         return self.text[start:self.i], start + 1
 
 
+def _reference_term(s: _CharScanner) -> tuple[int, str, int]:
+    s.skip_ws()
+    coeff = 1
+    if "0" <= s.peek() <= "9":
+        coeff = s.unsigned_integer()
+        s.skip_ws()
+        if s.peek() == "*":
+            s.advance()
+    elif not (s.peek().isalpha() or s.peek() == "_"):
+        raise ParseError("expected a term such as '3x' or 'y'", s.pos)
+    name, name_pos = s.identifier()
+    return coeff, name, name_pos
+
+
 def reference_parse(text: str) -> ParsedCongruence:
-    """`lincong.parser.parse` reading its text through CharScanner."""
-    with mock.patch.object(lincong.parser, "_Scanner", CharScanner):
-        return lincong.parser.parse(text)
+    """The reference for `lincong.parser.parse`: a recursive-descent parser of
+    the same grammar that steps through the text one character at a time, with
+    the same error messages and positions."""
+    s = _CharScanner(text)
+    terms: dict[str, int] = {}
+
+    s.skip_ws()
+    sign = 1
+    if s.at_sign():
+        sign = -1 if s.advance() == "-" else 1
+    while True:
+        coeff, name, name_pos = _reference_term(s)
+        if name in terms:
+            raise ParseError(f"duplicate variable {name!r}", name_pos)
+        terms[name] = sign * coeff
+        s.skip_ws()
+        if not s.at_sign():
+            break
+        sign = -1 if s.advance() == "-" else 1
+
+    s.skip_ws()
+    if s.peek() not in ("≡", "="):
+        raise ParseError("expected '≡' or '=' after the left-hand side", s.pos)
+    s.advance()
+    rhs = s.signed_integer()
+
+    if s.at_end():
+        raise ParseError("missing modulus: expected '(mod m)'", s.pos)
+    s.expect("(")
+    s.skip_ws()
+    word_start = s.i
+    while s.peek().isalpha():
+        s.i += 1
+    if s.text[word_start:s.i] != "mod":
+        raise ParseError("expected 'mod'", word_start + 1)
+    s.skip_ws()
+    mod_pos = s.pos
+    modulus = s.signed_integer()
+    if modulus == 0:
+        raise ParseError("modulus must be nonzero", mod_pos)
+    s.expect(")")
+    if not s.at_end():
+        raise ParseError("unexpected trailing input", s.pos)
+
+    return ParsedCongruence(tuple(terms), tuple(terms.values()), rhs, modulus)

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -22,11 +23,12 @@ from hypothesis.strategies import composite, integers, lists, sampled_from
 import lincong.cli
 import lincong.core
 from lincong.cli import main
-from lincong.core import build_basis, enumerate_all, expand, normalize, summarize
+from lincong.core import (are_dependent, build_basis, enumerate_all, expand, module_generators,
+                          normalize, summarize)
 from lincong.oracle import OracleReport, brute_force, verify
 from lincong.parser import ParsedCongruence, format_congruence
 
-from helpers import assert_same_text
+from helpers import assert_same_text, random_instances
 from test_golden import CASES, GOLDEN
 
 REF_EXPR = "2x - 6y ≡ 2 (mod 12)"
@@ -224,6 +226,30 @@ def test_instance_flag_misuse(capsys):
                        "--mod", "5")
     assert code == 2
     assert "comma-separated integers" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["solve", "--coeffs=١,2", "--rhs=0", "--mod=5"],
+     "error: --coeffs: expected comma-separated integers, got '١,2'\n"),
+    (["solve", "--coeffs=1_0", "--rhs=0", "--mod=5"],
+     "error: --coeffs: expected comma-separated integers, got '1_0'\n"),
+    (["solve", "--coeffs=1,2", "--rhs=0", "--mod=٥"], "error: --mod: expected an integer, got '٥'\n"),
+    (["enumerate", "--coeffs=1,2", "--rhs=1e3", "--mod=5"],
+     "error: --rhs: expected an integer, got '1e3'\n"),
+    (["verify", "--coeffs=1,2", "--rhs=0", "--mod=5,5"],
+     "error: --mod: expected an integer, got '5,5'\n"),
+    (["check", REF_EXPR, "7,٤", "1,0"],
+     "error: solution_a: expected comma-separated integers, got '7,٤'\n"),
+])
+def test_flag_integers_follow_the_grammars_digits(capsys, argv, err):
+    # a digit is 0-9 in a flag as in an expression, where '١x' is an error too
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_flag_integers_may_carry_whitespace_and_signs(capsys):
+    want = run(capsys, "solve", "--coeffs=2,-6", "--rhs=2", "--mod=12")
+    assert want[0] == 0
+    assert run(capsys, "solve", "--coeffs=2, - 6", "--rhs= +2", "--mod=12\u00a0") == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -777,6 +803,26 @@ def test_check_independent_warns_on_non_solution(capsys):
     assert out.splitlines()[-1] == "independent"
     assert "coordinate 1: (a - b) ≡ 4 (mod 6) -> not divisible" in out
     assert "warning: b = (0, 1) does not satisfy" in err
+
+
+def test_check_verdict_is_that_of_are_dependent(capsys):
+    # check reads its verdict off the remainders it prints; b is a plus a
+    # random lattice vector, then sometimes moved off the lattice
+    rng = random.Random(3)
+    verdicts = set()
+    for c in random_instances(3, 100, arities=(1, 2, 3), mod_bound=12):
+        lattice = module_generators(c)
+        a = [rng.randrange(c.modulus) for _ in range(c.arity)]
+        b = [(x + g * rng.randrange(c.modulus)) % c.modulus for x, g in zip(a, lattice.strides)]
+        if rng.random() < 0.5:
+            b[-1] = rng.randrange(c.modulus)
+        argv = [f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
+                f"--mod={c.modulus}", ",".join(map(str, a)), ",".join(map(str, b))]
+        _, out, _ = run(capsys, "check", *argv)
+        verdict = "dependent" if are_dependent(a, b, lattice) else "independent"
+        assert out.splitlines()[-1] == verdict
+        verdicts.add(verdict)
+    assert verdicts == {"dependent", "independent"}
 
 
 def test_check_arity_mismatch(capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis.strategies import composite, integers, lists
 
+import lincong.core
 import lincong.oracle
 from lincong.core import LinearCongruence, build_basis, normalize, summarize
 from lincong.oracle import CapExceededError, brute_force, verify
@@ -221,6 +222,34 @@ def test_verify_holds_one_copy_of_the_scan():
     assert report.solution_count == 160_000
     assert report.agrees_with_summary and report.agrees_with_basis
     assert verify_peak <= 1.4 * scan_peak
+
+
+def test_verify_does_not_check_the_seeds_it_constructed(monkeypatch):
+    # build_basis constructs solutions; striking each row off the scan's set
+    # already fails on a seed that is not one, so no seed is checked twice
+    calls = []
+
+    def checked_seed(x, c):
+        calls.append(x)
+        return original(x, c)
+
+    original = lincong.core._checked_seed
+    monkeypatch.setattr(lincong.core, "_checked_seed", checked_seed)
+    report = verify(normalize([1, 2, 3], 0, 12))
+    assert report.agrees_with_summary and report.agrees_with_basis
+    assert calls == []
+
+
+def test_verify_rejects_a_seed_that_is_no_solution(monkeypatch):
+    def wrong_seed(c):
+        basis = build_basis(c)
+        bad = tuple((x + 1) % c.modulus for x in basis.solutions[0])
+        return dataclasses.replace(basis, solutions=(bad,) + basis.solutions[1:])
+
+    monkeypatch.setattr(lincong.oracle, "build_basis", wrong_seed)
+    report = verify(REF)
+    assert report.agrees_with_summary
+    assert not report.agrees_with_basis
 
 
 def test_verify_rejects_overlapping_expansions(monkeypatch):

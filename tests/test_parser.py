@@ -10,7 +10,7 @@ from hypothesis.strategies import (booleans, composite, integers, just, lists, o
                                    sampled_from, text)
 
 import lincong.parser
-from lincong.parser import ParsedCongruence, ParseError, format_congruence, parse
+from lincong.parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
 from helpers import random_parsed, reference_parse
 
@@ -115,9 +115,12 @@ def test_more_rejections():
     ("x", 2, "expected '≡' or '=' after the left-hand side"),
     ("2x - 6y", 8, "expected '≡' or '=' after the left-hand side"),
     ("x +", 4, "expected a term such as '3x' or 'y'"),
+    ("- ", 3, "expected a term such as '3x' or 'y'"),
+    ("2*", 3, "expected a variable name"),
     ("x ≡", 4, "expected an integer"),
     ("x ≡ -", 6, "expected an integer"),
     ("x ≡ 1 (mod", 11, "expected an integer"),
+    ("x ≡ 1 (mod -", 13, "expected an integer"),
     ("x ≡ 1 (mod 5", 13, "expected ')'"),
 ])
 def test_end_of_input_is_reported_where_the_text_ends(text, pos, message):
@@ -126,6 +129,49 @@ def test_end_of_input_is_reported_where_the_text_ends(text, pos, message):
     exc = _error(text)
     assert str(exc) == f"position {pos}: {message}"
     assert exc.pos <= len(text) + 1
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("*x ≡ 1 (mod 5)", 1, "expected a term such as '3x' or 'y'"),  # a star needs a coefficient
+    ("2**x ≡ 1 (mod 5)", 3, "expected a variable name"),
+    ("2* ≡ 1 (mod 5)", 4, "expected a variable name"),
+    ("2 3x ≡ 1 (mod 5)", 3, "expected a variable name"),
+    ("- - x ≡ 1 (mod 5)", 3, "expected a term such as '3x' or 'y'"),
+    ("x ≡ - - 1 (mod 5)", 7, "expected an integer"),
+    ("x ≡ 1 (mod -0)", 12, "modulus must be nonzero"),
+    ("x ≡ 1 (modé 3)", 8, "expected 'mod'"),
+])
+def test_rule_boundaries_are_reported_exactly(text, pos, message):
+    exc = _error(text)
+    assert (str(exc), exc.pos) == (f"position {pos}: {message}", pos)
+
+
+def test_a_sign_may_stand_apart_from_its_digits():
+    assert parse("x ≡ 1 (mod - 3)") == parse("x ≡ 1 (mod -3)")
+    assert parse("- 2 * x ≡ + 1 (mod 3)") == parse("-2x ≡ 1 (mod 3)")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-12", -12), (" + 7 ", 7), ("- 3", -3), ("\u00a0" + "9" * 400 + "\t", int("9" * 400)),
+])
+def test_parse_integer_reads_the_grammars_integer(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("", 1, "expected an integer"),
+    ("-", 2, "expected an integer"),
+    ("٥", 1, "expected an integer"),
+    ("--1", 2, "expected an integer"),
+    ("1_0", 2, "unexpected trailing input"),
+    ("7²", 2, "unexpected trailing input"),
+    ("1 2", 3, "unexpected trailing input"),
+    ("1e3", 2, "unexpected trailing input"),
+])
+def test_parse_integer_rejects_what_the_grammar_rejects(text, pos, message):
+    with pytest.raises(ParseError) as err:
+        parse_integer(text)
+    assert (str(err.value), err.value.pos) == (f"position {pos}: {message}", pos)
 
 
 @given(one_of(text(), text(alphabet="xy_09+-*≡=() mod\t²")))
