@@ -31,12 +31,17 @@ BATCH_SIZE = 200  # instances checked by `verify --seed`
 
 
 # Every integer given as a flag or a vector is read as the expression grammar
-# reads one, so '٥' or '1_0' is no integer here either.
-def _flag_int(text: str, flag: str) -> int:
+# reads one, so '٥' or '1_0' is no integer here either; a flag not given is None.
+def _flag_int(text: str | None, flag: str, nonnegative: bool = False) -> int | None:
+    if text is None:
+        return None
     try:
-        return parse_integer(text)
+        value = parse_integer(text)
     except ParseError:
         raise ValueError(f"{flag}: expected an integer, got {text!r}") from None
+    if nonnegative and value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
+    return value
 
 
 def _comma_ints(text: str, what: str) -> tuple[int, ...]:
@@ -64,11 +69,6 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
         text = sys.stdin.read() if args.expr == "-" else args.expr
         parsed = parse(text.strip())
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
-
-
-def _check_nonnegative(value, flag: str):
-    if value is not None and value < 0:
-        raise ValueError(f"{flag} must be nonnegative")
 
 
 def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool):
@@ -137,11 +137,11 @@ def _rendered_runs(runs, punct):
 
 def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
-    _check_nonnegative(args.limit, "--limit")
+    limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
-    truncated = s.solvable and args.limit is not None and args.limit < s.basis_size
+    truncated = s.solvable and limit is not None and limit < s.basis_size
     # --limit 0 pulls no row, so counts alone start no walk
-    depth, blocks = _blocks(iter_basis(c), c, expand=False, limit=args.limit)
+    depth, blocks = _blocks(iter_basis(c), c, expand=False, limit=limit)
     pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
     if args.format == "text":
         _print_summary_text(parsed, s)
@@ -151,15 +151,15 @@ def cmd_solve(args) -> int:
 
 def cmd_enumerate(args) -> int:
     c, parsed = _load_instance(args)
-    _check_nonnegative(args.limit, "--limit")
+    limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
     if not s.solvable:
         print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
               file=sys.stderr)
         return EXIT_UNSOLVABLE
-    truncated = args.limit is not None and args.limit < s.solution_count
+    truncated = limit is not None and limit < s.solution_count
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    depth, blocks = _blocks(iter_basis(c), c, limit=args.limit)
+    depth, blocks = _blocks(iter_basis(c), c, limit=limit)
     pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
     _print_rows(args.format, s, "solutions", pieces, truncated)
     return EXIT_OK
@@ -211,17 +211,18 @@ def _random_instance(rng) -> LinearCongruence:
 
 
 def cmd_verify(args) -> int:
-    _check_nonnegative(args.cap, "--cap")
+    cap = _flag_int(args.cap, "--cap", nonnegative=True)
     if args.seed is not None:
         if any(v is not None for v in (args.expr, args.coeffs, args.rhs, args.mod)):
             raise ValueError("--seed runs a random batch; do not pass an instance too")
+        seed = _flag_int(args.seed, "--seed")
         import random  # only the random batch needs it
 
-        rng = random.Random(args.seed)
+        rng = random.Random(seed)
         disagreements = 0
         for _ in range(BATCH_SIZE):
             c = _random_instance(rng)
-            report = oracle_verify(c, cap=args.cap)
+            report = oracle_verify(c, cap=cap)
             failed = []
             if not report.agrees_with_summary:
                 failed.append("count")
@@ -233,12 +234,12 @@ def cmd_verify(args) -> int:
                       f"coeffs={c.coeffs} rhs={c.rhs} mod={c.modulus}")
                 print(f"  reproduce: lincong verify --coeffs={','.join(map(str, c.coeffs))} "
                       f"--rhs={c.rhs} --mod={c.modulus}")
-        print(f"verified {BATCH_SIZE} random instances (seed {args.seed}): "
+        print(f"verified {BATCH_SIZE} random instances (seed {seed}): "
               f"{BATCH_SIZE - disagreements} agree, {disagreements} disagree")
         return EXIT_OK if disagreements == 0 else EXIT_MISMATCH
 
     c, parsed = _load_instance(args)
-    report = oracle_verify(c, cap=args.cap)
+    report = oracle_verify(c, cap=cap)
     s = summarize(c)
     expected = s.solution_count if s.solvable else 0
     print(f"congruence: {format_congruence(parsed)}")
@@ -272,13 +273,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="print the counting summary and a basis")
     _add_instance_args(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--limit", type=int, help="cap the number of basis elements")
+    p.add_argument("--limit", help="cap the number of basis elements")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("enumerate", help="print every distinct solution")
     _add_instance_args(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--limit", type=int, help="stop after this many solutions")
+    p.add_argument("--limit", help="stop after this many solutions")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check", help="dependence verdict for two solutions")
@@ -289,10 +290,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check against the brute-force oracle")
     _add_instance_args(p)
-    p.add_argument("--cap", type=int,
-                   help="largest m**n the oracle will scan (default 10**7)")
-    p.add_argument("--seed", type=int,
-                   help=f"verify a batch of {BATCH_SIZE} random instances instead")
+    p.add_argument("--cap", help="largest m**n the oracle will scan (default 10**7)")
+    p.add_argument("--seed", help=f"verify a batch of {BATCH_SIZE} random instances instead")
     p.set_defaults(func=cmd_verify)
 
     return ap

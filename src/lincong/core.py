@@ -141,13 +141,11 @@ class StrideLattice:
 class SolutionBasis:
     """Pairwise-independent solutions whose expansions cover the solution set.
 
-    param_bounds holds d_i = gcd(a_i, m), the number of expansion steps per
-    coordinate; strides holds g_i = m // d_i, the step size.
+    The seeds are all it holds: the steps they expand by depend only on
+    (a, m), and enumerate_all reads them from the instance's summary.
     """
 
     solutions: tuple[Solution, ...]
-    param_bounds: tuple[int, ...]
-    strides: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -435,14 +433,13 @@ def build_basis(c: LinearCongruence, *, limit: int | None = None) -> SolutionBas
     """
     if limit is not None and not (isinstance(limit, int) and limit >= 0):
         raise ValueError("limit must be a nonnegative integer")
-    rec = c.summary
-    if not rec.solvable:
+    if not c.summary.solvable:
         return None
     reps = iter_basis(c)
     if limit is not None:
         # no process collects sys.maxsize rows; islice takes no larger stop
         reps = itertools.islice(reps, min(limit, sys.maxsize))
-    return SolutionBasis(solutions=tuple(reps), param_bounds=rec.gcds, strides=rec.strides)
+    return SolutionBasis(tuple(reps))
 
 
 def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solution]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add
 
-from .core import LinearCongruence, _rows, build_basis, summarize
+from .core import LinearCongruence, _rows, iter_basis, summarize
 
 __all__ = ["DEFAULT_CAP", "CapExceededError", "OracleReport", "brute_force", "verify"]
 
@@ -109,17 +109,15 @@ def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     exactly once.  Each regenerated row is removed from the scan's own set, so
     besides the report's frozenset no second set of p1 tuples is built: a row
     the scan lacks, a row regenerated twice (overlapping expansions) or a
-    scanned row left over is a disagreement.  So the seeds that build_basis
-    constructed are expanded without enumerate_all's check of each seed.
+    scanned row left over is a disagreement.  So the seeds iter_basis streams
+    are expanded as they come, never held whole, without enumerate_all's check.
     """
     found = brute_force(c, cap)
     solutions = frozenset(found)
     s = summarize(c)
     expected = s.solution_count if s.solvable else 0
-    basis = build_basis(c)
     try:
-        if basis is not None:
-            deque(map(found.remove, _rows(basis.solutions, c)), 0)
+        deque(map(found.remove, _rows(iter_basis(c), c)), 0)
         agrees_with_basis = not found
     except KeyError:
         agrees_with_basis = False

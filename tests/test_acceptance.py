@@ -156,7 +156,7 @@ def test_criterion_8_basis_size_is_ordering_independent():
             backward = greedy_basis(c, list(enumerate_raw(c))[::-1])
             assert len(forward.solutions) == s.basis_size
             assert len(backward) == s.basis_size
-            backward_basis = SolutionBasis(tuple(backward), s.gcds, s.strides)
+            backward_basis = SolutionBasis(tuple(backward))
             assert set(enumerate_all(backward_basis, c)) == set(enumerate_raw(c))
 
 

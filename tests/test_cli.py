@@ -240,6 +240,11 @@ def test_instance_flag_misuse(capsys):
      "error: --mod: expected an integer, got '5,5'\n"),
     (["check", REF_EXPR, "7,٤", "1,0"],
      "error: solution_a: expected comma-separated integers, got '7,٤'\n"),
+    (["solve", "x ≡ 1 (mod 5)", "--limit=٣"], "error: --limit: expected an integer, got '٣'\n"),
+    (["enumerate", "x ≡ 1 (mod 5)", "--limit=1_0"],
+     "error: --limit: expected an integer, got '1_0'\n"),
+    (["verify", "x ≡ 1 (mod 5)", "--cap=１０"], "error: --cap: expected an integer, got '１０'\n"),
+    (["verify", "--seed=٣"], "error: --seed: expected an integer, got '٣'\n"),
 ])
 def test_flag_integers_follow_the_grammars_digits(capsys, argv, err):
     # a digit is 0-9 in a flag as in an expression, where '١x' is an error too

@@ -1,6 +1,5 @@
 """Brute-force oracle and differential verification."""
 
-import dataclasses
 import random
 import time
 import tracemalloc
@@ -11,7 +10,7 @@ from hypothesis.strategies import composite, integers, lists
 
 import lincong.core
 import lincong.oracle
-from lincong.core import LinearCongruence, build_basis, normalize, summarize
+from lincong.core import LinearCongruence, iter_basis, normalize, summarize
 from lincong.oracle import CapExceededError, brute_force, verify
 
 from helpers import random_instances, reference_brute_force
@@ -203,12 +202,11 @@ def test_verify_random_instances():
 
 
 def test_verify_holds_one_copy_of_the_scan():
-    # every tuple of [0, 400)**2 solves, p1 = 160,000: the scan's set is
-    # checked against the basis by striking rows off it, not by building a
-    # second set of regenerated tuples
-    c = normalize([0, 0], 0, 400)
-
-    def peak(f):
+    # the scan's set is checked against the basis by striking rows off it,
+    # not by building a second set of regenerated tuples, nor a tuple of the
+    # basis: every tuple of [0, 400)**2 solves (p1 = 160,000, s = 1), and at
+    # x + y + z = 0 mod 100 each of the 10,000 solutions is its own seed
+    def peak(f, c):
         tracemalloc.start()
         try:
             result = f(c)
@@ -216,16 +214,18 @@ def test_verify_holds_one_copy_of_the_scan():
         finally:
             tracemalloc.stop()
 
-    scan_peak, found = peak(brute_force)
-    del found
-    verify_peak, report = peak(verify)
-    assert report.solution_count == 160_000
-    assert report.agrees_with_summary and report.agrees_with_basis
-    assert verify_peak <= 1.4 * scan_peak
+    for c, count in ((normalize([0, 0], 0, 400), 160_000),
+                     (normalize([1, 1, 1], 0, 100), 10_000)):
+        scan_peak, found = peak(brute_force, c)
+        del found
+        verify_peak, report = peak(verify, c)
+        assert report.solution_count == count
+        assert report.agrees_with_summary and report.agrees_with_basis
+        assert verify_peak <= 1.4 * scan_peak, c
 
 
 def test_verify_does_not_check_the_seeds_it_constructed(monkeypatch):
-    # build_basis constructs solutions; striking each row off the scan's set
+    # iter_basis constructs solutions; striking each row off the scan's set
     # already fails on a seed that is not one, so no seed is checked twice
     calls = []
 
@@ -242,11 +242,10 @@ def test_verify_does_not_check_the_seeds_it_constructed(monkeypatch):
 
 def test_verify_rejects_a_seed_that_is_no_solution(monkeypatch):
     def wrong_seed(c):
-        basis = build_basis(c)
-        bad = tuple((x + 1) % c.modulus for x in basis.solutions[0])
-        return dataclasses.replace(basis, solutions=(bad,) + basis.solutions[1:])
+        first, *rest = iter_basis(c)
+        return iter([tuple((x + 1) % c.modulus for x in first), *rest])
 
-    monkeypatch.setattr(lincong.oracle, "build_basis", wrong_seed)
+    monkeypatch.setattr(lincong.oracle, "iter_basis", wrong_seed)
     report = verify(REF)
     assert report.agrees_with_summary
     assert not report.agrees_with_basis
@@ -257,10 +256,10 @@ def test_verify_rejects_overlapping_expansions(monkeypatch):
     # duplicate row, so its expansions are not the disjoint cover the count
     # p1 = s * p2 rests on
     def repeated_seed(c):
-        basis = build_basis(c)
-        return dataclasses.replace(basis, solutions=basis.solutions + basis.solutions[:1])
+        seeds = list(iter_basis(c))
+        return iter(seeds + seeds[:1])
 
-    monkeypatch.setattr(lincong.oracle, "build_basis", repeated_seed)
+    monkeypatch.setattr(lincong.oracle, "iter_basis", repeated_seed)
     report = verify(REF)
     assert report.agrees_with_summary
     assert not report.agrees_with_basis
@@ -268,10 +267,11 @@ def test_verify_rejects_overlapping_expansions(monkeypatch):
 
 def test_verify_rejects_a_basis_that_misses_rows(monkeypatch):
     def short(c):
-        basis = build_basis(c)
-        return dataclasses.replace(basis, solutions=basis.solutions[1:])
+        seeds = iter_basis(c)
+        next(seeds)
+        return seeds
 
-    monkeypatch.setattr(lincong.oracle, "build_basis", short)
+    monkeypatch.setattr(lincong.oracle, "iter_basis", short)
     report = verify(REF)
     assert report.agrees_with_summary
     assert not report.agrees_with_basis
