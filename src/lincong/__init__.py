@@ -9,9 +9,7 @@ independent solutions, and full enumeration for
 from .core import (
     LinearCongruence,
     Solution,
-    SolutionBasis,
     SolveSummary,
-    StrideLattice,
     are_dependent,
     build_basis,
     enumerate_all,
@@ -44,9 +42,7 @@ __all__ = [
     "ParseError",
     "ParsedCongruence",
     "Solution",
-    "SolutionBasis",
     "SolveSummary",
-    "StrideLattice",
     "UnaryCongruenceSolution",
     "are_dependent",
     "basis_size",

@@ -56,8 +56,6 @@ from math import gcd, prod
 
 __all__ = [
     "LinearCongruence",
-    "StrideLattice",
-    "SolutionBasis",
     "SolveSummary",
     "normalize",
     "summarize",
@@ -125,30 +123,6 @@ class LinearCongruence:
 
 
 @dataclass(frozen=True)
-class StrideLattice:
-    """Per-coordinate strides g_i = m // gcd(a_i, m).
-
-    The integer combinations of the axis vectors (0, ..., g_i, ..., 0) form
-    the lattice of differences between dependent solutions, so membership of
-    a difference vector reduces to coordinatewise divisibility by g_i.
-    """
-
-    strides: tuple[int, ...]
-    modulus: int
-
-
-@dataclass(frozen=True)
-class SolutionBasis:
-    """Pairwise-independent solutions whose expansions cover the solution set.
-
-    The seeds are all it holds: the steps they expand by depend only on
-    (a, m), and enumerate_all reads them from the instance's summary.
-    """
-
-    solutions: tuple[Solution, ...]
-
-
-@dataclass(frozen=True)
 class SolveSummary:
     """Every quantity derived from an instance, as LinearCongruence.summary.
 
@@ -187,21 +161,27 @@ def summarize(c: LinearCongruence) -> SolveSummary:
     return c.summary
 
 
-def module_generators(c: LinearCongruence) -> StrideLattice:
-    """The stride lattice of the instance: g_i = m // gcd(a_i, m)."""
-    return StrideLattice(strides=c.summary.strides, modulus=c.modulus)
+def module_generators(c: LinearCongruence) -> tuple[int, ...]:
+    """The strides g_i = m // gcd(a_i, m) of the instance: c.summary.strides.
+
+    The integer combinations of the axis vectors (0, ..., g_i, ..., 0) form
+    the lattice of differences between dependent solutions, so membership of
+    a difference vector reduces to coordinatewise divisibility by g_i.
+    """
+    return c.summary.strides
 
 
-def are_dependent(x: Sequence[int], y: Sequence[int], lattice: StrideLattice) -> bool:
+def are_dependent(x: Sequence[int], y: Sequence[int], strides: Sequence[int]) -> bool:
     """True iff x - y lies in the stride lattice, i.e. g_i | (x_i - y_i) for all i.
 
-    Well defined on residues because every stride divides the modulus.
+    strides is module_generators(c).  Well defined on residues because every
+    stride divides the modulus.
     """
-    n = len(lattice.strides)
+    n = len(strides)
     if len(x) != n or len(y) != n:
         raise ValueError(f"arity mismatch: lattice has {n} coordinates, "
                          f"got vectors of length {len(x)} and {len(y)}")
-    return all((xi - yi) % g == 0 for xi, yi, g in zip(x, y, lattice.strides))
+    return all((xi - yi) % g == 0 for xi, yi, g in zip(x, y, strides))
 
 
 def satisfies(x: Sequence[int], c: LinearCongruence) -> bool:
@@ -423,30 +403,23 @@ def iter_basis(c: LinearCongruence) -> Iterator[Solution]:
     return _lex_solutions(c, c.summary.strides)
 
 
-def build_basis(c: LinearCongruence, *, limit: int | None = None) -> SolutionBasis | None:
-    """A full basis of independent solutions, or None when unsolvable.
+def build_basis(c: LinearCongruence) -> tuple[Solution, ...] | None:
+    """A full basis: the tuple of its seeds, or None when unsolvable.
 
     The basis is the reduced solutions in lexicographic order (see
-    iter_basis), which makes it deterministic.  `limit` caps how many
-    representatives are collected (a guardrail for instances with a huge
-    basis); it must be a nonnegative integer.
+    iter_basis), which makes it deterministic.  To collect only the first k
+    seeds of a huge basis, take itertools.islice(iter_basis(c), k).
     """
-    if limit is not None and not (isinstance(limit, int) and limit >= 0):
-        raise ValueError("limit must be a nonnegative integer")
-    if not c.summary.solvable:
-        return None
-    reps = iter_basis(c)
-    if limit is not None:
-        # no process collects sys.maxsize rows; islice takes no larger stop
-        reps = itertools.islice(reps, min(limit, sys.maxsize))
-    return SolutionBasis(tuple(reps))
+    return tuple(iter_basis(c)) if c.summary.solvable else None
 
 
-def enumerate_all(basis: SolutionBasis, c: LinearCongruence) -> Iterator[Solution]:
-    """Every distinct solution, lazily: the expansions of the basis in order.
+def enumerate_all(seeds: Iterable[Sequence[int]], c: LinearCongruence) -> Iterator[Solution]:
+    """Every distinct solution, lazily: the expansions of the seeds in order.
 
-    For a full basis this yields exactly summarize(c).solution_count pairwise
-    distinct solutions; as a set it equals enumerate_raw(c).  Each seed is
-    checked as expand checks it, when the walk reaches its block.
+    seeds is any iterable of solutions, such as build_basis(c) or one
+    representative per class of your own choosing.  For a full basis this
+    yields exactly summarize(c).solution_count pairwise distinct solutions;
+    as a set it equals enumerate_raw(c).  Each seed is checked as expand
+    checks it, when the walk reaches its block.
     """
-    return _rows((_checked_seed(x, c) for x in basis.solutions), c)
+    return _rows((_checked_seed(x, c) for x in seeds), c)

@@ -14,8 +14,8 @@ tuples (at most m**(n-1) + m, and m**(n-1) <= p1 whenever a solution
 exists), and drops each right class once it is joined.  It uses no
 solver maths (no gcd, no inverse) and shares nothing with core beyond the
 LinearCongruence type; that independence is the point.  verify compares its
-set with the counting and basis machinery of core, striking each regenerated
-row off the scan's set.
+set with the counting and basis machinery of core: it counts the set, then
+strikes each regenerated row off it, so the scan is the only set it holds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class CapExceededError(ValueError):
 @dataclass(frozen=True)
 class OracleReport:
     solution_count: int
-    solutions: frozenset[tuple[int, ...]]
     agrees_with_summary: bool
     agrees_with_basis: bool
 
@@ -105,15 +104,16 @@ def _by_residue(a: int, m: int) -> dict[int, list[tuple[int]]]:
 def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     """Compare the brute-force set against the counting and basis machinery.
 
-    The basis agrees when its expansion regenerates every scanned solution
-    exactly once.  Each regenerated row is removed from the scan's own set, so
-    besides the report's frozenset no second set of p1 tuples is built: a row
-    the scan lacks, a row regenerated twice (overlapping expansions) or a
-    scanned row left over is a disagreement.  So the seeds iter_basis streams
-    are expanded as they come, never held whole, without enumerate_all's check.
+    The scan is counted first.  The basis agrees when its expansion
+    regenerates every scanned solution exactly once.  Each regenerated row is
+    removed from the scan's own set, so no second set of p1 tuples, nor a copy
+    of the scan, is built: a row the scan lacks, a row regenerated twice
+    (overlapping expansions) or a scanned row left over is a disagreement.  So
+    the seeds iter_basis streams are expanded as they come, never held whole,
+    without enumerate_all's check.
     """
     found = brute_force(c, cap)
-    solutions = frozenset(found)
+    count = len(found)
     s = summarize(c)
     expected = s.solution_count if s.solvable else 0
     try:
@@ -122,8 +122,7 @@ def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     except KeyError:
         agrees_with_basis = False
     return OracleReport(
-        solution_count=len(solutions),
-        solutions=solutions,
-        agrees_with_summary=len(solutions) == expected,
+        solution_count=count,
+        agrees_with_summary=count == expected,
         agrees_with_basis=agrees_with_basis,
     )

@@ -437,7 +437,7 @@ def test_enumerate_reuses_a_run_shared_by_two_seeds(str_calls, fmt):
     c = normalize([1, 2, 0], 0, 12)
     s = summarize(c)
     assert (s.basis_size, s.gcds) == (6, (1, 2, 12))
-    assert {x[-1] for x in build_basis(c).solutions} == {0}
+    assert {x[-1] for x in build_basis(c)} == {0}
     assert_same_text(enumerate_output(c, fmt), reference_enumerate(c, fmt, None))
     assert len(str_calls) == 12 + (4 if fmt == "json" else 0)
 
@@ -539,7 +539,7 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
 
     monkeypatch.setattr(lincong.cli, "_punctuation", counting_punctuation)
     assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
-    suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c).solutions)]
+    suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c))]
     assert len(formatted) == 300 * len(suffixes) <= 300 * s.basis_size
 
 
@@ -595,7 +595,7 @@ def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
 
     monkeypatch.setattr(lincong.core, "_expand_runs", recording)
     basis = build_basis(c)
-    assert len(list(expand(basis.solutions[-1], c))) == s.expansion_count
+    assert len(list(expand(basis[-1], c))) == s.expansion_count
     assert len(list(enumerate_all(basis, c))) == s.solution_count
     report = verify(c)
     assert report.agrees_with_summary and report.agrees_with_basis
@@ -645,13 +645,15 @@ def reference_solve(c, fmt, limit):
     """What `solve` printed when it collected its basis with build_basis: a
     "%d" format per row for text, json.dumps of the whole document for JSON."""
     s = summarize(c)
-    basis = build_basis(c, limit=limit)
+    basis = build_basis(c)
+    if basis is not None:
+        basis = basis[:limit]
     truncated = s.solvable and limit is not None and limit < s.basis_size
     if fmt == "json":
         doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
                "p2": str(s.expansion_count), "s": str(s.basis_size)}
         if basis is not None:
-            doc["basis"] = basis.solutions
+            doc["basis"] = basis
         doc["truncated"] = truncated
         return json.dumps(doc) + "\n"
     names = tuple(f"x{i}" for i in range(1, c.arity + 1))
@@ -661,7 +663,7 @@ def reference_solve(c, fmt, limit):
              f"basis size (s) = {s.basis_size}"]
     if basis is not None:
         row_format = " ".join(["%d"] * c.arity)
-        lines += ["basis:", *(row_format % row for row in basis.solutions)]
+        lines += ["basis:", *(row_format % row for row in basis)]
         lines += ["# truncated"] if truncated else []
     return "".join(line + "\n" for line in lines)
 
@@ -818,7 +820,7 @@ def test_check_verdict_is_that_of_are_dependent(capsys):
     for c in random_instances(3, 100, arities=(1, 2, 3), mod_bound=12):
         lattice = module_generators(c)
         a = [rng.randrange(c.modulus) for _ in range(c.arity)]
-        b = [(x + g * rng.randrange(c.modulus)) % c.modulus for x, g in zip(a, lattice.strides)]
+        b = [(x + g * rng.randrange(c.modulus)) % c.modulus for x, g in zip(a, lattice)]
         if rng.random() < 0.5:
             b[-1] = rng.randrange(c.modulus)
         argv = [f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
@@ -872,7 +874,7 @@ def test_verify_seed_names_failed_check_and_reproducer(capsys, monkeypatch,
     def disagreeing(c, cap):
         calls.append(c)
         ok = len(calls) != 2
-        return OracleReport(0, frozenset(), ok or count_ok, ok or set_ok)
+        return OracleReport(0, ok or count_ok, ok or set_ok)
 
     monkeypatch.setattr(lincong.cli, "oracle_verify", disagreeing)
     code, out, _ = run(capsys, "verify", "--seed", "3")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from lincong import core, intmath
 from lincong.cli import main
 from lincong.core import (
     LinearCongruence,
-    SolutionBasis,
     _level_constants,
     are_dependent,
     build_basis,
@@ -167,7 +167,7 @@ def test_record_is_derived_once_and_kept_on_the_instance():
     c = normalize([2, 4, 6], 0, 12)
     s = summarize(c)
     assert summarize(c) is s is c.summary
-    assert module_generators(c).strides == s.strides
+    assert module_generators(c) is s.strides
     # an equal instance has a record of its own, with equal fields
     other = normalize([2, 4, 6], 0, 12)
     assert other == c and summarize(other) == s and summarize(other) is not s
@@ -175,12 +175,11 @@ def test_record_is_derived_once_and_kept_on_the_instance():
 
 def test_module_generators_strides():
     lattice = module_generators(REF)
-    assert lattice.strides == (6, 2)
-    assert lattice.modulus == 12
-    assert module_generators(normalize([3, 4], 0, 12)).strides == (4, 3)
+    assert lattice == (6, 2)
+    assert module_generators(normalize([3, 4], 0, 12)) == (4, 3)
     # coprime coefficient -> stride m; zero coefficient -> stride 1
-    assert module_generators(normalize([5, 0], 0, 12)).strides == (12, 1)
-    assert all(12 % g == 0 for g in lattice.strides)
+    assert module_generators(normalize([5, 0], 0, 12)) == (12, 1)
+    assert all(12 % g == 0 for g in lattice)
 
 
 def test_are_dependent_worked_checks():
@@ -248,7 +247,7 @@ def seeded_instances(draw):
         basis = list(itertools.islice(iter_basis(c), 20))
     row = basis[draw(integers(min_value=0, max_value=len(basis) - 1))]
     shifts = draw(lists(integers(min_value=0, max_value=50), min_size=n, max_size=n))
-    strides = module_generators(c).strides
+    strides = module_generators(c)
     return c, tuple((x + g * t) % m for x, g, t in zip(row, strides, shifts))
 
 
@@ -304,20 +303,17 @@ def test_enumerate_raw_single_unknown():
 
 def test_build_basis_reference():
     basis = build_basis(REF)
-    assert basis.solutions == ((1, 0), (4, 1))
+    assert basis == ((1, 0), (4, 1))
 
 
 def test_build_basis_is_deterministic():
     assert build_basis(REF) == build_basis(REF)
 
 
-def test_build_basis_respects_limit():
-    assert build_basis(REF, limit=1).solutions == ((1, 0),)
-    assert build_basis(REF, limit=99).solutions == ((1, 0), (4, 1))
-    assert build_basis(REF, limit=10**20) == build_basis(REF)  # past sys.maxsize
-    for limit in (-1, 2.5, "2"):
-        with pytest.raises(ValueError, match="limit must be a nonnegative integer"):
-            build_basis(REF, limit=limit)
+def test_basis_prefix_is_an_islice_of_iter_basis():
+    assert tuple(itertools.islice(iter_basis(REF), 0)) == ()
+    assert tuple(itertools.islice(iter_basis(REF), 1)) == ((1, 0),)
+    assert tuple(itertools.islice(iter_basis(REF), 99)) == build_basis(REF)
 
 
 def test_build_basis_unsolvable_returns_none():
@@ -329,8 +325,8 @@ def test_build_basis_alternative_ordering_same_size():
     reversed_rows = list(enumerate_raw(REF))[::-1]
     picked = greedy_basis(REF, reversed_rows)
     assert picked == [(10, 11), (7, 10)]
-    assert len(picked) == len(build_basis(REF).solutions) == 2
-    basis = SolutionBasis(tuple(picked))
+    assert len(picked) == len(build_basis(REF)) == 2
+    basis = tuple(picked)
     assert set(enumerate_all(basis, REF)) == set(LIST_A + LIST_B)
 
 
@@ -342,7 +338,7 @@ def test_any_representative_per_class_expands_to_the_oracle_set():
         reps = [tuple((x + g * rng.randrange(d)) % c.modulus
                       for x, g, d in zip(row, s.strides, s.gcds)) for row in iter_basis(c)]
         assert greedy_basis(c, reps) == reps  # pairwise independent, one per class
-        rows = list(enumerate_all(SolutionBasis(tuple(reps)), c))
+        rows = list(enumerate_all(tuple(reps), c))
         assert len(rows) == s.solution_count
         assert set(rows) == brute_force(c)
     # a basis given from outside is checked seed by seed as it expands
@@ -351,7 +347,7 @@ def test_any_representative_per_class_expands_to_the_oracle_set():
                            (((1.0, 0), (4, 1)), "must be integers"),
                            (((1, 0), (4, 1, 0)), "arity mismatch")):
         with pytest.raises(ValueError, match=message):
-            list(enumerate_all(SolutionBasis(seeds), REF))
+            list(enumerate_all(seeds, REF))
 
 
 def test_enumerate_all_reference():
@@ -361,10 +357,25 @@ def test_enumerate_all_reference():
     assert len(set(rows)) == 24
 
 
+def test_readme_library_block_runs_as_documented():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    s, c = names["s"], names["c"]
+    assert (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size) == (2, 24, 12, 2)
+    assert names["seed"] == (1, 0)
+    assert len(names["sols"]) == len(set(names["sols"])) == 12
+    assert names["basis"] == ((1, 0), (4, 1))
+    assert len(names["all24"]) == 24 and names["all24"] == brute_force(c)
+    assert names["same"] is True
+
+
 def test_all_zero_coefficients():
     c = normalize([0, 0], 0, 3)
     basis = build_basis(c)
-    assert len(basis.solutions) == 1
+    assert len(basis) == 1
     assert set(enumerate_all(basis, c)) == set(itertools.product(range(3),
                                                                  repeat=2))
 
@@ -378,7 +389,7 @@ def test_streams_stay_lazy_at_huge_moduli():
         (0, 0), (0, 500000000000), (1, 499999999999)]
     assert list(itertools.islice(expand((0, 0), big), 3)) == [
         (0, 0), (0, 500000000000), (500000000000, 0)]
-    assert build_basis(big, limit=2).solutions == ((0, 0), (1, 499999999999))
+    assert tuple(itertools.islice(iter_basis(big), 2)) == ((0, 0), (1, 499999999999))
 
 
 def test_enumerate_raw_lazy_single_unknown_full_range():
@@ -426,9 +437,9 @@ def test_basis_regenerates_solution_set(c):
     if not s.solvable:
         assert basis is None
         return
-    assert len(basis.solutions) == s.basis_size
+    assert len(basis) == s.basis_size
     lattice = module_generators(c)
-    for x, y in itertools.combinations(basis.solutions, 2):
+    for x, y in itertools.combinations(basis, 2):
         assert not are_dependent(x, y, lattice)
     regenerated = list(enumerate_all(basis, c))
     assert len(regenerated) == s.solution_count
@@ -436,16 +447,16 @@ def test_basis_regenerates_solution_set(c):
 
 
 def _class_key(x, c):
-    return tuple(xi % g for xi, g in zip(x, module_generators(c).strides))
+    return tuple(xi % g for xi, g in zip(x, module_generators(c)))
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_basis_matches_greedy_search_and_oracle(arity):
     mod_bound = {1: 40, 2: 24, 3: 12, 4: 7}[arity]
     for c in random_instances(arity, 60, arities=(arity,), mod_bound=mod_bound):
-        rows = list(build_basis(c).solutions)
+        rows = list(build_basis(c))
         assert rows == greedy_basis(c)
-        strides = module_generators(c).strides
+        strides = module_generators(c)
         assert rows == sorted(x for x in brute_force(c)
                               if all(xi < g for xi, g in zip(x, strides)))
         assert len(rows) == summarize(c).basis_size
@@ -461,7 +472,7 @@ def test_shuffled_candidates_pick_one_member_of_every_class():
         assert len(picked) == s.basis_size
         assert {_class_key(x, c) for x in picked} \
             == {_class_key(x, c) for x in iter_basis(c)}
-        basis = SolutionBasis(tuple(picked))
+        basis = tuple(picked)
         assert set(enumerate_all(basis, c)) == brute_force(c)
 
 
@@ -484,7 +495,7 @@ def test_basis_at_high_arity_needs_no_recursion():
     assert len(rows) == 3
     assert rows == sorted(rows)
     assert all(satisfies(x, c) for x in rows)
-    assert all(xi < g for x in rows for xi, g in zip(x, module_generators(c).strides))
+    assert all(xi < g for x in rows for xi, g in zip(x, module_generators(c)))
 
 
 @pytest.mark.parametrize("coeffs,rhs,m", [
