@@ -74,20 +74,17 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
 def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool):
     # the rows and the cut mark of both commands: rows are pieces of text, or
     # of the JSON array's items, written as they come and never held whole.
-    # In JSON, counts are decimal strings because they can exceed any fixed
+    # The whole JSON document is written by hand, as json.dumps would write
+    # it: counts are decimal strings because they can exceed any fixed
     # integer width, and an unsolvable solve has no rows key
     if fmt == "text":
         sys.stdout.writelines(rows)
         if truncated:
             print("# truncated")
         return
-    import json  # only JSON output needs it, so text calls start faster
-
-    summary = json.dumps({"d": str(s.gcd_all), "solvable": s.solvable,
-                          "p1": str(s.solution_count), "p2": str(s.expansion_count),
-                          "s": str(s.basis_size)})
     out = sys.stdout
-    out.write(summary[:-1])
+    out.write(f'{{"d": "{s.gcd_all}", "solvable": {"true" if s.solvable else "false"}, '
+              f'"p1": "{s.solution_count}", "p2": "{s.expansion_count}", "s": "{s.basis_size}"')
     if s.solvable:
         out.write(f", \"{rows_key}\": [")
         out.writelines(rows)
@@ -193,16 +190,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def oracle_verify(c: LinearCongruence, cap: int | None):
-    """lincong.oracle.verify, imported on the first call: only `verify` uses it.
-
-    A cap of None is the oracle's DEFAULT_CAP.
-    """
-    from .oracle import DEFAULT_CAP, verify
-
-    return verify(c, cap=DEFAULT_CAP if cap is None else cap)
-
-
 def _random_instance(rng) -> LinearCongruence:
     # rng is a random.Random; cmd_verify imports random only when it needs one
     n = rng.choice((1, 2, 3))
@@ -212,6 +199,9 @@ def _random_instance(rng) -> LinearCongruence:
 
 def cmd_verify(args) -> int:
     cap = _flag_int(args.cap, "--cap", nonnegative=True)
+    from .oracle import DEFAULT_CAP, verify  # only this subcommand needs the oracle
+
+    cap = DEFAULT_CAP if cap is None else cap
     if args.seed is not None:
         if any(v is not None for v in (args.expr, args.coeffs, args.rhs, args.mod)):
             raise ValueError("--seed runs a random batch; do not pass an instance too")
@@ -222,7 +212,7 @@ def cmd_verify(args) -> int:
         disagreements = 0
         for _ in range(BATCH_SIZE):
             c = _random_instance(rng)
-            report = oracle_verify(c, cap=cap)
+            report = verify(c, cap=cap)
             failed = []
             if not report.agrees_with_summary:
                 failed.append("count")
@@ -239,7 +229,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if disagreements == 0 else EXIT_MISMATCH
 
     c, parsed = _load_instance(args)
-    report = oracle_verify(c, cap=cap)
+    report = verify(c, cap=cap)
     s = summarize(c)
     expected = s.solution_count if s.solvable else 0
     print(f"congruence: {format_congruence(parsed)}")

@@ -56,6 +56,7 @@ from math import gcd, prod
 
 __all__ = [
     "LinearCongruence",
+    "Solution",
     "SolveSummary",
     "normalize",
     "summarize",

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 
 from lincong import (
     are_dependent,
-    basis_size,
-    brute_force,
     build_basis,
     enumerate_all,
     enumerate_raw,
@@ -25,6 +23,8 @@ from lincong import (
     parse,
     summarize,
 )
+from lincong.intmath import basis_size
+from lincong.oracle import brute_force
 
 from helpers import greedy_basis, random_instances, random_parsed
 
