@@ -71,25 +71,43 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
-def _print_rows(fmt: str, s: SolveSummary, rows_key: str, rows, truncated: bool):
-    # the rows and the cut mark of both commands: rows are pieces of text, or
-    # of the JSON array's items, written as they come and never held whole.
-    # The whole JSON document is written by hand, as json.dumps would write
-    # it: counts are decimal strings because they can exceed any fixed
-    # integer width, and an unsolvable solve has no rows key
-    if fmt == "text":
-        sys.stdout.writelines(rows)
-        if truncated:
-            print("# truncated")
-        return
+def _print_rows(fmt: str, s: SolveSummary, rows_key: str, arity: int, blocks, truncated: bool):
+    # The one writer of both commands' rows and cut mark, from _blocks'
+    # (prefix, block) pairs, written as they come and never held whole.  Every
+    # prefix of a stream has the length k of the first, so a row is lead % its
+    # k leading values, suffix % the rest, and close, and rows are joined by
+    # joiner, as json.dumps writes them for JSON ("%d" renders an int as str()
+    # does).  All the prefixes of a seed take the same blocks, so a block is
+    # rendered once and reused while the next one compares equal (O(1) for
+    # ranges, and fast for the very same tuple); a block cut by --limit is not
+    # equal.  A range holds lone values, which str renders faster than "%d";
+    # any other block holds tuples, even of one value.  The whole JSON document
+    # is written by hand, as json.dumps would write it: counts are decimal
+    # strings because they can exceed any fixed integer width, and an
+    # unsolvable solve has no rows key
     out = sys.stdout
-    out.write(f'{{"d": "{s.gcd_all}", "solvable": {"true" if s.solvable else "false"}, '
-              f'"p1": "{s.solution_count}", "p2": "{s.expansion_count}", "s": "{s.basis_size}"')
-    if s.solvable:
-        out.write(f", \"{rows_key}\": [")
-        out.writelines(rows)
-        out.write("]")
-    out.write(', "truncated": true}\n' if truncated else ', "truncated": false}\n')
+    opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
+    if fmt == "json":
+        out.write(f'{{"d": "{s.gcd_all}", "solvable": {"true" if s.solvable else "false"}, '
+                  f'"p1": "{s.solution_count}", "p2": "{s.expansion_count}", '
+                  f'"s": "{s.basis_size}"' + (f', "{rows_key}": [' if s.solvable else ""))
+    glue = close + joiner
+    before = ""
+    lead = shown = None
+    for prefix, block in blocks:
+        if lead is None:
+            lead = opening + ("%d" + sep) * len(prefix)
+            suffix = sep.join(["%d"] * (arity - len(prefix)))
+        if block != shown:
+            shown, tail = block, list(map(str if type(block) is range else suffix.__mod__, block))
+        head = lead % prefix
+        out.write(before + head + (glue + head).join(tail) + close)
+        before = joiner
+    if fmt == "json":
+        truncation = "true" if truncated else "false"
+        out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')
+    elif truncated:
+        out.write("# truncated\n")
 
 
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
@@ -103,46 +121,16 @@ def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
         print("basis:")
 
 
-def _punctuation(fmt: str, arity: int, depth: int) -> tuple[str, str, str, str]:
-    # (lead, suffix, close, joiner) of both formats: a row is lead % its first
-    # n - depth values, suffix % its last depth values, and close, and rows
-    # are joined by joiner, as json.dumps writes them for JSON ("%d" renders
-    # an int as str() does)
-    opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
-    return opening + ("%d" + sep) * (arity - depth), sep.join(["%d"] * depth), close, joiner
-
-
-def _rendered_runs(runs, punct):
-    # one piece per (prefix, block): the prefix is formatted once, and the
-    # piece is one join of it onto the block's rendered suffixes.  All the
-    # prefixes of a seed take the same blocks, so a block is rendered once and
-    # reused while the next one compares equal (O(1) for ranges, and fast for
-    # the very same tuple); a block cut by --limit is not equal.  A range
-    # holds lone values, which str renders faster than "%d"; any other block
-    # holds tuples, even of one value
-    lead, suffix, close, joiner = punct
-    glue = close + joiner
-    sep = ""
-    shown = tail = None
-    for prefix, block in runs:
-        if block != shown:
-            shown, tail = block, list(map(str if type(block) is range else suffix.__mod__, block))
-        head = lead % prefix
-        yield sep + head + (glue + head).join(tail) + close
-        sep = joiner
-
-
 def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
     limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
     truncated = s.solvable and limit is not None and limit < s.basis_size
-    # --limit 0 pulls no row, so counts alone start no walk
-    depth, blocks = _blocks(iter_basis(c), c, expand=False, limit=limit)
-    pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
     if args.format == "text":
         _print_summary_text(parsed, s)
-    _print_rows(args.format, s, "basis", pieces, truncated)
+    # --limit 0 pulls no row, so counts alone start no walk
+    _print_rows(args.format, s, "basis", c.arity,
+                _blocks(iter_basis(c), c, expand=False, limit=limit), truncated)
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
@@ -156,9 +144,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_UNSOLVABLE
     truncated = limit is not None and limit < s.solution_count
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    depth, blocks = _blocks(iter_basis(c), c, limit=limit)
-    pieces = _rendered_runs(blocks, _punctuation(args.format, c.arity, depth))
-    _print_rows(args.format, s, "solutions", pieces, truncated)
+    _print_rows(args.format, s, "solutions", c.arity, _blocks(iter_basis(c), c, limit=limit),
+                truncated)
     return EXIT_OK
 
 
@@ -309,12 +296,9 @@ def _discard_stdout():
 
 
 def main(argv=None) -> int:
-    # counts and moduli may have any number of digits, so lift the int/str
-    # digit limit for the call (Python 3.10 before 3.10.7 has none)
-    has_limit = hasattr(sys, "set_int_max_str_digits")
-    if has_limit:
-        digit_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # counts and moduli may have any number of digits: lift the int/str digit limit for the call
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _main_parser().parse_args(argv)
         code = args.func(args)
@@ -327,5 +311,4 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if has_limit:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)

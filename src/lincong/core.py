@@ -29,14 +29,15 @@ mod per coordinate, and no gcd.  The least solution (find_particular) is
 that walk's first row.  The expansion of a seed steps each coordinate round
 its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
 gcd(a_i, m) steps.  One function, _blocks, picks the depth, the batching
-and the row-limit cut of every stream, and expand, enumerate_all and both CLI
-commands walk its blocks of at most 1024 rows.  A basis, and an expansion
-stream at p2 = 1, comes as whole rows; otherwise the first coordinates are
-fixed once per block while the deepest ones step through their cycles
-together: at depth 1 the last coordinate's cycle as one or two `range`s, cut
-into slices when it is longer, deeper the product of the deepest cycles,
-built once per seed and shared by all its prefixes.  The CLI renders a block
-once and joins every prefix onto it, without building a tuple per row.
+and the row-limit cut of every stream and yields only its (prefix, block)
+pairs, blocks of at most 1024 rows, to expand, enumerate_all and both CLI
+commands.  A basis, and an expansion stream at p2 = 1, comes as whole rows
+under an empty prefix; otherwise the first coordinates are fixed once per
+block while the deepest ones step through their cycles together: at depth 1
+the last coordinate's cycle as one or two `range`s, cut into slices when it
+is longer, deeper the product of the deepest cycles, built once per seed and
+shared by all its prefixes.  A prefix's length fixes the row format; the CLI
+renders a block once and joins every prefix onto it, with no tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -231,26 +232,27 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
 
 
 def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
-    # the rows of _blocks' stream as tuples: zip makes 1-tuples of a range's
-    # values; any other block holds tuples, whole rows at depth n (n = 1 too)
-    return (prefix + row for prefix, block in _blocks(seeds, c)[1]
+    # the rows of _blocks' (prefix, block) pairs as tuples: zip makes 1-tuples
+    # of a range's values; any other block holds tuples, whole rows under an
+    # empty prefix (n = 1 too)
+    return (prefix + row for prefix, block in _blocks(seeds, c)
             for row in (zip(block) if type(block) is range else block))
 
 
 def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True,
-            limit: int | None = None) -> tuple[int, Iterator[tuple[Solution, Sequence]]]:
-    # The one block stream of every writer: the depth and the (prefix, block)
-    # pairs of the first `limit` rows of the seeds' expansions, or of the seeds
-    # when expand is False.  At p2 = 1 both are the seeds, cut (islice takes
-    # no stop above sys.maxsize) before they are batched under an empty prefix
-    # at depth n, so no row past the limit is pulled.
+            limit: int | None = None) -> Iterator[tuple[Solution, Sequence]]:
+    # The one block stream of every writer: only the (prefix, block) pairs of
+    # the first `limit` rows of the seeds' expansions, or of the seeds when
+    # expand is False.  A prefix's length, the same in the whole stream, fixes
+    # the row format.  At p2 = 1 both are the seeds, cut (islice takes no stop
+    # above sys.maxsize) before they are batched under an empty prefix, so no
+    # row past the limit is pulled.
     if not expand or c.summary.expansion_count == 1:
         rows = itertools.islice(seeds, None if limit is None else min(limit, sys.maxsize))
-        return c.arity, (((), block) for block in
-                         iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
-    depth = _block_depth(c)
-    blocks = _expand_runs(seeds, c, depth)
-    return depth, blocks if limit is None else _first_rows(blocks, limit)
+        return (((), block) for block in
+                iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
+    blocks = _expand_runs(seeds, c, _block_depth(c))
+    return blocks if limit is None else _first_rows(blocks, limit)
 
 
 def _first_rows(blocks: Iterator[tuple[Solution, Sequence]], limit: int) -> Iterator:

@@ -59,8 +59,6 @@ def subprocess_env():
 
 def decimal(n):
     """str(n) with the interpreter's int/str digit limit lifted for the call."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(n)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -525,23 +523,28 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
     s = summarize(c)
     assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
     assert lincong.core._block_depth(c) == 3
-    formatted = []
+    rendered = []
 
-    class CountingFormat(str):
-        def __mod__(self, values):
-            formatted.append(values)
-            return str.__mod__(self, values)
+    class CountingBlock(tuple):
+        def __iter__(self):
+            for row in tuple.__iter__(self):
+                rendered.append(row)
+                yield row
 
-    punctuation = lincong.cli._punctuation
+    blocks = lincong.cli._blocks
 
-    def counting_punctuation(*args):
-        lead, suffix, close, joiner = punctuation(*args)
-        return lead, CountingFormat(suffix), close, joiner
+    def counting_blocks(*args, **kwargs):
+        # the writer gets the very pairs core yields, each block wrapped once
+        last = wrapped = None
+        for prefix, block in blocks(*args, **kwargs):
+            if block is not last:
+                last, wrapped = block, CountingBlock(block)
+            yield prefix, wrapped
 
-    monkeypatch.setattr(lincong.cli, "_punctuation", counting_punctuation)
+    monkeypatch.setattr(lincong.cli, "_blocks", counting_blocks)
     assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
     suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c))]
-    assert len(formatted) == 300 * len(suffixes) <= 300 * s.basis_size
+    assert len(rendered) == 300 * len(suffixes) <= 300 * s.basis_size
 
 
 @pytest.mark.parametrize("expr", ["x + y ≡ 0 (mod 3000)", "x ≡ 3 (mod 7)", "x ≡ 0 (mod 1)"])
@@ -569,14 +572,14 @@ def test_enumerate_at_p2_1_writes_blocks_of_1024_rows(monkeypatch, limit, sizes)
     # one block, so one join, per 1024 rows, not one per one-row seed
     c = normalize([1, 1], 0, 3000)
     written = []
-    rendered_runs = lincong.cli._rendered_runs
+    blocks = lincong.cli._blocks
 
-    def recording(runs, punct):
-        runs = list(runs)
-        written.extend(len(block) for _, block in runs)
-        return rendered_runs(runs, punct)
+    def recording(*args, **kwargs):
+        for prefix, block in blocks(*args, **kwargs):
+            written.append(len(block))
+            yield prefix, block
 
-    monkeypatch.setattr(lincong.cli, "_rendered_runs", recording)
+    monkeypatch.setattr(lincong.cli, "_blocks", recording)
     assert enumerate_output(c, "text", limit).count("\n") == sum(sizes) + (limit is not None)
     assert written == sizes
 

@@ -6,7 +6,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import builds, composite, integers, just, lists, one_of
 
 from lincong import core, intmath
@@ -273,6 +273,23 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
         rows = (prefix + (row if depth > 1 else (row,))
                 for prefix, block in blocks for row in block)
         assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_instances())
+@example(normalize([1, 0], 0, 3000))
+def test_every_prefix_of_a_block_stream_has_the_same_length(c):
+    # the CLI reads the row format from a stream's first prefix: the seeds
+    # come under an empty prefix, an expansion under its n - depth leading
+    # values; gcd(0, 3000) > 1024 cuts the last coordinate's run into slices
+    s = c.summary
+    for expand in (True, False):
+        want = 0 if not expand or s.expansion_count == 1 else c.arity - core._block_depth(c)
+        first = next(core._blocks(iter_basis(c), c, expand), None)
+        block = 1 if first is None else len(first[1])
+        for limit in (None, 0, 1, block, block + 1, s.solution_count + 1):
+            lengths = {len(prefix) for prefix, _ in core._blocks(iter_basis(c), c, expand, limit)}
+            assert lengths == ({want} if s.solvable and limit != 0 else set()), (expand, limit)
 
 
 def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():

@@ -294,8 +294,6 @@ def default_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python has no int/str digit limit")
 @pytest.mark.parametrize("before, after", [
     ("", "x ≡ 1 (mod 5)"),
     ("x ≡ -", " (mod 5)"),
