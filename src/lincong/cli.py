@@ -79,10 +79,11 @@ def _print_rows(fmt: str, s: SolveSummary, rows_key: str, arity: int, blocks, tr
     # joiner, as json.dumps writes them for JSON ("%d" renders an int as str()
     # does).  All the prefixes of a seed take the same blocks, so a block is
     # rendered once and reused while the next one compares equal (O(1) for
-    # ranges, and fast for the very same tuple); a block cut by --limit is not
-    # equal.  A range holds lone values, which str renders faster than "%d";
-    # any other block holds tuples, even of one value.  The whole JSON document
-    # is written by hand, as json.dumps would write it: counts are decimal
+    # ranges, and fast for the very same tuple); a block that --limit cut from
+    # the head of the one just shown reuses the head of its rendering.  A
+    # range holds lone values, which str renders faster than "%d"; any other
+    # block holds tuples, even of one value.  The whole JSON document is
+    # written by hand, as json.dumps would write it: counts are decimal
     # strings because they can exceed any fixed integer width, and an
     # unsolvable solve has no rows key
     out = sys.stdout
@@ -93,13 +94,16 @@ def _print_rows(fmt: str, s: SolveSummary, rows_key: str, arity: int, blocks, tr
                   f'"s": "{s.basis_size}"' + (f', "{rows_key}": [' if s.solvable else ""))
     glue = close + joiner
     before = ""
-    lead = shown = None
+    lead, shown = None, ()
     for prefix, block in blocks:
         if lead is None:
             lead = opening + ("%d" + sep) * len(prefix)
             suffix = sep.join(["%d"] * (arity - len(prefix)))
         if block != shown:
-            shown, tail = block, list(map(str if type(block) is range else suffix.__mod__, block))
+            k = len(block)
+            tail = tail[:k] if k < len(shown) and shown[:k] == block else \
+                list(map(str if type(block) is range else suffix.__mod__, block))
+            shown = block
         head = lead % prefix
         out.write(before + head + (glue + head).join(tail) + close)
         before = joiner
@@ -275,12 +279,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _main_parser() -> argparse.ArgumentParser:
-    # main's own parser, built on its first call and reused by every later
-    # one: building it costs about 1 ms, parsing an argv with it about 0.1 ms.
+def _main_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # main's own parser and its {name: subparser} map, built on main's first
+    # call and reused by every later one: building them costs about 1 ms.
     # argparse keeps no state between parse_args calls, and callers of
     # build_arg_parser() get a fresh parser, so nothing can alter this one.
-    return build_arg_parser()
+    ap = build_arg_parser()
+    return ap, next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    # An argv that names a subcommand is parsed by that subparser alone, about
+    # half the cost of the top-level parser's two passes.  Any other argv, or
+    # one with arguments left over, goes through the top-level parser, which
+    # writes every usage message (unrecognized arguments with its own usage).
+    # No argv means sys.argv[1:], as it does to argparse.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap, subparsers = _main_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return ap.parse_args(argv)
 
 
 def _discard_stdout():
@@ -300,7 +321,7 @@ def main(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _main_parser().parse_args(argv)
+        args = _parse_argv(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

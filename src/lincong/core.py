@@ -24,18 +24,23 @@ solution, and emits the solutions in lexicographic order, within the box
 [0, g_i) for a basis and [0, m) for the full solution set.  At coordinate i
 the admissible values form one progression whose step and least member
 follow from n per-level constants (one modular inverse each), derived when
-the walk starts; a row then costs one multiply, one floor division and one
-mod per coordinate, and no gcd.  The least solution (find_particular) is
-that walk's first row.  The expansion of a seed steps each coordinate round
-its cycle x0_i, x0_i + g_i, ... mod m, which returns to x0_i after
-gcd(a_i, m) steps.  One function, _blocks, picks the depth, the batching
-and the row-limit cut of every stream and yields only its (prefix, block)
-pairs, blocks of at most 1024 rows, to expand, enumerate_all and both CLI
-commands.  A basis, and an expansion stream at p2 = 1, comes as whole rows
-under an empty prefix; otherwise the first coordinates are fixed once per
-block while the deepest ones step through their cycles together: at depth 1
-the last coordinate's cycle as one or two `range`s, cut into slices when it
-is longer, deeper the product of the deepest cycles, built once per seed and
+the walk starts; a prefix then costs one multiply, one floor division and one
+mod per coordinate, and no gcd.  In the basis walk the last coordinate has
+one value per value of the one before it, and those values form an
+arithmetic progression mod g_n, so that walk stops at the first n - 2
+coordinates and zips each prefix's rows at C level.  The least solution
+(find_particular) is the walk's first row.
+The expansion of a seed steps each coordinate round its cycle x0_i,
+x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps.  One
+function, _blocks, picks the depth, the batching and the row-limit cut of
+every stream and yields only its (prefix, block) pairs, blocks of at most
+1024 rows, to both CLI commands, and its rows to expand, enumerate_all and
+verify, which take the seeds themselves as they come at p2 = 1.  A basis,
+and an expansion stream at p2 = 1, comes as whole rows under an empty
+prefix; otherwise the first coordinates are fixed once per block while the
+deepest ones step through their cycles together: at depth 1 the last
+coordinate's cycle as one or two `range`s, cut into slices when it is
+longer, deeper the product of the deepest cycles, built once per seed and
 shared by all its prefixes.  A prefix's length fixes the row format; the CLI
 renders a block once and joins every prefix onto it, with no tuple per row.
 
@@ -232,9 +237,11 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
 
 
 def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
-    # the rows of _blocks' (prefix, block) pairs as tuples: zip makes 1-tuples
-    # of a range's values; any other block holds tuples, whole rows under an
-    # empty prefix (n = 1 too)
+    # the rows of the seeds' expansions as tuples: at p2 = 1 the seeds as they
+    # come, otherwise from _blocks' (prefix, block) pairs, where zip makes
+    # 1-tuples of a range's values and any other block holds tuples
+    if c.summary.expansion_count == 1:
+        return iter(seeds)
     return (prefix + row for prefix, block in _blocks(seeds, c)
             for row in (zip(block) if type(block) is range else block))
 
@@ -345,35 +352,32 @@ def _level_constants(c: LinearCongruence) -> tuple[list[int], list[int]]:
     return [pow(a // hi, -1, step) for a, hi, step in zip(c.coeffs, h, steps)], steps
 
 
-def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
-    # Every solution x with 0 <= x_i < bounds[i], in lexicographic order; each
-    # bound must be a multiple of g_i = m // gcd(a_i, m).  With the suffix gcd
-    # h_i = gcd(a_i, ..., a_n, m), the tail sum a_i*x_i + ... + a_n*x_n covers
-    # exactly the multiples of h_i mod m, so a prefix extends to a solution iff
-    # the residual left for the tail is such a multiple.  The admissible x_i
-    # form one progression of step h_{i+1} // h_i (a step that divides g_i),
-    # whose least member comes from per-level constants derived once when the
-    # walk starts (_level_constants): the walk never enters a dead branch, and
-    # a row costs one multiply, one floor division and one mod per level.
-    if not c.summary.solvable:
-        return
-    a, m, h, last = c.coeffs, c.modulus, c.summary.suffix_gcds, c.arity - 1
-    u, steps = _level_constants(c)
-    x = [0] * last
-    residual = [c.rhs] + [0] * last  # residual[i]: what x_i, ..., x_n must make up
+def _prefixes(c: LinearCongruence, bounds: Sequence[int], depth: int, u: Sequence[int],
+              steps: Sequence[int]) -> Iterator[tuple[Solution, int]]:
+    # Every prefix (x_1, ..., x_depth) with 0 <= x_i < bounds[i] that extends
+    # to a solution, in lexicographic order, with the residual r that the rest
+    # of the row must make up; each bound must be a multiple of
+    # g_i = m // gcd(a_i, m).  With the suffix gcd h_i = gcd(a_i, ..., a_n, m),
+    # the tail sum a_i*x_i + ... + a_n*x_n covers exactly the multiples of h_i
+    # mod m, so a prefix extends to a solution iff the residual left for the
+    # tail is such a multiple.  The admissible x_i form one progression of step
+    # h_{i+1} // h_i (a step that divides g_i), whose least member comes from
+    # the level constants (u, steps) of _level_constants: the walk never
+    # enters a dead branch, and a level costs one multiply, one floor division
+    # and one mod.
+    a, m, h = c.coeffs, c.modulus, c.summary.suffix_gcds
+    x = [0] * depth
+    residual = [c.rhs] + [0] * depth  # residual[i]: what x_i, ..., x_n must make up
     i = 0
     while True:
-        while i < last:
+        while i < depth:
             r = residual[i]
             xi = x[i] = u[i] * (r // h[i]) % steps[i]
             residual[i + 1] = (r - a[i] * xi) % m
             i += 1
-        prefix = tuple(x)
-        first = u[last] * (residual[last] // h[last]) % steps[last]
-        for v in range(first, bounds[last], steps[last]):
-            yield prefix + (v,)
+        yield tuple(x), residual[depth]
         # odometer: advance the deepest prefix coordinate that has another value
-        i = last - 1
+        i = depth - 1
         while i >= 0 and x[i] + steps[i] >= bounds[i]:
             i -= 1
         if i < 0:
@@ -381,6 +385,40 @@ def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solut
         x[i] += steps[i]
         residual[i + 1] = (residual[i + 1] - a[i] * steps[i]) % m
         i += 1
+
+
+def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
+    # every solution x with 0 <= x_i < bounds[i], in lexicographic order: the
+    # last coordinate's values are one range per prefix (see _prefixes)
+    if not c.summary.solvable:
+        return
+    u, steps = _level_constants(c)
+    k, h = c.arity - 1, c.summary.suffix_gcds[-1]
+    for prefix, r in _prefixes(c, bounds, k, u, steps):
+        for v in range(u[k] * (r // h) % steps[k], bounds[k], steps[k]):
+            yield prefix + (v,)
+
+
+def _basis_runs(c: LinearCongruence) -> Iterator[Iterator[Solution]]:
+    # The reduced solutions (bounds g_i), one iterator of rows per prefix of
+    # the first n - 2 coordinates, for n >= 2.  With residual r left at level
+    # n - 1, x_{n-1} runs over range(first, g_{n-1}, step_{n-1}), and its k-th
+    # value leaves the residual (R0 - D*k) mod m for the last coordinate, with
+    # R0 = (r - a_{n-1}*first) mod m and D = a_{n-1}*step_{n-1} mod m, both
+    # multiples of h_n.  Since step_n = g_n, x_n = (C - E*k) mod g_n with
+    # C = u_n*R0/h_n and E = u_n*D/h_n: an arithmetic progression mod g_n, so
+    # zip builds every row of the prefix at C level.
+    if not c.summary.solvable:
+        return
+    u, steps = _level_constants(c)
+    a, m, h, g = c.coeffs, c.modulus, c.summary.suffix_gcds, c.summary.strides
+    i, j = c.arity - 2, c.arity - 1
+    e = u[j] * (a[i] * steps[i] % m // h[j]) % g[j]
+    for prefix, r in _prefixes(c, g, i, u, steps):
+        first = u[i] * (r // h[i]) % steps[i]
+        start = u[j] * ((r - a[i] * first) % m // h[j]) % g[j]
+        yield zip(*map(itertools.repeat, prefix), range(first, g[i], steps[i]),
+                  map(g[j].__rmod__, itertools.count(start, -e)) if e else itertools.repeat(start))
 
 
 def enumerate_raw(c: LinearCongruence) -> Iterator[Solution]:
@@ -400,10 +438,14 @@ def iter_basis(c: LinearCongruence) -> Iterator[Solution]:
     0 <= x_i < g_i = m // gcd(a_i, m) in every coordinate, in lexicographic
     order.  Every class has exactly one reduced member, and it is the least
     member of its class, so this is also the greedy basis of enumerate_raw(c).
-    It is constructed directly, at O(n) big-int operations per row; an
+    It is constructed directly: a walk over the first n - 2 coordinates, at
+    O(n) big-int operations per prefix, hands each prefix's rows to one
+    C-level iterator, so a row itself costs no Python bytecode; an
     unsolvable instance yields nothing.
     """
-    return _lex_solutions(c, c.summary.strides)
+    if c.arity == 1:
+        return _lex_solutions(c, c.summary.strides)
+    return itertools.chain.from_iterable(_basis_runs(c))
 
 
 def build_basis(c: LinearCongruence) -> tuple[Solution, ...] | None:

@@ -454,9 +454,18 @@ def test_enumerate_slices_long_runs_across_a_prefix(fmt):
 @pytest.mark.parametrize("limit", [250, 750, 790, 1000, 1001])
 def test_enumerate_renders_a_cut_run_afresh(fmt, limit):
     # 790 cuts the fourth run right after three equal ones were rendered
-    # from the cache; the cut run is shorter, so it must not reuse them
+    # from the cache; the cut run is shorter, so it may reuse only their head
     c = normalize([224, 750], 0, 4000)
     assert_same_text(enumerate_output(c, fmt, limit), reference_enumerate(c, fmt, limit))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_reuses_the_head_of_a_run_cut_by_the_limit(str_calls, fmt):
+    # 790 rows are three equal runs of 250 values and the first 40 of a
+    # fourth: one rendering serves all four
+    c = normalize([224, 750], 0, 4000)
+    assert_same_text(enumerate_output(c, fmt, 790), reference_enumerate(c, fmt, 790))
+    assert len(str_calls) == 250
 
 
 def canonical_rows(c):
@@ -945,6 +954,50 @@ def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
     subcommands.choices["solve"].set_defaults(func=lambda args: 99)
     assert ap.parse_args(CASES["solve-text"]).func(None) == 99
     assert digests(["solve-text"]) == {"solve-text": GOLDEN["solve-text"]}
+
+
+# argparse's own exits: the exit code and the sha256 of stdout + stderr,
+# recorded on CPython 3.11 while main still parsed every argv with the
+# top-level parser.  The help text is wrapped at 80 columns.
+ARGPARSE_BYTES = [
+    ([], 2, "977ce4adad7a363c73aad0c39de3c6aaffdddcc632037687332c7a9a7eb14c38"),
+    (["-h"], 0, "7bd166bc7d9ba02d3c3f5639ee7f5df1faa4e3573862b5655d4abe1b851fef38"),
+    (["frobnicate"], 2, "5e119044771e1664778212ec0c1f6c85e071afdd70b7bbf940418013610bf35b"),
+    (["solve", "--help"], 0, "0170405dd9f5f6fc9c8bf7ee815b2ddfd3c0e39b67200d929b74dd2958dc130d"),
+    (["enumerate", REF_EXPR, "--no-such-flag"], 2,
+     "7b100e7668b0ab0ce09d3b015cbcc526202e596bc8dee2fe35b548a5961b685e"),
+    (["solve", "--format", "xml", REF_EXPR], 2,
+     "dc887a98471c61d096a862a77d1f2000579cc1db764e88d75300753166aecf04"),
+    (["solve", REF_EXPR, "extra"], 2,
+     "d8dbce85c6ad59a5af3cf528ac3d73ba49d2f6a5aaaa565263b47c1afbac9283"),
+    (["verify", "--seed"], 2, "ed103d598f0a0b379536e77b2818ad1d2d6b796e77d3841cfa8ab4f1b2fa6cb3"),
+]
+
+
+def exit_bytes(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", ARGPARSE_BYTES + [
+    (["solve", "--h"], 0, None), (["check", "1,0"], 2, None),
+    (["-h", "solve"], 0, None), (["solve", "x ≡ 1 (mod 5)", "-h"], 0, None),
+    (["enumerate", "--limit"], 2, None), (["sol", REF_EXPR], 2, None)])
+def test_argparse_exits_keep_their_bytes(capsys, monkeypatch, argv, code, digest):
+    # main parses a subcommand's argv with that subcommand's parser alone, and
+    # falls back to the top-level parser for anything else, so every argparse
+    # exit writes what the top-level parser writes, on any Python version;
+    # main() reads the same argv from sys.argv
+    monkeypatch.setenv("COLUMNS", "80")
+    got = exit_bytes(capsys, main, argv)
+    assert got == exit_bytes(capsys, lincong.cli.build_arg_parser().parse_args, argv)
+    monkeypatch.setattr(sys, "argv", ["lincong", *argv])
+    assert got == exit_bytes(capsys, lambda _: main(), argv)
+    assert got[0] == code
+    if digest is not None and sys.version_info[:2] == (3, 11):
+        assert got[1] == digest
 
 
 def test_module_entry_point():

@@ -587,6 +587,58 @@ def test_level_constants_agree_with_unary_solves(case):
         assert (u[i] * (r // h[i]) % steps[i], steps[i]) == (sol.x0, sol.step)
 
 
+# moduli and coefficients up to about 10**60
+HUGE_SMOOTH = builds(_smooth, integers(0, 80), integers(0, 36), integers(0, 25))
+
+
+@composite
+def walk_cases(draw, huge=False):
+    # arity 1-6, zero coefficients and m = 1 included; small moduli keep the
+    # whole basis walkable, huge ones (to 10**60) are compared by their heads
+    n = draw(integers(min_value=1, max_value=6))
+    bound = 10**60 if huge else {1: 60, 2: 60, 3: 30, 4: 14, 5: 9, 6: 7}[n]
+    m = draw(one_of(just(1), integers(min_value=1, max_value=bound),
+                    *([HUGE_SMOOTH] if huge else [])))
+    values = one_of(just(0), integers(min_value=-m, max_value=m), *([HUGE_SMOOTH] if huge else []))
+    coeffs = draw(lists(values, min_size=n, max_size=n))
+    return normalize(coeffs, draw(values), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_basis_runs_are_the_rows_of_the_row_walk(c):
+    # one C-level run per prefix of the first n - 2 unknowns, against the row
+    # walker that enumerate_raw uses, bounded by the strides
+    assert list(iter_basis(c)) == list(core._lex_solutions(c, c.summary.strides))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(huge=True))
+def test_basis_runs_head_the_row_walk_at_60_digit_moduli(c):
+    assert list(itertools.islice(iter_basis(c), 50)) \
+        == list(itertools.islice(core._lex_solutions(c, c.summary.strides), 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_cases())
+def test_basis_runs_expand_to_the_oracle_set(c):
+    if c.modulus ** c.arity > 20000:
+        return
+    found = brute_force(c)
+    rows = list(enumerate_all(iter_basis(c), c))
+    assert len(rows) == len(found) and set(rows) == found
+    strides = c.summary.strides
+    assert list(iter_basis(c)) == sorted(x for x in found
+                                         if all(xi < g for xi, g in zip(x, strides)))
+
+
+def test_a_basis_run_of_10_to_the_30_rows_streams_at_once():
+    # x + y mod 10**30 is one prefix, the empty one, whose run has 10**30 rows
+    m = 10**30
+    rows = itertools.islice(iter_basis(normalize([1, 1], 0, m)), 3)
+    assert list(rows) == [(0, 0), (1, m - 1), (2, m - 2)]
+
+
 BIG = 10**2000
 # smooth values up to about 10**1800
 BIG_SMOOTH = builds(_smooth, integers(0, 3000), integers(0, 1000), integers(0, 600))
