@@ -18,18 +18,18 @@ d = gcd(a1, ..., an, m), the facts this module is built on are:
   with 0 <= x_i < g_i in every coordinate, and it is the least member of its
   class in lexicographic order.
 
-Bases and solution streams are therefore constructed, not searched for: one
-left-to-right walk over the coordinates visits only prefixes that extend to a
-solution, and emits the solutions in lexicographic order, within the box
-[0, g_i) for a basis and [0, m) for the full solution set.  At coordinate i
-the admissible values form one progression whose step and least member
-follow from n per-level constants (one modular inverse each), derived when
-the walk starts; a prefix then costs one multiply, one floor division and one
-mod per coordinate, and no gcd.  In the basis walk the last coordinate has
-one value per value of the one before it, and those values form an
-arithmetic progression mod g_n, so that walk stops at the first n - 2
-coordinates and zips each prefix's rows at C level.  The least solution
-(find_particular) is the walk's first row.
+Bases and solution streams are therefore constructed, not searched for: the
+basis walk and the full walk are one walk, _lex_runs, which visits only
+prefixes that extend to a solution and emits the solutions in lexicographic
+order, within the box [0, g_i) for a basis and [0, m) for the full solution
+set.  At coordinate i the admissible values form one progression whose step
+and least member follow from n per-level constants (one modular inverse
+each), derived when the walk starts; a prefix then costs one multiply, one
+floor division and one mod per coordinate, and no gcd.  The least values of
+the last coordinate, one per value of the one before it, form an arithmetic
+progression mod g_n, so the walk stops at the first n - 2 coordinates and
+zips each prefix's rows at C level.  The least solution (find_particular)
+is the walk's first row.
 The expansion of a seed steps each coordinate round its cycle x0_i,
 x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps.  One
 function, _blocks, picks the depth, the batching and the row-limit cut of
@@ -201,11 +201,13 @@ def satisfies(x: Sequence[int], c: LinearCongruence) -> bool:
 def find_particular(c: LinearCongruence) -> Solution | None:
     """The lexicographically least solution of the instance, or None when unsolvable.
 
-    It is the first row of the reduced walk: the least member of its class
-    is reduced, so this is also the first row of iter_basis(c), of
-    enumerate_raw(c) and of the basis `solve` prints.
+    It is the first row of the one walk that iter_basis and enumerate_raw
+    read, bounded by the strides: the least member of its class is reduced,
+    so this is also the first row of iter_basis(c), of enumerate_raw(c) and
+    of the basis `solve` prints.
     """
-    return next(_lex_solutions(c, c.summary.strides), None)
+    # not through iter_basis, which bench/tracer.py bills to the basis layer
+    return next(itertools.chain.from_iterable(_lex_runs(c, c.summary.strides)), None)
 
 
 def _checked_seed(x: Sequence[int], c: LinearCongruence) -> Solution:
@@ -352,83 +354,74 @@ def _level_constants(c: LinearCongruence) -> tuple[list[int], list[int]]:
     return [pow(a // hi, -1, step) for a, hi, step in zip(c.coeffs, h, steps)], steps
 
 
-def _prefixes(c: LinearCongruence, bounds: Sequence[int], depth: int, u: Sequence[int],
-              steps: Sequence[int]) -> Iterator[tuple[Solution, int]]:
-    # Every prefix (x_1, ..., x_depth) with 0 <= x_i < bounds[i] that extends
-    # to a solution, in lexicographic order, with the residual r that the rest
-    # of the row must make up; each bound must be a multiple of
-    # g_i = m // gcd(a_i, m).  With the suffix gcd h_i = gcd(a_i, ..., a_n, m),
-    # the tail sum a_i*x_i + ... + a_n*x_n covers exactly the multiples of h_i
-    # mod m, so a prefix extends to a solution iff the residual left for the
-    # tail is such a multiple.  The admissible x_i form one progression of step
-    # h_{i+1} // h_i (a step that divides g_i), whose least member comes from
-    # the level constants (u, steps) of _level_constants: the walk never
-    # enters a dead branch, and a level costs one multiply, one floor division
-    # and one mod.
-    a, m, h = c.coeffs, c.modulus, c.summary.suffix_gcds
-    x = [0] * depth
-    residual = [c.rhs] + [0] * depth  # residual[i]: what x_i, ..., x_n must make up
-    i = 0
-    while True:
-        while i < depth:
-            r = residual[i]
-            xi = x[i] = u[i] * (r // h[i]) % steps[i]
-            residual[i + 1] = (r - a[i] * xi) % m
-            i += 1
-        yield tuple(x), residual[depth]
-        # odometer: advance the deepest prefix coordinate that has another value
-        i = depth - 1
-        while i >= 0 and x[i] + steps[i] >= bounds[i]:
-            i -= 1
-        if i < 0:
-            return
-        x[i] += steps[i]
-        residual[i + 1] = (residual[i + 1] - a[i] * steps[i]) % m
-        i += 1
-
-
-def _lex_solutions(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Solution]:
-    # every solution x with 0 <= x_i < bounds[i], in lexicographic order: the
-    # last coordinate's values are one range per prefix (see _prefixes)
+def _lex_runs(c: LinearCongruence, bounds: Sequence[int]) -> Iterator[Iterator[Solution]]:
+    # Every solution x with 0 <= x_i < bounds[i] (each a multiple of
+    # g_i = m // gcd(a_i, m)), in lexicographic order, as one C-level iterator
+    # of rows per prefix of the first n - 2 coordinates (one in all at n = 1).
+    # With h_i = gcd(a_i, ..., a_n, m), the tail sum a_i*x_i + ... + a_n*x_n
+    # covers exactly the multiples of h_i mod m, so the x_i that extend a
+    # prefix form one progression of step h_{i+1} // h_i, whose least member
+    # the level constants give: the odometer never enters a dead branch, and a
+    # level costs one multiply, one floor division and one mod.  Under a
+    # prefix with residual r left at level n - 1, x_{n-1} runs over
+    # range(first, bounds[n-1], step_{n-1}), and its k-th value leaves
+    # (R0 - D*k) mod m for the last coordinate, with R0 = (r - a_{n-1}*first)
+    # mod m and D = a_{n-1}*step_{n-1} mod m, both multiples of h_n.  So the
+    # least x_n is (C - E*k) mod g_n, with C = u_n*R0/h_n and E = u_n*D/h_n,
+    # and x_n runs from it to bounds[n] in steps of g_n = step_n: one value
+    # when bounds[n] = g_n (the basis walk, and the full walk when
+    # gcd(a_n, m) = 1), zipped with the range, and otherwise one zip per k
+    # with its run.  The repeats are endless: a count past sys.maxsize would
+    # overflow.
     if not c.summary.solvable:
         return
     u, steps = _level_constants(c)
-    k, h = c.arity - 1, c.summary.suffix_gcds[-1]
-    for prefix, r in _prefixes(c, bounds, k, u, steps):
-        for v in range(u[k] * (r // h) % steps[k], bounds[k], steps[k]):
-            yield prefix + (v,)
-
-
-def _basis_runs(c: LinearCongruence) -> Iterator[Iterator[Solution]]:
-    # The reduced solutions (bounds g_i), one iterator of rows per prefix of
-    # the first n - 2 coordinates, for n >= 2.  With residual r left at level
-    # n - 1, x_{n-1} runs over range(first, g_{n-1}, step_{n-1}), and its k-th
-    # value leaves the residual (R0 - D*k) mod m for the last coordinate, with
-    # R0 = (r - a_{n-1}*first) mod m and D = a_{n-1}*step_{n-1} mod m, both
-    # multiples of h_n.  Since step_n = g_n, x_n = (C - E*k) mod g_n with
-    # C = u_n*R0/h_n and E = u_n*D/h_n: an arithmetic progression mod g_n, so
-    # zip builds every row of the prefix at C level.
-    if not c.summary.solvable:
+    a, m, h, repeat = c.coeffs, c.modulus, c.summary.suffix_gcds, itertools.repeat
+    if c.arity == 1:
+        yield zip(range(u[0] * (c.rhs // h[0]) % steps[0], bounds[0], steps[0]))
         return
-    u, steps = _level_constants(c)
-    a, m, h, g = c.coeffs, c.modulus, c.summary.suffix_gcds, c.summary.strides
     i, j = c.arity - 2, c.arity - 1
-    e = u[j] * (a[i] * steps[i] % m // h[j]) % g[j]
-    for prefix, r in _prefixes(c, g, i, u, steps):
+    g, bound = steps[j], bounds[j]
+    e = u[j] * (a[i] * steps[i] % m // h[j]) % g
+    x = [0] * i
+    residual = [c.rhs] + [0] * i  # residual[k]: what x_k, ..., x_n must make up
+    k = 0
+    while True:
+        while k < i:
+            r = residual[k]
+            xk = x[k] = u[k] * (r // h[k]) % steps[k]
+            residual[k + 1] = (r - a[k] * xk) % m
+            k += 1
+        r = residual[i]
         first = u[i] * (r // h[i]) % steps[i]
-        start = u[j] * ((r - a[i] * first) % m // h[j]) % g[j]
-        yield zip(*map(itertools.repeat, prefix), range(first, g[i], steps[i]),
-                  map(g[j].__rmod__, itertools.count(start, -e)) if e else itertools.repeat(start))
+        start = u[j] * ((r - a[i] * first) % m // h[j]) % g
+        xs = range(first, bounds[i], steps[i])
+        last = map(g.__rmod__, itertools.count(start, -e)) if e else repeat(start)
+        if bound == g:
+            yield zip(*map(repeat, x), xs, last)
+        else:
+            yield itertools.chain.from_iterable(map(
+                zip, *map(repeat, map(repeat, x)), map(repeat, xs),
+                map(range, last, repeat(bound), repeat(g))))
+        # odometer: advance the deepest prefix coordinate that has another value
+        k = i - 1
+        while k >= 0 and x[k] + steps[k] >= bounds[k]:
+            k -= 1
+        if k < 0:
+            return
+        x[k] += steps[k]
+        residual[k + 1] = (residual[k + 1] - a[k] * steps[k]) % m
+        k += 1
 
 
 def enumerate_raw(c: LinearCongruence) -> Iterator[Solution]:
     """Every distinct solution exactly once, in lexicographic order, lazily.
 
-    Walks the coordinates left to right and visits only prefixes that extend
-    to a solution, so each row costs O(n) big-int operations however far
-    into [0, m)**n it lies; for an unsolvable instance the stream is empty.
+    It is iter_basis's walk with every bound raised to m, so a row costs no
+    Python bytecode however far into [0, m)**n it lies; for an unsolvable
+    instance the stream is empty.
     """
-    return _lex_solutions(c, (c.modulus,) * c.arity)
+    return itertools.chain.from_iterable(_lex_runs(c, (c.modulus,) * c.arity))
 
 
 def iter_basis(c: LinearCongruence) -> Iterator[Solution]:
@@ -438,14 +431,13 @@ def iter_basis(c: LinearCongruence) -> Iterator[Solution]:
     0 <= x_i < g_i = m // gcd(a_i, m) in every coordinate, in lexicographic
     order.  Every class has exactly one reduced member, and it is the least
     member of its class, so this is also the greedy basis of enumerate_raw(c).
-    It is constructed directly: a walk over the first n - 2 coordinates, at
+    It is constructed directly, by the one walk enumerate_raw also reads,
+    bounded by the strides: a walk over the first n - 2 coordinates, at
     O(n) big-int operations per prefix, hands each prefix's rows to one
     C-level iterator, so a row itself costs no Python bytecode; an
     unsolvable instance yields nothing.
     """
-    if c.arity == 1:
-        return _lex_solutions(c, c.summary.strides)
-    return itertools.chain.from_iterable(_basis_runs(c))
+    return itertools.chain.from_iterable(_lex_runs(c, c.summary.strides))
 
 
 def build_basis(c: LinearCongruence) -> tuple[Solution, ...] | None:

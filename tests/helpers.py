@@ -110,6 +110,46 @@ def reference_expand(x0, c: LinearCongruence) -> list[tuple[int, ...]]:
         counters[i] += 1
 
 
+def lex_rows(c: LinearCongruence, bounds):
+    """Reference row walker: every solution x with 0 <= x_i < bounds[i], in
+    lexicographic order, one generator step per row; each bound must be a
+    multiple of m // gcd(a_i, m).
+
+    An odometer over the first n - 1 coordinates visits only prefixes that
+    extend to a solution: with h_i = gcd(a_i, ..., a_n, m), the values of
+    x_i that leave the rest a multiple of h_{i+1} form one progression of
+    step h_{i+1} // h_i, whose least member is u_i * (r // h_i) for the
+    residual r and u_i the inverse of a_i // h_i mod that step.  The last
+    coordinate's values are one range per prefix."""
+    a, m, n = c.coeffs, c.modulus, c.arity
+    h = [m]
+    for ai in reversed(a):
+        h.append(gcd(ai, h[-1]))
+    h.reverse()  # h[i] = gcd(a_i, ..., a_n, m), h[n] = m
+    if c.rhs % h[0]:
+        return
+    steps = [h[i + 1] // h[i] for i in range(n)]
+    u = [pow(ai // hi, -1, step) for ai, hi, step in zip(a, h, steps)]
+    x, residual = [0] * n, [c.rhs] + [0] * n
+    i = 0
+    while True:
+        while i < n - 1:
+            x[i] = u[i] * (residual[i] // h[i]) % steps[i]
+            residual[i + 1] = (residual[i] - a[i] * x[i]) % m
+            i += 1
+        prefix = tuple(x[:-1])
+        for v in range(u[-1] * (residual[-2] // h[-2]) % steps[-1], bounds[-1], steps[-1]):
+            yield prefix + (v,)
+        i = n - 2
+        while i >= 0 and x[i] + steps[i] >= bounds[i]:
+            i -= 1
+        if i < 0:
+            return
+        x[i] += steps[i]
+        residual[i + 1] = (residual[i + 1] - a[i] * steps[i]) % m
+        i += 1
+
+
 def assert_same_text(got: str, want: str, context=None):
     """Fail unless got == want, naming the lengths and the first line that
     differs (cut to a window around its first differing character).

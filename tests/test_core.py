@@ -28,7 +28,7 @@ from lincong.core import (
 )
 from lincong.oracle import brute_force
 
-from helpers import fibonacci_pair, greedy_basis, random_instances, reference_expand
+from helpers import fibonacci_pair, greedy_basis, lex_rows, random_instances, reference_expand
 
 # 2x - 6y = 2 (mod 12), the worked two-variable example used throughout.
 REF = normalize([2, -6], 2, 12)
@@ -607,16 +607,38 @@ def walk_cases(draw, huge=False):
 @settings(max_examples=300, deadline=None)
 @given(walk_cases())
 def test_basis_runs_are_the_rows_of_the_row_walk(c):
-    # one C-level run per prefix of the first n - 2 unknowns, against the row
-    # walker that enumerate_raw uses, bounded by the strides
-    assert list(iter_basis(c)) == list(core._lex_solutions(c, c.summary.strides))
+    # one C-level run per prefix of the first n - 2 unknowns, against the
+    # reference row walker bounded by the strides
+    assert list(iter_basis(c)) == list(lex_rows(c, c.summary.strides))
 
 
 @settings(max_examples=300, deadline=None)
 @given(walk_cases(huge=True))
 def test_basis_runs_head_the_row_walk_at_60_digit_moduli(c):
     assert list(itertools.islice(iter_basis(c), 50)) \
-        == list(itertools.islice(core._lex_solutions(c, c.summary.strides), 50))
+        == list(itertools.islice(lex_rows(c, c.summary.strides), 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_enumerate_raw_is_the_row_walk_bounded_by_m(c):
+    # the basis walk with every bound m: where gcd(a_n, m) > 1 each value of
+    # x_{n-1} has a run of gcd(a_n, m) values of x_n, zipped one run at a time
+    assert list(enumerate_raw(c)) == list(lex_rows(c, (c.modulus,) * c.arity))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(huge=True))
+def test_enumerate_raw_heads_the_row_walk_at_60_digit_moduli(c):
+    assert list(itertools.islice(enumerate_raw(c), 50)) \
+        == list(itertools.islice(lex_rows(c, (c.modulus,) * c.arity), 50))
+
+
+def test_enumerate_raw_runs_of_10_to_the_30_values_stream_at_once():
+    # 1x + 0y mod 10**30: x_2 has a run of 10**30 values under x_1 = 0, past
+    # what a counted itertools.repeat can take
+    assert list(itertools.islice(enumerate_raw(normalize([1, 0], 0, 10**30)), 2)) \
+        == [(0, 0), (0, 1)]
 
 
 @settings(max_examples=100, deadline=None)
