@@ -56,11 +56,12 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import attrgetter
 
 __all__ = [
+    "FrozenRecordError",
     "LinearCongruence",
     "Solution",
     "SolveSummary",
@@ -87,25 +88,59 @@ def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus")
         raise ValueError(f"{what} must be integers")
 
 
-@dataclass(frozen=True)
-class LinearCongruence:
+class FrozenRecordError(AttributeError):
+    """Raised on assignment to, or deletion of, an attribute of a lincong record."""
+
+
+_set = object.__setattr__  # each record's __init__ writes its fields with it
+
+
+class _Record:
+    # A frozen record of the fields __match_args__ names, which its __init__
+    # writes with _set: == and hash read those fields only, never a cached
+    # property in __dict__, and repr shows them as a dataclass would.
+
+    def _fields(self) -> tuple:
+        return attrgetter(*self.__match_args__)(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+class LinearCongruence(_Record):
     """A normalized instance: modulus >= 1, coefficients and rhs in [0, modulus)."""
 
-    coeffs: tuple[int, ...]
-    rhs: int
-    modulus: int
+    __match_args__ = ("coeffs", "rhs", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        _require_ints((*self.coeffs, self.rhs, self.modulus))
-        if self.modulus < 1:
+    def __init__(self, coeffs: Iterable[int], rhs: int, modulus: int):
+        coeffs = tuple(coeffs)
+        _require_ints((*coeffs, rhs, modulus))
+        if modulus < 1:
             raise ValueError("modulus must be >= 1 (use normalize() on raw input)")
-        if not self.coeffs:
+        if not coeffs:
             raise ValueError("at least one coefficient is required")
-        if any(not 0 <= a < self.modulus for a in self.coeffs):
+        if any(not 0 <= a < modulus for a in coeffs):
             raise ValueError("coefficients must be reduced into [0, modulus)")
-        if not 0 <= self.rhs < self.modulus:
+        if not 0 <= rhs < modulus:
             raise ValueError("rhs must be reduced into [0, modulus)")
+        _set(self, "coeffs", coeffs)
+        _set(self, "rhs", rhs)
+        _set(self, "modulus", modulus)
 
     @property
     def arity(self) -> int:
@@ -129,8 +164,7 @@ class LinearCongruence:
                             strides=tuple(m // g for g in gcds), suffix_gcds=tuple(h[:0:-1]))
 
 
-@dataclass(frozen=True)
-class SolveSummary:
+class SolveSummary(_Record):
     """Every quantity derived from an instance, as LinearCongruence.summary.
 
     solution_count and basis_size describe the solvable case; both are
@@ -138,14 +172,26 @@ class SolveSummary:
     coefficients and the modulus, and are useful diagnostics).
     """
 
-    gcd_all: int         # gcd(a1, ..., an, m)
-    solvable: bool       # gcd_all divides rhs
-    solution_count: int  # gcd_all * m**(n-1), distinct solutions when solvable
-    expansion_count: int # prod(gcd(ai, m)), solutions one seed expands into
-    basis_size: int      # solution_count // expansion_count, always exact
-    gcds: tuple[int, ...]         # gcd(a_i, m), expansion steps per coordinate
-    strides: tuple[int, ...]      # g_i = m // gcd(a_i, m), the step size
-    suffix_gcds: tuple[int, ...]  # gcd(a_i, ..., a_n, m), the first is gcd_all
+    __match_args__ = ("gcd_all", "solvable", "solution_count", "expansion_count",
+                      "basis_size", "gcds", "strides", "suffix_gcds")
+
+    def __init__(self,
+                 gcd_all: int,          # gcd(a1, ..., an, m)
+                 solvable: bool,        # gcd_all divides rhs
+                 solution_count: int,   # gcd_all * m**(n-1), distinct solutions when solvable
+                 expansion_count: int,  # prod(gcd(ai, m)), solutions one seed expands into
+                 basis_size: int,       # solution_count // expansion_count, always exact
+                 gcds: tuple[int, ...],         # gcd(a_i, m), expansion steps per coordinate
+                 strides: tuple[int, ...],      # g_i = m // gcd(a_i, m), the step size
+                 suffix_gcds: tuple[int, ...]):  # gcd(a_i, ..., a_n, m), the first is gcd_all
+        _set(self, "gcd_all", gcd_all)
+        _set(self, "solvable", solvable)
+        _set(self, "solution_count", solution_count)
+        _set(self, "expansion_count", expansion_count)
+        _set(self, "basis_size", basis_size)
+        _set(self, "gcds", gcds)
+        _set(self, "strides", strides)
+        _set(self, "suffix_gcds", suffix_gcds)
 
 
 def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongruence:

@@ -21,11 +21,10 @@ strikes each regenerated row off it, so the scan is the only set it holds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add
 
-from .core import LinearCongruence, _rows, iter_basis, summarize
+from .core import LinearCongruence, _Record, _rows, _set, iter_basis, summarize
 
 __all__ = ["DEFAULT_CAP", "CapExceededError", "OracleReport", "brute_force", "verify"]
 
@@ -36,11 +35,15 @@ class CapExceededError(ValueError):
     """The m**n search space is too large for an exhaustive scan."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    solution_count: int
-    agrees_with_summary: bool
-    agrees_with_basis: bool
+class OracleReport(_Record):
+    """What verify found: the scan's solution count and whether core agrees with it."""
+
+    __match_args__ = ("solution_count", "agrees_with_summary", "agrees_with_basis")
+
+    def __init__(self, solution_count: int, agrees_with_summary: bool, agrees_with_basis: bool):
+        _set(self, "solution_count", solution_count)
+        _set(self, "agrees_with_summary", agrees_with_summary)
+        _set(self, "agrees_with_basis", agrees_with_basis)
 
 
 def _decimal(x: int) -> str:

@@ -26,7 +26,8 @@ never zero.  Output always uses '≡'; input may use '=' as well.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .core import _Record, _set
 
 __all__ = ["ParseError", "ParsedCongruence", "parse", "parse_integer", "format_congruence"]
 
@@ -39,22 +40,23 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class ParsedCongruence:
+class ParsedCongruence(_Record):
     """A congruence as written: named variables, unreduced coefficients."""
 
-    variables: tuple[str, ...]
-    raw_coeffs: tuple[int, ...]
-    rhs: int
-    modulus: int
+    __match_args__ = ("variables", "raw_coeffs", "rhs", "modulus")
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: tuple[str, ...], raw_coeffs: tuple[int, ...],
+                 rhs: int, modulus: int):
+        if not variables:
             raise ValueError("at least one variable is required")
-        if len(self.variables) != len(self.raw_coeffs):
+        if len(variables) != len(raw_coeffs):
             raise ValueError("variables and coefficients must have equal length")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("variables must be pairwise distinct")
+        _set(self, "variables", variables)
+        _set(self, "raw_coeffs", raw_coeffs)
+        _set(self, "rhs", rhs)
+        _set(self, "modulus", modulus)
 
 
 # [0-9], never \d, which accepts '٣' and '７' too; \s on a str pattern accepts

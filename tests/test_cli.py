@@ -1011,8 +1011,11 @@ def test_module_entry_point():
 
 def test_importing_the_cli_loads_only_what_every_call_uses():
     # random and the oracle serve only verify, json and intmath no call, and
-    # typing nothing at run time, so a cold start does not import them
-    unused = ["json", "random", "typing", "lincong.oracle", "lincong.intmath"]
+    # typing nothing at run time, so a cold start does not import them; the
+    # records are plain classes, so neither dataclasses nor the inspect it
+    # pulls in is loaded either
+    unused = ["json", "random", "typing", "dataclasses", "inspect",
+              "lincong.oracle", "lincong.intmath"]
     probe = (f"import sys; before = set(sys.modules); import lincong.cli; "
              f"print(sorted(set(sys.modules) - before & set({unused!r})))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
@@ -1029,11 +1032,12 @@ def test_importing_the_cli_loads_only_what_every_call_uses():
     ["verify", "--seed", "1"],
 ])
 def test_each_subcommand_loads_only_what_it_uses(argv):
-    # the modules a call adds to those `import lincong.cli` loaded: the
-    # oracle for verify alone, random for its --seed batch alone, and json,
-    # typing or intmath for none
-    watched = ["json", "random", "typing", "lincong.oracle", "lincong.intmath"]
-    probe = (f"import os, sys; import lincong.cli; before = set(sys.modules); "
+    # the modules a call loads, `import lincong.cli` included: the oracle for
+    # verify alone, random for its --seed batch alone, and json, typing,
+    # intmath, dataclasses or inspect for none
+    watched = ["json", "random", "typing", "dataclasses", "inspect",
+               "lincong.oracle", "lincong.intmath"]
+    probe = (f"import os, sys; before = set(sys.modules); import lincong.cli; "
              f"sys.stdout = open(os.devnull, 'w'); code = lincong.cli.main({argv!r}); "
              f"sys.stdout = sys.__stdout__; "
              f"print(code, sorted(set(sys.modules) - before & set({watched!r})))")
