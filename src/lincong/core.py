@@ -92,13 +92,11 @@ class FrozenRecordError(AttributeError):
     """Raised on assignment to, or deletion of, an attribute of a lincong record."""
 
 
-_set = object.__setattr__  # each record's __init__ writes its fields with it
-
-
 class _Record:
-    # A frozen record of the fields __match_args__ names, which its __init__
-    # writes with _set: == and hash read those fields only, never a cached
-    # property in __dict__, and repr shows them as a dataclass would.
+    # A frozen record of the fields __match_args__ names.  Its __init__ writes
+    # them with vars(self).update, past __setattr__ as cached_property writes;
+    # == and hash read them only, never a cached property in __dict__, and
+    # repr shows them as a dataclass would.
 
     def _fields(self) -> tuple:
         return attrgetter(*self.__match_args__)(self)
@@ -138,9 +136,7 @@ class LinearCongruence(_Record):
             raise ValueError("coefficients must be reduced into [0, modulus)")
         if not 0 <= rhs < modulus:
             raise ValueError("rhs must be reduced into [0, modulus)")
-        _set(self, "coeffs", coeffs)
-        _set(self, "rhs", rhs)
-        _set(self, "modulus", modulus)
+        vars(self).update(coeffs=coeffs, rhs=rhs, modulus=modulus)
 
     @property
     def arity(self) -> int:
@@ -184,14 +180,9 @@ class SolveSummary(_Record):
                  gcds: tuple[int, ...],         # gcd(a_i, m), expansion steps per coordinate
                  strides: tuple[int, ...],      # g_i = m // gcd(a_i, m), the step size
                  suffix_gcds: tuple[int, ...]):  # gcd(a_i, ..., a_n, m), the first is gcd_all
-        _set(self, "gcd_all", gcd_all)
-        _set(self, "solvable", solvable)
-        _set(self, "solution_count", solution_count)
-        _set(self, "expansion_count", expansion_count)
-        _set(self, "basis_size", basis_size)
-        _set(self, "gcds", gcds)
-        _set(self, "strides", strides)
-        _set(self, "suffix_gcds", suffix_gcds)
+        vars(self).update(gcd_all=gcd_all, solvable=solvable, solution_count=solution_count,
+                          expansion_count=expansion_count, basis_size=basis_size, gcds=gcds,
+                          strides=strides, suffix_gcds=suffix_gcds)
 
 
 def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongruence:

@@ -7,8 +7,9 @@ like m**(n-1) stay exact no matter how large they get.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd, prod
+
+from .core import _Record
 
 __all__ = [
     "BezoutCertificate",
@@ -21,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(_Record):
     """A gcd together with integer coefficients certifying it.
 
     For the values v1..vk the certificate was built from,
@@ -30,21 +30,23 @@ class BezoutCertificate:
     gcd >= 0, and gcd divides every value.
     """
 
-    gcd: int
-    coefficients: tuple[int, ...]
+    __match_args__ = ("gcd", "coefficients")
+
+    def __init__(self, gcd: int, coefficients: tuple[int, ...]):
+        vars(self).update(gcd=gcd, coefficients=coefficients)
 
 
-@dataclass(frozen=True)
-class UnaryCongruenceSolution:
+class UnaryCongruenceSolution(_Record):
     """The solutions of a*x = b (mod m): x0, x0+step, ..., x0+step*(count-1).
 
     x0 is the least nonnegative solution, step = m // gcd(a, m) and
     count = gcd(a, m), so all listed residues lie in [0, m).
     """
 
-    x0: int
-    step: int
-    count: int
+    __match_args__ = ("x0", "step", "count")
+
+    def __init__(self, x0: int, step: int, count: int):
+        vars(self).update(x0=x0, step=step, count=count)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -24,7 +24,7 @@ from collections import deque
 from itertools import product, starmap
 from operator import add
 
-from .core import LinearCongruence, _Record, _rows, _set, iter_basis, summarize
+from .core import LinearCongruence, _Record, _rows, iter_basis, summarize
 
 __all__ = ["DEFAULT_CAP", "CapExceededError", "OracleReport", "brute_force", "verify"]
 
@@ -41,9 +41,8 @@ class OracleReport(_Record):
     __match_args__ = ("solution_count", "agrees_with_summary", "agrees_with_basis")
 
     def __init__(self, solution_count: int, agrees_with_summary: bool, agrees_with_basis: bool):
-        _set(self, "solution_count", solution_count)
-        _set(self, "agrees_with_summary", agrees_with_summary)
-        _set(self, "agrees_with_basis", agrees_with_basis)
+        vars(self).update(solution_count=solution_count, agrees_with_summary=agrees_with_summary,
+                          agrees_with_basis=agrees_with_basis)
 
 
 def _decimal(x: int) -> str:

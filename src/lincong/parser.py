@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .core import _Record, _set
+from .core import _Record
 
 __all__ = ["ParseError", "ParsedCongruence", "parse", "parse_integer", "format_congruence"]
 
@@ -53,10 +53,7 @@ class ParsedCongruence(_Record):
             raise ValueError("variables and coefficients must have equal length")
         if len(set(variables)) != len(variables):
             raise ValueError("variables must be pairwise distinct")
-        _set(self, "variables", variables)
-        _set(self, "raw_coeffs", raw_coeffs)
-        _set(self, "rhs", rhs)
-        _set(self, "modulus", modulus)
+        vars(self).update(variables=variables, raw_coeffs=raw_coeffs, rhs=rhs, modulus=modulus)
 
 
 # [0-9], never \d, which accepts '٣' and '７' too; \s on a str pattern accepts

@@ -1024,6 +1024,17 @@ def test_importing_the_cli_loads_only_what_every_call_uses():
     assert proc.stdout == "[]\n"
 
 
+def test_no_module_of_the_package_loads_dataclasses():
+    # every record derives from core._Record, intmath's two included, so the
+    # modules no CLI call imports do not load dataclasses or inspect either
+    probe = ("import sys; import lincong.intmath, lincong.oracle; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", REF_EXPR, "--format", "json"],
     ["enumerate", REF_EXPR, "--format", "json"],

@@ -1,11 +1,13 @@
-"""The four frozen records: construction, equality, hashing, repr, immutability, copies."""
+"""The six frozen records: construction, equality, hashing, repr, immutability, copies."""
 
 import copy
 import pickle
 
 import pytest
 
-from lincong.core import LinearCongruence, SolveSummary, normalize
+from lincong.core import FrozenRecordError, LinearCongruence, SolveSummary, normalize
+from lincong.intmath import (BezoutCertificate, UnaryCongruenceSolution, extended_gcd,
+                             solve_unary)
 from lincong.oracle import OracleReport
 from lincong.parser import ParsedCongruence, parse
 
@@ -22,6 +24,10 @@ RECORDS = [
      "ParsedCongruence(variables=('x', 'y'), raw_coeffs=(2, -6), rhs=2, modulus=12)"),
     (OracleReport, (24, True, True),
      "OracleReport(solution_count=24, agrees_with_summary=True, agrees_with_basis=True)"),
+    (BezoutCertificate, (2, (1, 0)),
+     "BezoutCertificate(gcd=2, coefficients=(1, 0))"),
+    (UnaryCongruenceSolution, (1, 6, 2),
+     "UnaryCongruenceSolution(x0=1, step=6, count=2)"),
 ]
 FIELDS = {
     LinearCongruence: ("coeffs", "rhs", "modulus"),
@@ -29,6 +35,8 @@ FIELDS = {
                    "basis_size", "gcds", "strides", "suffix_gcds"),
     ParsedCongruence: ("variables", "raw_coeffs", "rhs", "modulus"),
     OracleReport: ("solution_count", "agrees_with_summary", "agrees_with_basis"),
+    BezoutCertificate: ("gcd", "coefficients"),
+    UnaryCongruenceSolution: ("x0", "step", "count"),
 }
 # a valid value other than the one in RECORDS, per field
 OTHER_VALUES = {
@@ -36,6 +44,8 @@ OTHER_VALUES = {
     SolveSummary: (3, False, 25, 13, 3, (2, 7), (6, 3), (2, 7)),
     ParsedCongruence: (("x", "z"), (2, -5), 3, 13),
     OracleReport: (25, False, False),
+    BezoutCertificate: (3, (1, 1)),
+    UnaryCongruenceSolution: (2, 7, 3),
 }
 ids = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -62,9 +72,11 @@ def test_repr_bytes(cls, values, text):
 
 
 def test_the_records_built_by_the_library_are_the_pinned_ones():
-    # the table above is what normalize, summary, parse and verify produce
+    # the table above is what normalize, summary, parse, verify, extended_gcd
+    # and solve_unary produce
     from lincong.oracle import verify
-    built = [REF, REF.summary, parse("2x - 6y ≡ 2 (mod 12)"), verify(REF)]
+    built = [REF, REF.summary, parse("2x - 6y ≡ 2 (mod 12)"), verify(REF),
+             extended_gcd(2, 12), solve_unary(2, 2, 12)]
     assert [repr(r) for r in built] == [text for _, _, text in RECORDS]
 
 
@@ -89,11 +101,12 @@ def test_records_of_different_classes_with_the_same_fields_differ():
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=ids)
 def test_assignment_and_deletion_raise_attribute_error(cls, values, text):
     r = cls(*values)
+    assert issubclass(FrozenRecordError, AttributeError)
     for name in (*FIELDS[cls], "other"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(FrozenRecordError):
             setattr(r, name, 1)
     for name in FIELDS[cls]:
-        with pytest.raises(AttributeError):
+        with pytest.raises(FrozenRecordError):
             delattr(r, name)
     assert r == cls(*values)
     assert not hasattr(r, "other")
@@ -172,6 +185,10 @@ def test_match_on_match_args():
                 return f"unsolvable, d = {d}"
             case OracleReport(count, True, True):
                 return f"agrees on {count}"
+            case BezoutCertificate(1, (u, v)):
+                return f"coprime, {u} and {v}"
+            case UnaryCongruenceSolution(x0, count=1):
+                return f"unique, x = {x0}"
         return "other"
 
     assert shape(LinearCongruence((3,), 1, 7)) == "unary 3x = 1 mod 7"
@@ -181,6 +198,10 @@ def test_match_on_match_args():
     assert shape(normalize([2, 4], 1, 6).summary) == "unsolvable, d = 2"
     assert shape(OracleReport(24, True, True)) == "agrees on 24"
     assert shape(OracleReport(24, True, False)) == "other"
+    assert shape(extended_gcd(3, 7)) == "coprime, -2 and 1"
+    assert shape(extended_gcd(2, 12)) == "other"
+    assert shape(solve_unary(3, 1, 7)) == "unique, x = 5"
+    assert shape(solve_unary(2, 2, 12)) == "other"
 
 
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=ids)
