@@ -7,6 +7,7 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from functools import cache
@@ -71,41 +72,55 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
-def _print_rows(fmt: str, s: SolveSummary, rows_key: str, arity: int, blocks, truncated: bool):
-    # The one writer of both commands' rows and cut mark, from _blocks'
-    # (prefix, block) pairs, written as they come and never held whole.  Every
-    # prefix of a stream has the length k of the first, so a row is lead % its
-    # k leading values, suffix % the rest, and close, and rows are joined by
-    # joiner, as json.dumps writes them for JSON ("%d" renders an int as str()
-    # does).  All the prefixes of a seed take the same blocks, so a block is
-    # rendered once and reused while the next one compares equal (O(1) for
-    # ranges, and fast for the very same tuple); a block that --limit cut from
-    # the head of the one just shown reuses the head of its rendering.  A
-    # range holds lone values, which str renders faster than "%d"; any other
-    # block holds tuples, even of one value.  The whole JSON document is
-    # written by hand, as json.dumps would write it: counts are decimal
-    # strings because they can exceed any fixed integer width, and an
-    # unsolvable solve has no rows key
+def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
+    # The one writer of both commands' rows and cut mark: the basis rows, or
+    # their expansions when expand is True, at most `limit` of them.  Every
+    # basis row expands into p2 >= 1 rows, so the first `limit` basis rows
+    # carry every row written and no later one is pulled (islice takes no stop
+    # above sys.maxsize); --limit 0 pulls none, so counts alone start no walk.
+    # _blocks' (prefix, block) pairs are written as they come and never held
+    # whole; the last block is cut to the rows left, and none after it is
+    # pulled.  Every prefix of a stream has the length k of the first, so a
+    # row is lead % its k leading values, the rendering of the rest, and close,
+    # and rows are joined by joiner, as json.dumps writes them for JSON ("%d"
+    # renders an int as str() does).  A depth-1 stream holds only ranges of
+    # lone values, which str renders faster than "%d"; any other holds tuples
+    # as wide as the first block's first.  All the prefixes of a seed take the
+    # same blocks, so a block is rendered once and reused while the next one
+    # compares equal (O(1) for ranges, and fast for the very same tuple).  The
+    # whole JSON document is written by hand, as json.dumps would write it:
+    # counts are decimal strings because they can exceed any fixed integer
+    # width, and an unsolvable solve has no rows key
+    s = c.summary
+    total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
+    left = total if limit is None else min(limit, total)  # rows still to write
+    truncated = left < total
+    # the seeds are constructed solutions, so they skip expand()'s seed check
+    seeds = itertools.islice(iter_basis(c), None if limit is None else min(limit, sys.maxsize))
     out = sys.stdout
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
     if fmt == "json":
+        rows_key = "solutions" if expand else "basis"
         out.write(f'{{"d": "{s.gcd_all}", "solvable": {"true" if s.solvable else "false"}, '
                   f'"p1": "{s.solution_count}", "p2": "{s.expansion_count}", '
                   f'"s": "{s.basis_size}"' + (f', "{rows_key}": [' if s.solvable else ""))
     glue = close + joiner
     before = ""
     lead, shown = None, ()
-    for prefix, block in blocks:
+    for prefix, block in _blocks(seeds, c, expand):
         if lead is None:
             lead = opening + ("%d" + sep) * len(prefix)
-            suffix = sep.join(["%d"] * (arity - len(prefix)))
+            render = str if type(block) is range else sep.join(["%d"] * len(block[0])).__mod__
         if block != shown:
-            k = len(block)
-            tail = tail[:k] if k < len(shown) and shown[:k] == block else \
-                list(map(str if type(block) is range else suffix.__mod__, block))
-            shown = block
+            tail = list(map(render, block))
+            shown, size = block, len(tail)
+        left -= size
+        if left < 0:  # the limit falls inside this block: drop the rows past it
+            tail = tail[:left]
         head = lead % prefix
         out.write(before + head + (glue + head).join(tail) + close)
+        if left <= 0:
+            break
         before = joiner
     if fmt == "json":
         truncation = "true" if truncated else "false"
@@ -129,12 +144,9 @@ def cmd_solve(args) -> int:
     c, parsed = _load_instance(args)
     limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
-    truncated = s.solvable and limit is not None and limit < s.basis_size
     if args.format == "text":
         _print_summary_text(parsed, s)
-    # --limit 0 pulls no row, so counts alone start no walk
-    _print_rows(args.format, s, "basis", c.arity,
-                _blocks(iter_basis(c), c, expand=False, limit=limit), truncated)
+    _print_rows(args.format, c, limit, expand=False)
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
@@ -146,10 +158,7 @@ def cmd_enumerate(args) -> int:
         print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
               file=sys.stderr)
         return EXIT_UNSOLVABLE
-    truncated = limit is not None and limit < s.solution_count
-    # the seeds are constructed solutions, so they skip expand()'s seed check
-    _print_rows(args.format, s, "solutions", c.arity, _blocks(iter_basis(c), c, limit=limit),
-                truncated)
+    _print_rows(args.format, c, limit, expand=True)
     return EXIT_OK
 
 

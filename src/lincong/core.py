@@ -32,14 +32,15 @@ zips each prefix's rows at C level.  The least solution (find_particular)
 is the walk's first row.
 The expansion of a seed steps each coordinate round its cycle x0_i,
 x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps.  One
-function, _blocks, picks the depth, the batching and the row-limit cut of
-every stream and yields only its (prefix, block) pairs, blocks of at most
-1024 rows, to both CLI commands, and its rows to expand, enumerate_all and
-verify, which take the seeds themselves as they come at p2 = 1.  A basis,
-and an expansion stream at p2 = 1, comes as whole rows under an empty
-prefix; otherwise the first coordinates are fixed once per block while the
-deepest ones step through their cycles together: at depth 1 the last
-coordinate's cycle as one or two `range`s, cut into slices when it is
+function, _blocks, picks the depth and the batching of every stream and
+yields only its (prefix, block) pairs, blocks of at most 1024 rows, to both
+CLI commands, and its rows to expand, enumerate_all and verify, which take
+the seeds themselves as they come at p2 = 1; the CLI bounds the walk, by
+passing no more seeds than its row limit, and cuts the last block it writes.
+A basis, and an expansion stream at p2 = 1, comes as whole rows under an
+empty prefix; otherwise the first coordinates are fixed once per block
+while the deepest ones step through their cycles together: at depth 1 the
+last coordinate's cycle as one or two `range`s, cut into slices when it is
 longer, deeper the product of the deepest cycles, built once per seed and
 shared by all its prefixes.  A prefix's length fixes the row format; the CLI
 renders a block once and joins every prefix onto it, with no tuple per row.
@@ -54,7 +55,6 @@ pure; enumeration is lazy wherever the output can be large.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd, prod
@@ -285,32 +285,18 @@ def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
             for row in (zip(block) if type(block) is range else block))
 
 
-def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True,
-            limit: int | None = None) -> Iterator[tuple[Solution, Sequence]]:
-    # The one block stream of every writer: only the (prefix, block) pairs of
-    # the first `limit` rows of the seeds' expansions, or of the seeds when
-    # expand is False.  A prefix's length, the same in the whole stream, fixes
-    # the row format.  At p2 = 1 both are the seeds, cut (islice takes no stop
-    # above sys.maxsize) before they are batched under an empty prefix, so no
-    # row past the limit is pulled.
+def _blocks(seeds: Iterable[Solution], c: LinearCongruence,
+            expand: bool = True) -> Iterator[tuple[Solution, Sequence]]:
+    # The one block stream of every writer: the (prefix, block) pairs of the
+    # seeds' expansions, or of the seeds when expand is False.  A prefix's
+    # length, the same in the whole stream, fixes the row format.  At p2 = 1
+    # both are the seeds, batched under an empty prefix.  A caller bounds the
+    # stream by the seeds it passes, and pulls no block it does not write.
     if not expand or c.summary.expansion_count == 1:
-        rows = itertools.islice(seeds, None if limit is None else min(limit, sys.maxsize))
+        rows = iter(seeds)
         return (((), block) for block in
                 iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
-    blocks = _expand_runs(seeds, c, _block_depth(c))
-    return blocks if limit is None else _first_rows(blocks, limit)
-
-
-def _first_rows(blocks: Iterator[tuple[Solution, Sequence]], limit: int) -> Iterator:
-    # the blocks that carry the first `limit` rows, the last one sliced short;
-    # a limit of 0 pulls no block, so the walk never starts
-    if limit:
-        for prefix, block in blocks:
-            if limit <= len(block):
-                yield prefix, block[:limit]
-                return
-            limit -= len(block)
-            yield prefix, block
+    return _expand_runs(seeds, c, _block_depth(c))
 
 
 def _block_depth(c: LinearCongruence) -> int:

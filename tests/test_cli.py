@@ -173,6 +173,45 @@ def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, monkeypatch):
     assert out == "".join("%d %d %d\n" % row for row in pulled) + "# truncated\n"
 
 
+@pytest.mark.parametrize("limit, seeds", [(0, 0), (1, 1), (8, 1), (9, 2), (16, 2), (20, 3)])
+def test_enumerate_pulls_only_the_seeds_whose_rows_it_prints(capsys, monkeypatch, limit, seeds):
+    # p2 = 8: each basis row expands into 8 rows, so L rows take ceil(L / 8)
+    pulled = []
+    walk = lincong.cli.iter_basis
+
+    def counting_walk(c):
+        for row in walk(c):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
+    code, out, _ = run(capsys, "enumerate", "2x + 2y + 2z ≡ 0 (mod 1000)", "--limit", str(limit))
+    assert code == 0
+    assert len(pulled) == seeds
+    assert out.count("\n") == limit + 1
+
+
+@pytest.mark.parametrize("limit, blocks", [(0, 0), (299, 1), (300, 1), (301, 2), (1000, 4)])
+def test_enumerate_pulls_only_the_blocks_it_prints(capsys, monkeypatch, limit, blocks):
+    # 15,10,6,5 mod 30 is written in blocks of the deepest three unknowns,
+    # 300 rows each: L rows take ceil(L / 300) blocks, and no block after them
+    pulled = []
+    expand_runs = lincong.core._expand_runs
+
+    def counting_runs(seeds, c, depth):
+        assert depth == 3
+        for prefix, block in expand_runs(seeds, c, depth):
+            pulled.append(len(block))
+            yield prefix, block
+
+    monkeypatch.setattr(lincong.core, "_expand_runs", counting_runs)
+    code, out, _ = run(capsys, "enumerate", "--coeffs=15,10,6,5", "--rhs=0", "--mod=30",
+                       "--limit", str(limit))
+    assert code == 0
+    assert pulled == [300] * blocks
+    assert out.count("\n") == limit + 1
+
+
 def test_solve_limit_truncates(capsys):
     code, out, _ = run(capsys, "solve", REF_EXPR, "--format", "json",
                        "--limit", "1")

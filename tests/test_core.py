@@ -281,14 +281,16 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
 def test_every_prefix_of_a_block_stream_has_the_same_length(c):
     # the CLI reads the row format from a stream's first prefix: the seeds
     # come under an empty prefix, an expansion under its n - depth leading
-    # values; gcd(0, 3000) > 1024 cuts the last coordinate's run into slices
+    # values; gcd(0, 3000) > 1024 cuts the last coordinate's run into slices.
+    # The CLI bounds a stream by its seeds, so the limits cut the seeds here
     s = c.summary
     for expand in (True, False):
         want = 0 if not expand or s.expansion_count == 1 else c.arity - core._block_depth(c)
         first = next(core._blocks(iter_basis(c), c, expand), None)
         block = 1 if first is None else len(first[1])
         for limit in (None, 0, 1, block, block + 1, s.solution_count + 1):
-            lengths = {len(prefix) for prefix, _ in core._blocks(iter_basis(c), c, expand, limit)}
+            seeds = itertools.islice(iter_basis(c), limit)
+            lengths = {len(prefix) for prefix, _ in core._blocks(seeds, c, expand)}
             assert lengths == ({want} if s.solvable and limit != 0 else set()), (expand, limit)
 
 
