@@ -31,19 +31,21 @@ progression mod g_n, so the walk stops at the first n - 2 coordinates and
 zips each prefix's rows at C level.  The least solution (find_particular)
 is the walk's first row.
 The expansion of a seed steps each coordinate round its cycle x0_i,
-x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps.  One
-function, _blocks, picks the depth and the batching of every stream and
-yields only its (prefix, block) pairs, blocks of at most 1024 rows, to both
-CLI commands, and its rows to expand, enumerate_all and verify, which take
-the seeds themselves as they come at p2 = 1; the CLI bounds the walk, by
-passing no more seeds than its row limit, and cuts the last block it writes.
-A basis, and an expansion stream at p2 = 1, comes as whole rows under an
-empty prefix; otherwise the first coordinates are fixed once per block
-while the deepest ones step through their cycles together: at depth 1 the
-last coordinate's cycle as one or two `range`s, cut into slices when it is
-longer, deeper the product of the deepest cycles, built once per seed and
-shared by all its prefixes.  A prefix's length fixes the row format; the CLI
-renders a block once and joins every prefix onto it, with no tuple per row.
+x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps, so its
+rows are the product of the n cycles: expand, enumerate_all and verify take
+one C-level itertools.product per seed, or the seeds themselves at p2 = 1,
+unless a cycle is too long to hold (over 1024 values).  Such an instance,
+and both CLI commands, read _blocks, which picks the depth and batching of
+every stream and yields (prefix, block) pairs, blocks of at most 1024 rows;
+the CLI bounds the walk, by passing no more seeds than its row limit, and
+cuts the last block it writes.  A basis, and an expansion stream at p2 = 1,
+comes as whole rows under an empty prefix; otherwise the first coordinates
+are fixed once per block while the deepest ones step through their cycles
+together: at depth 1 the last coordinate's cycle as one or two `range`s,
+cut into slices when it is longer, deeper the product of the deepest cycles,
+built once per seed and shared by all its prefixes.  A prefix's length fixes
+the row format; the CLI renders a block once and joins every prefix onto it,
+with no tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -267,20 +269,29 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     tuples (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order;
     the first yield is x0 itself.  Coordinate i thus steps round its cycle
     x0_i, x0_i + g_i, ... mod m, which comes back to x0_i after gcd(a_i, m)
-    steps.  The cycles are walked lazily (gcd(a_i, m) can be as large as m),
-    by an odometer over the leading coordinates, in blocks of the deepest
-    ones, so a row costs one tuple concatenation.  The seed is validated
-    before any yield.
+    steps.  The rows are the C-level itertools.product of the n cycles, so
+    the first costs O(sum of gcd(a_i, m)); an instance with a cycle too long
+    to hold (gcd(a_i, m) can be as large as m) streams in the CLI's bounded
+    blocks instead.  The seed is validated before any yield.
     """
     return _rows((_checked_seed(x0, c),), c)
 
 
+def _cycles(x0: Sequence[int], m: int, strides: Sequence[int]) -> list[tuple[int, ...]]:
+    # each x0_i, x0_i + g_i, ... mod m: one range if x0_i < g_i, else rotated
+    return [(*range(x, m, g), *range(x % g, x, g)) for x, g in zip(x0, strides)]
+
+
 def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
-    # the rows of the seeds' expansions as tuples: at p2 = 1 the seeds as they
-    # come, otherwise from _blocks' (prefix, block) pairs, where zip makes
-    # 1-tuples of a range's values and any other block holds tuples
-    if c.summary.expansion_count == 1:
+    # the rows of the seeds' expansions as tuples, in expand's order: at p2 = 1
+    # the seeds, else one product per seed, or, when a cycle is too long to
+    # hold, _blocks' pairs, where zip makes 1-tuples of a range's values
+    m, s = c.modulus, c.summary
+    if s.expansion_count == 1:
         return iter(seeds)
+    if max(s.gcds) <= _BLOCK_ROWS:
+        return itertools.chain.from_iterable(
+            itertools.product(*_cycles(x0, m, s.strides)) for x0 in seeds)
     return (prefix + row for prefix, block in _blocks(seeds, c)
             for row in (zip(block) if type(block) is range else block))
 
@@ -324,16 +335,12 @@ def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
                  depth: int) -> Iterator[tuple[Solution, Sequence]]:
     # The expansions of the seeds, one after another in expand's order, as
     # (prefix, block) pairs: prefix holds the first n - depth coordinates and
-    # block the values the last `depth` take with them, in rows.  Coordinate
-    # i steps round its cycle x0_i, x0_i + g_i, ... mod m, which comes back to
-    # x0_i after gcd(a_i, m) steps: range(x0_i, m, g_i) and then, rotated,
-    # range(x0_i % g_i, x0_i, g_i), which is empty for a reduced seed.  At
-    # depth 1 a block is one of those ranges of the last coordinate (the empty
-    # one is skipped), cut into slices of _BLOCK_ROWS values when gcd(a_n, m)
-    # exceeds that, so a run of any length streams in bounded memory (slicing
-    # a range is O(1)); deeper, a seed has one block, the tuple of the
-    # itertools.product of the deepest cycles, built once and yielded with
-    # every prefix.  Only the prefix coordinates with gcd(a_i, m) > 1 move.
+    # block the values the last `depth` take with them, in rows.  At depth 1 a
+    # block is one of the last coordinate's two _cycles ranges (bar an empty
+    # one), cut into _BLOCK_ROWS-value slices past that many, so any run
+    # streams in bounded memory (slicing a range is O(1)); deeper, a seed has
+    # one block, the product of the deepest cycles, built once for every
+    # prefix.  Only prefix coordinates with gcd(a_i, m) > 1 move, by g_i.
     m, strides, lead = c.modulus, c.summary.strides, c.arity - depth
     gl = strides[-1]
     moving = [i for i in reversed(range(lead)) if c.summary.gcds[i] > 1]  # deepest first
@@ -344,9 +351,7 @@ def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
             blocks = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else \
                 (range(xl, m, gl),)
         else:
-            cycles = [(*range(x, m, g), *range(x % g, x, g))
-                      for x, g in zip(x0[lead:], strides[lead:])]
-            blocks = (tuple(itertools.product(*cycles)),)
+            blocks = (tuple(itertools.product(*_cycles(x0[lead:], m, strides[lead:]))),)
         head = list(x0[:lead])
         while True:
             prefix = tuple(head)
@@ -480,6 +485,6 @@ def enumerate_all(seeds: Iterable[Sequence[int]], c: LinearCongruence) -> Iterat
     representative per class of your own choosing.  For a full basis this
     yields exactly summarize(c).solution_count pairwise distinct solutions;
     as a set it equals enumerate_raw(c).  Each seed is checked as expand
-    checks it, when the walk reaches its block.
+    checks it, when the walk reaches it.
     """
     return _rows((_checked_seed(x, c) for x in seeds), c)

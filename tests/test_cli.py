@@ -632,10 +632,11 @@ def test_enumerate_at_p2_1_writes_blocks_of_1024_rows(monkeypatch, limit, sizes)
     assert written == sizes
 
 
-def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
-    # expand, enumerate_all, the oracle and enumerate all walk the expansion
-    # at the one depth core chooses, so the oracle checks the very blocks
-    # enumerate writes: here those of x2, x3 and x4
+def test_verify_checks_the_rows_enumerate_writes(monkeypatch):
+    # enumerate writes blocks of x2, x3 and x4, one walk at depth 3; expand,
+    # enumerate_all and the oracle take each seed's rows as one product of
+    # its cycles instead, and never walk those blocks.  The rows are the same,
+    # in the same order, so verify checks row for row what enumerate prints
     c = normalize([15, 10, 6, 5], 0, 30)
     s = summarize(c)
     depths = []
@@ -648,11 +649,15 @@ def test_every_consumer_walks_the_blocks_enumerate_writes(monkeypatch):
     monkeypatch.setattr(lincong.core, "_expand_runs", recording)
     basis = build_basis(c)
     assert len(list(expand(basis[-1], c))) == s.expansion_count
-    assert len(list(enumerate_all(basis, c))) == s.solution_count
+    rows = list(enumerate_all(basis, c))
+    assert len(rows) == s.solution_count
     report = verify(c)
     assert report.agrees_with_summary and report.agrees_with_basis
-    assert enumerate_output(c, "text").count("\n") == s.solution_count
-    assert depths == [3] * 4
+    assert depths == []
+    written = enumerate_output(c, "text")
+    assert written.count("\n") == s.solution_count
+    assert depths == [3]
+    assert [tuple(map(int, line.split())) for line in written.splitlines()] == rows
 
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():

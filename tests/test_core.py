@@ -26,7 +26,7 @@ from lincong.core import (
     satisfies,
     summarize,
 )
-from lincong.oracle import brute_force
+from lincong.oracle import brute_force, verify
 
 from helpers import fibonacci_pair, greedy_basis, lex_rows, random_instances, reference_expand
 
@@ -303,6 +303,35 @@ def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
     last = normalize([1, 0], 5, m)
     assert list(itertools.islice(expand((5, m - 1), last), 3)) == [
         (5, m - 1), (5, 0), (5, 1)]
+
+
+@pytest.mark.parametrize("coeffs", [(0, 2), (2, 0)])
+@pytest.mark.parametrize("m, walks", [(1024, 0), (1025, 4)])
+def test_expansion_agrees_on_both_sides_of_the_block_cutover(monkeypatch, coeffs, m, walks):
+    # gcd(0, m) = m: a cycle of 1024 values is held whole, one product per
+    # seed; one of 1025 is not, and expand, enumerate_all and verify each walk
+    # the CLI's blocks instead, which step a long first coordinate in their
+    # odometer and cut a long last one into slices
+    c = normalize(coeffs, 0, m)
+    assert max(c.summary.gcds) == m
+    calls = []
+    expand_runs = core._expand_runs
+
+    def recording(*args):
+        calls.append(args)
+        return expand_runs(*args)
+
+    monkeypatch.setattr(core, "_expand_runs", recording)
+    (reduced,) = build_basis(c)
+    rotated = reference_expand(reduced, c)[c.summary.expansion_count // 2 + 3]
+    assert any(x >= g for x, g in zip(rotated, c.summary.strides))
+    for seed in (reduced, rotated):
+        want = reference_expand(seed, c)
+        assert list(itertools.islice(expand(seed, c), len(want) + 1)) == want, seed
+    assert set(enumerate_all(iter_basis(c), c)) == brute_force(c)
+    report = verify(c)
+    assert report.agrees_with_summary and report.agrees_with_basis
+    assert len(calls) == walks
 
 
 def test_enumerate_raw_reference_order():
