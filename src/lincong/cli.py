@@ -7,10 +7,11 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from functools import cache
+from itertools import chain, islice, product, repeat
+from operator import add
 
 from .core import (
     LinearCongruence,
@@ -29,6 +30,8 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
+
+_join = str.join  # bound at import: shadowing this module's str leaves joins alone
 
 
 # Every integer given as a flag or a vector is read as the expression grammar
@@ -78,25 +81,27 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     # basis row expands into p2 >= 1 rows, so the first `limit` basis rows
     # carry every row written and no later one is pulled (islice takes no stop
     # above sys.maxsize); --limit 0 pulls none, so counts alone start no walk.
-    # _blocks' (prefix, block) pairs are written as they come and never held
-    # whole; the last block is cut to the rows left, and none after it is
-    # pulled.  Every prefix of a stream has the length k of the first, so a
-    # row is lead % its k leading values, the rendering of the rest, and close,
-    # and rows are joined by joiner, as json.dumps writes them for JSON ("%d"
-    # renders an int as str() does).  A depth-1 stream holds only ranges of
-    # lone values, which str renders faster than "%d"; any other holds tuples
-    # as wide as the first block's first.  All the prefixes of a seed take the
-    # same blocks, so a block is rendered once and reused while the next one
-    # compares equal (O(1) for ranges, and fast for the very same tuple).  The
-    # whole JSON document is written by hand, as json.dumps would write it:
-    # counts are decimal strings because they can exceed any fixed integer
-    # width, and an unsolvable solve has no rows key
+    # _blocks' (prefixes, block) pairs are written as they come and never
+    # held whole, each prefix with the whole block in turn; the last pair is
+    # cut to the rows left, and none after it is pulled.  Every prefix of a
+    # stream has the length k of the first, so a row is its head, lead % its k
+    # leading values, the rendering of the rest, and close, and rows are
+    # joined by joiner, as json.dumps writes them for JSON ("%d" renders an
+    # int as str() does).  A block is a range of lone values at depth 1, which
+    # str renders faster than "%d"; deeper, a list of cycles, each value
+    # rendered once and joined in their product's order; or whole rows, as
+    # wide as the first block's first.  All the prefixes of a seed take the
+    # same block, so it is rendered once and reused while the next one
+    # compares equal (O(1) for ranges).  A group of prefixes is one C-level
+    # join.  The whole JSON document is written by hand, as json.dumps would
+    # write it: counts are decimal strings because they can exceed any fixed
+    # integer width, and an unsolvable solve has no rows key
     s = c.summary
     total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
     left = total if limit is None else min(limit, total)  # rows still to write
     truncated = left < total
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    seeds = itertools.islice(iter_basis(c), None if limit is None else min(limit, sys.maxsize))
+    seeds = islice(iter_basis(c), None if limit is None else min(limit, sys.maxsize))
     out = sys.stdout
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
     if fmt == "json":
@@ -107,18 +112,26 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     glue = close + joiner
     before = ""
     lead, shown = None, ()
-    for prefix, block in _blocks(seeds, c, expand):
+    for prefixes, block in _blocks(seeds, c, expand):
         if lead is None:
-            lead = opening + ("%d" + sep) * len(prefix)
-            render = str if type(block) is range else sep.join(["%d"] * len(block[0])).__mod__
+            lead = opening + ("%d" + sep) * len(prefixes[0])
+            render = sep.join(["%d"] * len(block[0])).__mod__ if type(block) is tuple else str
         if block != shown:
-            tail = list(map(render, block))
+            if type(block) is list:  # a deep block's cycles: each value rendered once
+                tail = list(map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))
+            else:
+                tail = list(map(render, block))
             shown, size = block, len(tail)
-        left -= size
-        if left < 0:  # the limit falls inside this block: drop the rows past it
-            tail = tail[:left]
-        head = lead % prefix
-        out.write(before + head + (glue + head).join(tail) + close)
+        if len(prefixes) == 1:
+            head = lead % prefixes[0]
+            left -= size
+            text = head + (glue + head).join(tail if left >= 0 else tail[:left])
+        else:  # a group in one join: each head that holds rows still to write, with the tail
+            heads = list(map(lead.__mod__, prefixes[:-(-left // size)]))
+            left -= size * len(heads)
+            tails = chain(repeat(tail, len(heads) - 1), (tail if left >= 0 else tail[:left],))
+            text = glue.join(map(add, heads, map(_join, map(glue.__add__, heads), tails)))
+        out.write(before + text + close)
         if left <= 0:
             break
         before = joiner

@@ -36,16 +36,19 @@ rows are the product of the n cycles: expand, enumerate_all and verify take
 one C-level itertools.product per seed, or the seeds themselves at p2 = 1,
 unless a cycle is too long to hold (over 1024 values).  Such an instance,
 and both CLI commands, read _blocks, which picks the depth and batching of
-every stream and yields (prefix, block) pairs, blocks of at most 1024 rows;
-the CLI bounds the walk, by passing no more seeds than its row limit, and
-cuts the last block it writes.  A basis, and an expansion stream at p2 = 1,
-comes as whole rows under an empty prefix; otherwise the first coordinates
-are fixed once per block while the deepest ones step through their cycles
-together: at depth 1 the last coordinate's cycle as one or two `range`s,
-cut into slices when it is longer, deeper the product of the deepest cycles,
-built once per seed and shared by all its prefixes.  A prefix's length fixes
-the row format; the CLI renders a block once and joins every prefix onto it,
-with no tuple per row.
+every stream and yields (prefixes, block) pairs of at most 1024 rows, each
+prefix taking the whole block in turn; the CLI bounds the walk, by passing
+no more seeds than its row limit, and cuts the last pair it writes.  A
+basis, and an expansion stream at p2 = 1, comes as whole rows under one
+empty prefix; otherwise the deepest coordinates step through their cycles
+together under each prefix of the first ones.  At depth 1 a block is the
+last coordinate's cycle, cut into slices when it is longer; deeper it is
+the list of the deepest cycles, whose product is its rows, built once per
+seed and shared by all its prefixes.  When the deepest prefix coordinate
+takes at least 16 values, a pair carries a group of prefixes, a slice of
+that coordinate's cycle, as many as fill 1024 rows.  A prefix's length
+fixes the row format; the CLI renders each cycle value of a block once and
+writes a group with one join, with no tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed once per instance, by LinearCongruence.summary,
@@ -83,6 +86,7 @@ __all__ = [
 Solution = tuple[int, ...]
 
 _BLOCK_ROWS = 1024  # most rows in one block of _blocks
+_GROUP_LEAST = 16  # fewest prefixes in a group of _expand_runs (see there)
 
 
 def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
@@ -277,35 +281,38 @@ def expand(x0: Sequence[int], c: LinearCongruence) -> Iterator[Solution]:
     return _rows((_checked_seed(x0, c),), c)
 
 
-def _cycles(x0: Sequence[int], m: int, strides: Sequence[int]) -> list[tuple[int, ...]]:
-    # each x0_i, x0_i + g_i, ... mod m: one range if x0_i < g_i, else rotated
-    return [(*range(x, m, g), *range(x % g, x, g)) for x, g in zip(x0, strides)]
+def _cycles(x0: Sequence[int], m: int, strides: Sequence[int]) -> list[Sequence[int]]:
+    # each x0_i, x0_i + g_i, ... mod m: the range itself when x0_i < g_i (a
+    # reduced seed), else rotated into a tuple
+    return [range(x, m, g) if x < g else (*range(x, m, g), *range(x % g, x, g))
+            for x, g in zip(x0, strides)]
 
 
 def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
     # the rows of the seeds' expansions as tuples, in expand's order: at p2 = 1
     # the seeds, else one product per seed, or, when a cycle is too long to
-    # hold, _blocks' pairs, where zip makes 1-tuples of a range's values
+    # hold, _blocks' pairs, where zip makes 1-tuples of a depth-1 block's values
     m, s = c.modulus, c.summary
     if s.expansion_count == 1:
         return iter(seeds)
     if max(s.gcds) <= _BLOCK_ROWS:
         return itertools.chain.from_iterable(
             itertools.product(*_cycles(x0, m, s.strides)) for x0 in seeds)
-    return (prefix + row for prefix, block in _blocks(seeds, c)
-            for row in (zip(block) if type(block) is range else block))
+    return (prefix + row for prefixes, block in _blocks(seeds, c) for prefix in prefixes
+            for row in (itertools.product(*block) if type(block) is list else zip(block)))
 
 
 def _blocks(seeds: Iterable[Solution], c: LinearCongruence,
-            expand: bool = True) -> Iterator[tuple[Solution, Sequence]]:
-    # The one block stream of every writer: the (prefix, block) pairs of the
-    # seeds' expansions, or of the seeds when expand is False.  A prefix's
-    # length, the same in the whole stream, fixes the row format.  At p2 = 1
-    # both are the seeds, batched under an empty prefix.  A caller bounds the
-    # stream by the seeds it passes, and pulls no block it does not write.
+            expand: bool = True) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
+    # The one block stream of every writer: the (prefixes, block) pairs of the
+    # seeds' expansions, or of the seeds when expand is False; each prefix
+    # takes the whole block in turn.  A prefix's length, the same in the whole
+    # stream, fixes the row format.  At p2 = 1 both are the seeds, batched as
+    # whole rows under one empty prefix.  A caller bounds the stream by the
+    # seeds it passes, and pulls no pair it does not write.
     if not expand or c.summary.expansion_count == 1:
         rows = iter(seeds)
-        return (((), block) for block in
+        return ((((),), block) for block in
                 iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
     return _expand_runs(seeds, c, _block_depth(c))
 
@@ -331,35 +338,51 @@ def _block_depth(c: LinearCongruence) -> int:
     return depth
 
 
+def _slices(x: int, m: int, g: int, size: int) -> Iterator[range]:
+    # the cycle x, x + g, ... mod m as ranges of at most `size` values: slicing
+    # a range is O(1), and its truth needs no len(), which fails past sys.maxsize
+    for run in (range(x, m, g), range(x % g, x, g)):
+        while run:
+            yield run[:size]
+            run = run[size:]
+
+
 def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
-                 depth: int) -> Iterator[tuple[Solution, Sequence]]:
+                 depth: int) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
     # The expansions of the seeds, one after another in expand's order, as
-    # (prefix, block) pairs: prefix holds the first n - depth coordinates and
-    # block the values the last `depth` take with them, in rows.  At depth 1 a
-    # block is one of the last coordinate's two _cycles ranges (bar an empty
-    # one), cut into _BLOCK_ROWS-value slices past that many, so any run
-    # streams in bounded memory (slicing a range is O(1)); deeper, a seed has
-    # one block, the product of the deepest cycles, built once for every
-    # prefix.  Only prefix coordinates with gcd(a_i, m) > 1 move, by g_i.
-    m, strides, lead = c.modulus, c.summary.strides, c.arity - depth
-    gl = strides[-1]
-    moving = [i for i in reversed(range(lead)) if c.summary.gcds[i] > 1]  # deepest first
-    cut = depth == 1 and c.summary.gcds[-1] > _BLOCK_ROWS
+    # (prefixes, block) pairs: a prefix holds the first n - depth coordinates,
+    # and each takes in turn the whole block, the values the last `depth` take
+    # with it.  A block is the list of the deepest cycles, whose product is its
+    # rows, built once per seed for all its prefixes; at depth 1 it is the last
+    # coordinate's cycle itself, or, past _BLOCK_ROWS values, one slice of that
+    # many a pair.  Otherwise a pair carries the prefixes that differ only in
+    # the deepest prefix coordinate, a lazy slice of its cycle of up to
+    # _BLOCK_ROWS // R values (R the block's rows), zipped with the ones
+    # before it; below _GROUP_LEAST prefixes a group costs more C-level objects
+    # here and in the writer than it saves, so each prefix has its own pair.
+    # The odometer steps the other moving prefix coordinates, by g_i.
+    m, gcds, strides, lead = c.modulus, c.summary.gcds, c.summary.strides, c.arity - depth
+    size = _BLOCK_ROWS // prod(gcds[lead:])  # most prefixes in a group
+    group = lead > 0 and min(gcds[lead - 1], size) >= _GROUP_LEAST
+    cut = depth == 1 and not size
+    moving = [i for i in reversed(range(lead - group)) if gcds[i] > 1]  # deepest first, not a group's
+    gl, repeat = strides[-1], itertools.repeat
     for x0 in seeds:
-        if depth == 1:
-            xl = x0[-1]
-            blocks = (range(xl, m, gl), range(xl % gl, xl, gl)) if xl >= gl else \
-                (range(xl, m, gl),)
-        else:
-            blocks = (tuple(itertools.product(*_cycles(x0[lead:], m, strides[lead:]))),)
+        if depth > 1:
+            block = _cycles(x0[lead:], m, strides[lead:])
+        elif not cut:  # a reduced seed's cycle is its range: no _cycles call, one a seed
+            block = range(xl, m, gl) if (xl := x0[-1]) < gl else _cycles((xl,), m, (gl,))[0]
         head = list(x0[:lead])
         while True:
-            prefix = tuple(head)
-            for block in blocks:
-                while cut and (rest := block[_BLOCK_ROWS:]):  # len() fails past sys.maxsize
-                    yield prefix, block[:_BLOCK_ROWS]
-                    block = rest
-                yield prefix, block
+            if group:
+                for part in _slices(head[-1], m, strides[lead - 1], size):
+                    yield tuple(zip(*map(repeat, head[:-1]), part)), block
+            elif cut:
+                prefixes = (tuple(head),)
+                for part in _slices(x0[-1], m, gl, _BLOCK_ROWS):
+                    yield prefixes, part
+            else:
+                yield (tuple(head),), block
             # odometer: step the deepest moving coordinate round its cycle; one
             # that came back to its seed value has wrapped, so it is already
             # reset, and the step carries into the next

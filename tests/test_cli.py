@@ -191,24 +191,30 @@ def test_enumerate_pulls_only_the_seeds_whose_rows_it_prints(capsys, monkeypatch
     assert out.count("\n") == limit + 1
 
 
-@pytest.mark.parametrize("limit, blocks", [(0, 0), (299, 1), (300, 1), (301, 2), (1000, 4)])
+@pytest.mark.parametrize("limit, blocks", [(0, 0), (1, 1), (299, 1), (300, 1), (301, 2), (900, 3),
+                                           (901, 4), (1000, 4), (4500, 15), (4501, 16)])
 def test_enumerate_pulls_only_the_blocks_it_prints(capsys, monkeypatch, limit, blocks):
     # 15,10,6,5 mod 30 is written in blocks of the deepest three unknowns,
-    # 300 rows each: L rows take ceil(L / 300) blocks, and no block after them
+    # 300 rows each: L rows fill ceil(L / 300) blocks.  A group of x1's
+    # values would hold only 1024 // 300 = 3 prefixes, fewer than pay for
+    # one, so a pair is one prefix and its block, and no pair after the one
+    # that holds row L is pulled
     pulled = []
     expand_runs = lincong.core._expand_runs
 
     def counting_runs(seeds, c, depth):
         assert depth == 3
-        for prefix, block in expand_runs(seeds, c, depth):
-            pulled.append(len(block))
-            yield prefix, block
+        for prefixes, block in expand_runs(seeds, c, depth):
+            pulled.append(len(prefixes))
+            yield prefixes, block
 
     monkeypatch.setattr(lincong.core, "_expand_runs", counting_runs)
     code, out, _ = run(capsys, "enumerate", "--coeffs=15,10,6,5", "--rhs=0", "--mod=30",
                        "--limit", str(limit))
     assert code == 0
-    assert pulled == [300] * blocks
+    assert pulled == [1] * blocks
+    if limit:
+        assert 300 * sum(pulled[:-1]) < limit <= 300 * sum(pulled)
     assert out.count("\n") == limit + 1
 
 
@@ -562,37 +568,83 @@ def test_enumerate_blocks_match_the_oracle_row_for_row(c):
                              (limit, fmt))
 
 
+@pytest.mark.parametrize("coeffs, m, group, ends", [
+    # depth 1: 64 prefixes of 16 rows a pair, then 61 to end the seed; p1 - 1, p1, p1 + 1
+    ((125, 16), 4000, 64, [3999, 4000, 4001]),
+    # depth 2: x1's 16 values, each with a block of 4 * 4 rows, in one pair
+    ((16, 4, 4), 64, 16, [16383, 16384, 16385]),
+    # depth 1: 16 values of x2 a pair, with 32 rows each, while x1 steps
+    # through its two values outside the group
+    ((2, 16, 32), 64, 16, [8191, 8192, 8193]),
+    # depth 3: 3 prefixes of 300 rows would be too small a group, so each
+    # pair is one prefix and its block
+    ((15, 10, 6, 5), 30, 1, [26999, 27000, 27001]),
+    # a run of 4,096 values cut into 1024-row slices, one prefix a pair;
+    # its p1 is 2**23, so the limits end around the first prefix instead
+    ((2048, 0), 4096, 1, [4096, 4097, 5000]),
+])
+def test_enumerate_prefix_groups_match_the_per_row_writer(monkeypatch, coeffs, m, group, ends):
+    # the limit falls on the first row, inside a group, on a group's last
+    # row and one past it, and at the ends; no pair holds more than 1024 rows
+    c = normalize(coeffs, 0, m)
+    pairs = []
+    expand_runs = lincong.core._expand_runs
+
+    def recording(*args):
+        for prefixes, block in expand_runs(*args):
+            rows = prod(map(len, block)) if type(block) is list else len(block)
+            pairs.append((len(prefixes), rows))
+            yield prefixes, block
+
+    monkeypatch.setattr(lincong.core, "_expand_runs", recording)
+    enumerate_output(c, "text", 2 * lincong.core._BLOCK_ROWS)
+    assert pairs[0][0] == group and all(n * rows <= 1024 for n, rows in pairs)
+    boundary = group * pairs[0][1]
+    for limit in [0, 1, boundary // 2, boundary, boundary + 1, *ends]:
+        for fmt in ("text", "json"):
+            assert_same_text(enumerate_output(c, fmt, limit), reference_enumerate(c, fmt, limit),
+                             (limit, fmt))
+
+
+def test_enumerate_leaves_a_long_prefix_cycle_lazy():
+    # gcd(0, 10**30) = 10**30: groups of 512 prefixes are slices of x1's
+    # cycle, never the cycle itself, which no address space could hold; with
+    # no limit, 2 * 10**30 rows stream into a reader that stops after three
+    argv = [sys.executable, "-m", "lincong", "enumerate", "--coeffs=0,2", "--rhs=0",
+            "--mod=1" + "0" * 30]
+    half = b"5" + b"0" * 29
+    proc = subprocess.run([*argv, "--limit", "5"], capture_output=True, env=subprocess_env(),
+                          preexec_fn=_capped_address_space, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"0 0\n0 %s\n1 0\n1 %s\n2 0\n# truncated\n" % (half, half)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=subprocess_env(), preexec_fn=_capped_address_space)
+    deadline = threading.Timer(30, proc.kill)
+    deadline.start()
+    try:
+        assert [proc.stdout.readline() for _ in range(3)] == [b"0 0\n", b"0 %s\n" % half, b"1 0\n"]
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.stderr.close()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_enumerate_renders_a_block_once_per_seed_suffix(monkeypatch, fmt):
+def test_enumerate_renders_a_block_once_per_seed_suffix(str_calls, fmt):
     # x2, x3 and x4 form blocks of 10 * 6 * 5 = 300 rows, and x1 steps
-    # through 15 values, so the 27,000 rows are 90 joins onto 6 blocks: each
-    # block's suffixes are formatted once, not once per prefix
+    # through 15 values, so the 27,000 rows are 90 joins onto 6 blocks: a
+    # block is rendered from its three cycles, each value once, and only
+    # when the seed's suffix changes, not once per prefix or per row
     c = normalize([15, 10, 6, 5], 0, 30)
     s = summarize(c)
     assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
     assert lincong.core._block_depth(c) == 3
-    rendered = []
-
-    class CountingBlock(tuple):
-        def __iter__(self):
-            for row in tuple.__iter__(self):
-                rendered.append(row)
-                yield row
-
-    blocks = lincong.cli._blocks
-
-    def counting_blocks(*args, **kwargs):
-        # the writer gets the very pairs core yields, each block wrapped once
-        last = wrapped = None
-        for prefix, block in blocks(*args, **kwargs):
-            if block is not last:
-                last, wrapped = block, CountingBlock(block)
-            yield prefix, wrapped
-
-    monkeypatch.setattr(lincong.cli, "_blocks", counting_blocks)
     assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
     suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c))]
-    assert len(rendered) == 300 * len(suffixes) <= 300 * s.basis_size
+    assert len(str_calls) == (10 + 6 + 5) * len(suffixes) <= 21 * s.basis_size
 
 
 @pytest.mark.parametrize("expr", ["x + y ≡ 0 (mod 3000)", "x ≡ 3 (mod 7)", "x ≡ 0 (mod 1)"])

@@ -262,16 +262,18 @@ def test_expand_matches_reference_odometer(case):
 
 @settings(max_examples=150)
 @given(seeded_instances())
+@example((normalize([0, 0, 0, 1], 0, 12), (5, 7, 11, 0)))  # deeper blocks of 1,728 rows
 def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
-    # a block of the deepest coordinates, joined onto each prefix, is the
-    # product of their cycles, rotated for a seed that is not reduced: every
-    # depth walks the same rows in the same order, here for two seeds in turn
+    # a block of the deepest coordinates, joined onto each prefix of its
+    # pair in turn, is the product of their cycles (the list of them, deeper
+    # than 1), rotated for a seed that is not reduced: every depth walks the
+    # same rows in the same order, here for two seeds in turn
     c, seed = case
     want = reference_expand(seed, c)
     for depth in range(1, c.arity + 1):
         blocks = core._expand_runs((seed, seed), c, depth)
-        rows = (prefix + (row if depth > 1 else (row,))
-                for prefix, block in blocks for row in block)
+        rows = (prefix + row for prefixes, block in blocks for prefix in prefixes
+                for row in (itertools.product(*block) if depth > 1 else zip(block)))
         assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, depth
 
 
@@ -282,16 +284,24 @@ def test_every_prefix_of_a_block_stream_has_the_same_length(c):
     # the CLI reads the row format from a stream's first prefix: the seeds
     # come under an empty prefix, an expansion under its n - depth leading
     # values; gcd(0, 3000) > 1024 cuts the last coordinate's run into slices.
-    # The CLI bounds a stream by its seeds, so the limits cut the seeds here
+    # A pair's prefixes each take its whole block, and no pair holds more
+    # than 1024 rows.  The CLI bounds a stream by its seeds, so the limits
+    # cut the seeds here
+    def rows(pair):
+        prefixes, block = pair
+        return len(prefixes) * (math.prod(map(len, block)) if type(block) is list else len(block))
+
     s = c.summary
     for expand in (True, False):
         want = 0 if not expand or s.expansion_count == 1 else c.arity - core._block_depth(c)
         first = next(core._blocks(iter_basis(c), c, expand), None)
-        block = 1 if first is None else len(first[1])
-        for limit in (None, 0, 1, block, block + 1, s.solution_count + 1):
+        pair = 1 if first is None else rows(first)
+        for limit in (None, 0, 1, pair, pair + 1, s.solution_count + 1):
             seeds = itertools.islice(iter_basis(c), limit)
-            lengths = {len(prefix) for prefix, _ in core._blocks(seeds, c, expand)}
+            pairs = list(core._blocks(seeds, c, expand))
+            lengths = {len(prefix) for prefixes, _ in pairs for prefix in prefixes}
             assert lengths == ({want} if s.solvable and limit != 0 else set()), (expand, limit)
+            assert all(0 < rows(pair) <= core._BLOCK_ROWS for pair in pairs), (expand, limit)
 
 
 def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
