@@ -6,12 +6,12 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cache
 from itertools import chain, islice, product, repeat
 from operator import add
+from types import SimpleNamespace
 
 from .core import (
     LinearCongruence,
@@ -143,14 +143,13 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
 
 
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
-    print(f"congruence: {format_congruence(parsed)}")
-    print(f"d = {s.gcd_all}")
-    print(f"solvable = {'true' if s.solvable else 'false'}")
-    print(f"solutions (p1) = {s.solution_count}")
-    print(f"per-seed (p2) = {s.expansion_count}")
-    print(f"basis size (s) = {s.basis_size}")
-    if s.solvable:
-        print("basis:")
+    sys.stdout.write(f"congruence: {format_congruence(parsed)}\n"
+                     f"d = {s.gcd_all}\n"
+                     f"solvable = {'true' if s.solvable else 'false'}\n"
+                     f"solutions (p1) = {s.solution_count}\n"
+                     f"per-seed (p2) = {s.expansion_count}\n"
+                     f"basis size (s) = {s.basis_size}\n"
+                     + ("basis:\n" if s.solvable else ""))
 
 
 def cmd_solve(args) -> int:
@@ -254,76 +253,136 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _add_instance_args(p: argparse.ArgumentParser):
-    p.add_argument("expr", nargs="?",
-                   help="congruence such as '2x - 6y ≡ 2 (mod 12)'; '-' reads stdin")
-    p.add_argument("--coeffs", help="comma-separated coefficients, e.g. 2,-6")
-    p.add_argument("--rhs", help="right-hand side, with --coeffs")
-    p.add_argument("--mod", help="modulus, with --coeffs")
+# Each subcommand once: its help, its function and its arguments in help
+# order.  An argument is (name, help); a name that starts with "--" is a flag
+# taking one value, any other a positional, of which "expr" alone may be
+# left out.  --format takes one of FORMATS and is "text" when not given.
+_INSTANCE = (("expr", "congruence such as '2x - 6y ≡ 2 (mod 12)'; '-' reads stdin"),
+             ("--coeffs", "comma-separated coefficients, e.g. 2,-6"),
+             ("--rhs", "right-hand side, with --coeffs"),
+             ("--mod", "modulus, with --coeffs"))
+FORMATS = ("text", "json")
+COMMANDS = {
+    "solve": ("print the counting summary and a basis", cmd_solve,
+              (*_INSTANCE, ("--format", None), ("--limit", "cap the number of basis elements"))),
+    "enumerate": ("print every distinct solution", cmd_enumerate,
+                  (*_INSTANCE, ("--format", None), ("--limit", "stop after this many solutions"))),
+    "check": ("dependence verdict for two solutions", cmd_check,
+              (*_INSTANCE, ("solution_a", "residue vector, e.g. 7,4"),
+               ("solution_b", "residue vector, e.g. 1,0"))),
+    "verify": ("cross-check against the brute-force oracle", cmd_verify,
+               (*_INSTANCE, ("--cap", "largest m**n the oracle will scan (default 10**7)"),
+                ("--seed", f"verify a batch of {BATCH_SIZE} random instances instead"))),
+}
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    """A new parser for the four subcommands on every call.
+def build_arg_parser():
+    """A new argparse parser for the four subcommands, built from COMMANDS, on every call.
 
-    main() builds its own one per process and reuses it, so changing a parser
-    returned here never changes what main() does.
+    main() builds its own one only for an argv its scan passes on, and reuses
+    it, so changing a parser returned here never changes what main() does.
     """
+    import argparse  # a valid argv never needs it: only help and usage errors do
+
     ap = argparse.ArgumentParser(
         prog="lincong",
         description="Solve linear congruences a1*x1 + ... + an*xn ≡ b (mod m).")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="print the counting summary and a basis")
-    _add_instance_args(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--limit", help="cap the number of basis elements")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("enumerate", help="print every distinct solution")
-    _add_instance_args(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--limit", help="stop after this many solutions")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("check", help="dependence verdict for two solutions")
-    _add_instance_args(p)
-    p.add_argument("solution_a", help="residue vector, e.g. 7,4")
-    p.add_argument("solution_b", help="residue vector, e.g. 1,0")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("verify", help="cross-check against the brute-force oracle")
-    _add_instance_args(p)
-    p.add_argument("--cap", help="largest m**n the oracle will scan (default 10**7)")
-    p.add_argument("--seed", help=f"verify a batch of {BATCH_SIZE} random instances instead")
-    p.set_defaults(func=cmd_verify)
-
+    for command, (about, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name, text in arguments:
+            if name == "expr":
+                p.add_argument(name, nargs="?", help=text)
+            elif name == "--format":
+                p.add_argument(name, choices=FORMATS, default="text")
+            else:
+                p.add_argument(name, help=text)
+        p.set_defaults(func=func)
     return ap
 
 
 @cache
-def _main_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # main's own parser and its {name: subparser} map, built on main's first
-    # call and reused by every later one: building them costs about 1 ms.
-    # argparse keeps no state between parse_args calls, and callers of
+def _main_parser():
+    # main's own parser, built for the first argv the scan passes on and
+    # reused by every later one: building it costs about 1 ms.  argparse
+    # keeps no state between parse_args calls, and callers of
     # build_arg_parser() get a fresh parser, so nothing can alter this one.
-    ap = build_arg_parser()
-    return ap, next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return build_arg_parser()
 
 
-def _parse_argv(argv) -> argparse.Namespace:
-    # An argv that names a subcommand is parsed by that subparser alone, about
-    # half the cost of the top-level parser's two passes.  Any other argv, or
-    # one with arguments left over, goes through the top-level parser, which
-    # writes every usage message (unrecognized arguments with its own usage).
+def _scan_spec(command, func, arguments):
+    # what _scan needs of one command: its flags, {flag: dest}; the
+    # positionals it requires; and the namespace argparse starts from, every
+    # dest None but --format's "text", with the command and its function
+    names = [name for name, _ in arguments]
+    defaults = dict.fromkeys([name.lstrip("-") for name in names], None)
+    defaults.update(command=command, func=func)
+    if "format" in defaults:
+        defaults["format"] = "text"
+    return ({name: name[2:] for name in names if name[:2] == "--"},
+            tuple(name for name in names if name[:1] != "-" and name != "expr"), defaults)
+
+
+_SCAN = {command: _scan_spec(command, func, arguments)
+         for command, (_, func, arguments) in COMMANDS.items()}
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    # The namespace argparse builds for argv, read in one pass over it, or
+    # None wherever argparse could read it otherwise or must write something:
+    # an unknown command; any token starting with "-" that is not one of the
+    # command's flags, alone or as --flag=value (so -h, --help, an
+    # abbreviation, "--" and "-"); a separate value starting with "-", but
+    # for a negative integer; an empty or "--" value after "="; a flag given
+    # twice; a --format outside FORMATS; positionals on both sides of a flag,
+    # or too few or too many of them.
+    spec = _SCAN.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    flags, required, defaults = spec
+    values = {}
+    positionals = []
+    closed = False  # a flag has followed a positional
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            flag, eq, value = token.partition("=")
+            dest = flags.get(flag)
+            if dest is None or dest in values:
+                return None
+            if not eq:  # the value is the next token; none at the end reads as "-"
+                value = next(tokens, "-")
+                # argparse takes "-" and decimal digits for a negative number,
+                # a value, as no flag here looks like one; any other "-" word
+                # it may take for an option
+                if value[:1] == "-" and not value[1:].isdecimal():
+                    return None
+            elif value == "" or value == "--":
+                return None
+            if dest == "format" and value not in FORMATS:
+                return None
+            values[dest] = value
+            closed = bool(positionals)
+        elif closed:
+            return None
+        else:
+            positionals.append(token)
+    extra = len(positionals) - len(required)
+    if extra == 1:
+        values["expr"] = positionals.pop(0)
+    elif extra:
+        return None
+    values.update(zip(required, positionals))
+    return SimpleNamespace(**{**defaults, **values})
+
+
+def _parse_argv(argv):
+    # A valid argv is read by the scan alone; argparse parses only the ones
+    # the scan passes on, and writes every help text and usage message.
     # No argv means sys.argv[1:], as it does to argparse.
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap, subparsers = _main_parser()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return ap.parse_args(argv)
+    args = _scan(argv)
+    return _main_parser().parse_args(argv) if args is None else args
 
 
 def _discard_stdout():

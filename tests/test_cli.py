@@ -13,7 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd, prod
 
 import pytest
@@ -1016,8 +1016,9 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
-    # main builds its parser once per process: the golden corpus, then a
-    # usage error and --help, then the corpus again in reverse order
+    # the golden corpus is read by the scan alone and builds no parser; a
+    # usage error and --help build main's one parser, and the corpus again in
+    # reverse order builds no other
     built = []
     build = lincong.cli.build_arg_parser
     monkeypatch.setattr(lincong.cli, "build_arg_parser", lambda: built.append(1) or build())
@@ -1033,6 +1034,7 @@ def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
         return got
 
     assert digests(list(CASES)) == GOLDEN
+    assert built == []
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", REF_EXPR, "--no-such-flag"])
     assert exc.value.code == 2
@@ -1040,16 +1042,22 @@ def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--limit" in capsys.readouterr().out
+    assert len(built) == 1
     assert digests(reversed(list(CASES))) == GOLDEN
     assert len(built) == 1
     # build_arg_parser() returns a new parser each time; changing one
-    # leaves main alone
+    # leaves main's alone, which reads an abbreviated --limit as argparse does
     ap = build()
     assert ap is not build()
     subcommands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     subcommands.choices["solve"].set_defaults(func=lambda args: 99)
-    assert ap.parse_args(CASES["solve-text"]).func(None) == 99
-    assert digests(["solve-text"]) == {"solve-text": GOLDEN["solve-text"]}
+    argv = ["solve", REF_EXPR, "--lim", "1"]
+    assert ap.parse_args(argv).func(None) == 99
+    assert lincong.cli._scan(argv) is None
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["solve-text-truncated"][1]
+    assert len(built) == 1
 
 
 # argparse's own exits: the exit code and the sha256 of stdout + stderr,
@@ -1082,10 +1090,9 @@ def exit_bytes(capsys, parse, argv):
     (["-h", "solve"], 0, None), (["solve", "x ≡ 1 (mod 5)", "-h"], 0, None),
     (["enumerate", "--limit"], 2, None), (["sol", REF_EXPR], 2, None)])
 def test_argparse_exits_keep_their_bytes(capsys, monkeypatch, argv, code, digest):
-    # main parses a subcommand's argv with that subcommand's parser alone, and
-    # falls back to the top-level parser for anything else, so every argparse
-    # exit writes what the top-level parser writes, on any Python version;
-    # main() reads the same argv from sys.argv
+    # main's scan passes every argv argparse exits on to the top-level
+    # parser, so every argparse exit writes what that parser writes, on any
+    # Python version; main() reads the same argv from sys.argv
     monkeypatch.setenv("COLUMNS", "80")
     got = exit_bytes(capsys, main, argv)
     assert got == exit_bytes(capsys, lincong.cli.build_arg_parser().parse_args, argv)
@@ -1094,6 +1101,86 @@ def test_argparse_exits_keep_their_bytes(capsys, monkeypatch, argv, code, digest
     assert got[0] == code
     if digest is not None and sys.version_info[:2] == (3, 11):
         assert got[1] == digest
+
+
+def test_the_command_table_builds_the_parser():
+    # each subparser's flags, positionals, --format choices and function are
+    # the table's, so a flag added to one cannot drift from the other
+    ap = lincong.cli.build_arg_parser()
+    subcommands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subcommands.choices) == list(lincong.cli.COMMANDS)
+    for command, (_, func, arguments) in lincong.cli.COMMANDS.items():
+        sub = subcommands.choices[command]
+        names = [name for name, _ in arguments]
+        assert [s for a in sub._actions for s in a.option_strings] == [
+            "-h", "--help", *[name for name in names if name.startswith("--")]]
+        assert [a.dest for a in sub._actions if not a.option_strings] == [
+            name for name in names if not name.startswith("--")]
+        formats = [a.choices for a in sub._actions if a.dest == "format"]
+        assert formats == ([lincong.cli.FORMATS] if "--format" in names else [])
+        assert sub.get_default("func") is func
+
+
+ARGV_PARSER = lincong.cli.build_arg_parser()
+
+
+@composite
+def argvs(draw):
+    # a command, then flags of every command in "=" form and separate form,
+    # values that start with "-" or are empty, and words argparse reads
+    # apart: "--", "-", -h, an abbreviation and ""
+    command = draw(sampled_from([*lincong.cli.COMMANDS, "frobnicate", "-h"]))
+    flags = ["--coeffs", "--rhs", "--mod", "--format", "--limit", "--cap", "--seed"]
+    values = sampled_from(["1", "7,4", "json", "text", "xml", REF_EXPR, "-3", "-1_0", "-x",
+                           "-x + y ≡ 0 (mod 5)", "", "-", "--", "-h", "a=b"])
+    words = [command]
+    for _ in range(draw(integers(0, 6))):
+        kind = draw(integers(0, 3))
+        if kind == 0:
+            words.append(draw(values))
+        elif kind == 1:
+            words += [draw(sampled_from(flags)), draw(values)]
+        elif kind == 2:
+            words.append(f"{draw(sampled_from(flags))}={draw(values)}")
+        else:
+            words.append(draw(sampled_from(["--", "-", "-h", "--lim", "", "--format"])))
+    return words
+
+
+@settings(max_examples=1500, deadline=None)
+@example(["solve", "--format", "xml", "--format", "json", REF_EXPR])
+@example(["check", "x", "--mod", "1", "7,4", "1,0"])
+@example(["solve", "--rhs=--", REF_EXPR])
+@example(["enumerate", REF_EXPR, "--limit", "-1"])
+@given(argvs())
+def test_a_scanned_argv_reads_as_argparse_reads_it(argv):
+    # whenever the scan returns a namespace, argparse accepts the argv too,
+    # writes nothing, and builds the same one
+    args = lincong.cli._scan(argv)
+    if args is None:
+        return
+    written = io.StringIO()
+    with redirect_stdout(written), redirect_stderr(written):
+        assert vars(args) == vars(ARGV_PARSER.parse_args(argv))
+    assert written.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv, canonical, scanned", [
+    (["solve", REF_EXPR, "--lim", "1"], ["solve", REF_EXPR, "--limit=1"], False),
+    (["solve", REF_EXPR, "--format", "text", "--format", "json"],
+     ["solve", REF_EXPR, "--format=json"], False),
+    (["solve", "--", "-x + y ≡ 0 (mod 5)"], ["solve", " -x + y ≡ 0 (mod 5)"], False),
+    (["solve", "--coeffs=1,1", "--rhs", "-3", "--mod", "4"],
+     ["solve", "--coeffs=1,1", "--rhs=-3", "--mod", "4"], True),
+])
+def test_each_spelling_of_an_argv_prints_the_same(capsys, argv, canonical, scanned):
+    # the scan reads the canonical form, and passes the others but a
+    # negative integer value on to argparse
+    assert lincong.cli._scan(canonical) is not None
+    assert (lincong.cli._scan(argv) is not None) == scanned
+    expected = run(capsys, *canonical)
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
 
 
 def test_module_entry_point():
@@ -1109,8 +1196,9 @@ def test_importing_the_cli_loads_only_what_every_call_uses():
     # random and the oracle serve only verify, json and intmath no call, and
     # typing nothing at run time, so a cold start does not import them; the
     # records are plain classes, so neither dataclasses nor the inspect it
-    # pulls in is loaded either
-    unused = ["json", "random", "typing", "dataclasses", "inspect",
+    # pulls in is loaded either; argparse and its gettext wait for an argv
+    # the scan passes on
+    unused = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
               "lincong.oracle", "lincong.intmath"]
     probe = (f"import sys; before = set(sys.modules); import lincong.cli; "
              f"print(sorted(set(sys.modules) - before & set({unused!r})))")
@@ -1141,8 +1229,8 @@ def test_no_module_of_the_package_loads_dataclasses():
 def test_each_subcommand_loads_only_what_it_uses(argv):
     # the modules a call loads, `import lincong.cli` included: the oracle for
     # verify alone, random for its --seed batch alone, and json, typing,
-    # intmath, dataclasses or inspect for none
-    watched = ["json", "random", "typing", "dataclasses", "inspect",
+    # intmath, dataclasses, inspect, argparse or gettext for none
+    watched = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
                "lincong.oracle", "lincong.intmath"]
     probe = (f"import os, sys; before = set(sys.modules); import lincong.cli; "
              f"sys.stdout = open(os.devnull, 'w'); code = lincong.cli.main({argv!r}); "
