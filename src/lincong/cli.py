@@ -1,7 +1,8 @@
 """Command-line front end: solve, enumerate, check, verify.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-2 usage/parse/sizing error, 3 unsolvable instance, 4 oracle disagreement.
+2 usage/parse/sizing error or a closed or failing stdin or stdout,
+3 unsolvable instance, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
-
-_join = str.join  # bound at import: shadowing this module's str leaves joins alone
 
 
 # Every integer given as a flag or a vector is read as the expression grammar
@@ -70,6 +69,8 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("--rhs and --mod go with --coeffs")
         if args.expr is None:
             raise ValueError("an expression (or --coeffs/--rhs/--mod) is required")
+        if args.expr == "-" and sys.stdin is None:
+            raise ValueError("'-' reads the expression from stdin, which is closed")
         text = sys.stdin.read() if args.expr == "-" else args.expr
         parsed = parse(text.strip())
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
@@ -130,7 +131,7 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
             heads = list(map(lead.__mod__, prefixes[:-(-left // size)]))
             left -= size * len(heads)
             tails = chain(repeat(tail, len(heads) - 1), (tail if left >= 0 else tail[:left],))
-            text = glue.join(map(add, heads, map(_join, map(glue.__add__, heads), tails)))
+            text = glue.join(map(add, heads, map(str.join, map(glue.__add__, heads), tails)))
         out.write(before + text + close)
         if left <= 0:
             break
@@ -288,7 +289,7 @@ def build_arg_parser():
         prog="lincong",
         description="Solve linear congruences a1*x1 + ... + an*xn ≡ b (mod m).")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (about, func, arguments) in COMMANDS.items():
+    for command, (about, _, arguments) in COMMANDS.items():
         p = sub.add_parser(command, help=about)
         for name, text in arguments:
             if name == "expr":
@@ -297,7 +298,6 @@ def build_arg_parser():
                 p.add_argument(name, choices=FORMATS, default="text")
             else:
                 p.add_argument(name, help=text)
-        p.set_defaults(func=func)
     return ap
 
 
@@ -310,21 +310,20 @@ def _main_parser():
     return build_arg_parser()
 
 
-def _scan_spec(command, func, arguments):
+def _scan_spec(command, arguments):
     # what _scan needs of one command: its flags, {flag: dest}; the
     # positionals it requires; and the namespace argparse starts from, every
-    # dest None but --format's "text", with the command and its function
+    # dest None but --format's "text", with the command
     names = [name for name, _ in arguments]
     defaults = dict.fromkeys([name.lstrip("-") for name in names], None)
-    defaults.update(command=command, func=func)
+    defaults["command"] = command
     if "format" in defaults:
         defaults["format"] = "text"
     return ({name: name[2:] for name in names if name[:2] == "--"},
             tuple(name for name in names if name[:1] != "-" and name != "expr"), defaults)
 
 
-_SCAN = {command: _scan_spec(command, func, arguments)
-         for command, (_, func, arguments) in COMMANDS.items()}
+_SCAN = {command: _scan_spec(command, arguments) for command, (_, _, arguments) in COMMANDS.items()}
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
@@ -376,18 +375,10 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**{**defaults, **values})
 
 
-def _parse_argv(argv):
-    # A valid argv is read by the scan alone; argparse parses only the ones
-    # the scan passes on, and writes every help text and usage message.
-    # No argv means sys.argv[1:], as it does to argparse.
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _scan(argv)
-    return _main_parser().parse_args(argv) if args is None else args
-
-
 def _discard_stdout():
-    # after a broken pipe, point the stdout descriptor at the null device so
-    # the interpreter's final flush of what is still buffered cannot fail too
+    # after a broken pipe or a failed write, point the stdout descriptor at the
+    # null device so the interpreter's final flush of what is still buffered
+    # cannot fail too
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):  # no descriptor, e.g. StringIO
@@ -402,13 +393,23 @@ def main(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _parse_argv(argv)
-        code = args.func(args)
+        # A valid argv is read by the scan alone; argparse parses only the
+        # ones the scan passes on, and writes every help text and usage
+        # message.  No argv means sys.argv[1:], as it does to argparse.
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _scan(argv) or _main_parser().parse_args(argv)
+        if sys.stdout is None:  # started with stdout closed
+            raise ValueError("stdout is closed")
+        code = COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # the reader closed stdout early, e.g. `| head`
         _discard_stdout()
         return EXIT_OK
+    except OSError as exc:  # stdin or stdout failed, e.g. stdout on a full disk
+        _discard_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:  # includes ParseError and CapExceededError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -441,14 +441,16 @@ def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
 
 @pytest.fixture
 def str_calls(monkeypatch):
-    """The values lincong.cli converts with str(), recorded by a shadowing wrapper."""
+    """The values lincong.cli converts with str(), recorded by a shadowing str
+    subclass, which keeps str's methods, join among them."""
     converted = []
 
-    def counting_str(value=""):
-        converted.append(value)
-        return str(value)
+    class CountingStr(str):
+        def __new__(cls, value=""):
+            converted.append(value)
+            return str(value)
 
-    monkeypatch.setattr(lincong.cli, "str", counting_str, raising=False)
+    monkeypatch.setattr(lincong.cli, "str", CountingStr, raising=False)
     return converted
 
 
@@ -553,6 +555,9 @@ def block_instances(draw):
 @given(block_instances())
 @example(normalize([15, 10, 6, 5], 0, 30))
 @example(normalize([42, 28, 12], 0, 84))
+# a tie: gcds (4, 2, 2) and p2 = 16, so 8 runs at depth 1; a depth-2 block
+# of 4 rows joined 16 // 4 = 4 times costs 4 + 4 = 8, no more, so the depth is 2
+@example(normalize([4, 2, 2], 0, 8))
 def test_enumerate_blocks_match_the_oracle_row_for_row(c):
     # the block covers the deepest coordinates, and a coordinate outside it
     # moves, so each block is joined onto more than one prefix
@@ -1045,14 +1050,15 @@ def test_one_parser_serves_every_call_with_the_same_bytes(capsys, monkeypatch):
     assert len(built) == 1
     assert digests(reversed(list(CASES))) == GOLDEN
     assert len(built) == 1
-    # build_arg_parser() returns a new parser each time; changing one
-    # leaves main's alone, which reads an abbreviated --limit as argparse does
+    # build_arg_parser() returns a new parser each time; changing a default
+    # in one leaves main's alone, which reads an abbreviated --limit as
+    # argparse does
     ap = build()
     assert ap is not build()
     subcommands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    subcommands.choices["solve"].set_defaults(func=lambda args: 99)
+    subcommands.choices["solve"].set_defaults(format="json")
     argv = ["solve", REF_EXPR, "--lim", "1"]
-    assert ap.parse_args(argv).func(None) == 99
+    assert ap.parse_args(argv).format == "json"
     assert lincong.cli._scan(argv) is None
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -1104,12 +1110,12 @@ def test_argparse_exits_keep_their_bytes(capsys, monkeypatch, argv, code, digest
 
 
 def test_the_command_table_builds_the_parser():
-    # each subparser's flags, positionals, --format choices and function are
-    # the table's, so a flag added to one cannot drift from the other
+    # each subparser's flags, positionals and --format choices are the
+    # table's, so a flag added to one cannot drift from the other
     ap = lincong.cli.build_arg_parser()
     subcommands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     assert list(subcommands.choices) == list(lincong.cli.COMMANDS)
-    for command, (_, func, arguments) in lincong.cli.COMMANDS.items():
+    for command, (_, _, arguments) in lincong.cli.COMMANDS.items():
         sub = subcommands.choices[command]
         names = [name for name, _ in arguments]
         assert [s for a in sub._actions for s in a.option_strings] == [
@@ -1118,7 +1124,15 @@ def test_the_command_table_builds_the_parser():
             name for name in names if not name.startswith("--")]
         formats = [a.choices for a in sub._actions if a.dest == "format"]
         assert formats == ([lincong.cli.FORMATS] if "--format" in names else [])
-        assert sub.get_default("func") is func
+
+
+@pytest.mark.parametrize("argv", [["solve", REF_EXPR], ["solve", REF_EXPR, "--lim", "1"]])
+def test_main_calls_the_function_the_table_names(monkeypatch, argv):
+    # an argv read by the scan and one read by argparse both reach the
+    # command through COMMANDS, the only place that stores its function
+    about, _, arguments = lincong.cli.COMMANDS["solve"]
+    monkeypatch.setitem(lincong.cli.COMMANDS, "solve", (about, lambda args: 99, arguments))
+    assert main(argv) == 99
 
 
 ARGV_PARSER = lincong.cli.build_arg_parser()
@@ -1131,8 +1145,12 @@ def argvs(draw):
     # apart: "--", "-", -h, an abbreviation and ""
     command = draw(sampled_from([*lincong.cli.COMMANDS, "frobnicate", "-h"]))
     flags = ["--coeffs", "--rhs", "--mod", "--format", "--limit", "--cap", "--seed"]
+    # argparse reads "-" and Unicode decimal digits ("-١", "-１") as a
+    # negative number, a value, but "-²" as an option: ² is a digit, not a
+    # decimal
     values = sampled_from(["1", "7,4", "json", "text", "xml", REF_EXPR, "-3", "-1_0", "-x",
-                           "-x + y ≡ 0 (mod 5)", "", "-", "--", "-h", "a=b"])
+                           "-x + y ≡ 0 (mod 5)", "", "-", "--", "-h", "a=b",
+                           "-²", "-١", "-１"])
     words = [command]
     for _ in range(draw(integers(0, 6))):
         kind = draw(integers(0, 3))
@@ -1152,6 +1170,7 @@ def argvs(draw):
 @example(["check", "x", "--mod", "1", "7,4", "1,0"])
 @example(["solve", "--rhs=--", REF_EXPR])
 @example(["enumerate", REF_EXPR, "--limit", "-1"])
+@example(["enumerate", REF_EXPR, "--limit", "-²"])
 @given(argvs())
 def test_a_scanned_argv_reads_as_argparse_reads_it(argv):
     # whenever the scan returns a namespace, argparse accepts the argv too,
@@ -1272,6 +1291,30 @@ def test_enumerate_into_closed_pipe_exits_cleanly():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ["solve", "-"]), ("stdin", ["verify", "-"]),
+    ("stdout", ["solve", "x ≡ 1 (mod 3)"]), ("stdout", ["check", "x ≡ 1 (mod 3)", "1", "1"])])
+def test_a_closed_standard_stream_is_a_usage_error(capsys, monkeypatch, stream, argv):
+    # an interpreter started with descriptor 0 or 1 closed has sys.stdin or
+    # sys.stdout None
+    monkeypatch.setattr(sys, stream, None)
+    err = ("'-' reads the expression from stdin, which is closed" if stream == "stdin"
+           else "stdout is closed")
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_failing_stdout_is_one_error_line():
+    # every write to /dev/full fails with ENOSPC: one error line, and the
+    # interpreter's last flush of the buffered rows stays quiet
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lincong", "solve", "x ≡ 1 (mod 3)"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=subprocess_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_solve_sixty_unknowns_renders_counts_past_the_digit_limit(capsys):
