@@ -71,7 +71,10 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("an expression (or --coeffs/--rhs/--mod) is required")
         if args.expr == "-" and sys.stdin is None:
             raise ValueError("'-' reads the expression from stdin, which is closed")
-        text = sys.stdin.read() if args.expr == "-" else args.expr
+        try:
+            text = sys.stdin.read() if args.expr == "-" else args.expr
+        except OSError as exc:  # an unreadable stdin, e.g. EIO from a lost terminal
+            raise ValueError(f"stdin: {exc}") from None
         parsed = parse(text.strip())
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
@@ -323,7 +326,8 @@ def _scan_spec(command, arguments):
             tuple(name for name in names if name[:1] != "-" and name != "expr"), defaults)
 
 
-_SCAN = {command: _scan_spec(command, arguments) for command, (_, _, arguments) in COMMANDS.items()}
+_SCAN = {command: _scan_spec(command, arguments)
+         for command, (_, _, arguments) in COMMANDS.items()}
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
@@ -406,7 +410,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout early, e.g. `| head`
         _discard_stdout()
         return EXIT_OK
-    except OSError as exc:  # stdin or stdout failed, e.g. stdout on a full disk
+    except OSError as exc:  # stdout failed, e.g. on a full disk
         _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

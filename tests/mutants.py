@@ -3,13 +3,16 @@ one small edit of src/lincong that the named test files must catch.
 
     python tests/mutants.py
 
-For each mutant it copies src/ and tests/ into a temporary directory,
-applies the edit there, and runs the mutant's test files with `pytest -x -q`;
-a failing run kills the mutant.  An equivalent mutant, one that no input can
-tell from the original, names no test files: it is reported with its reason
-and not run.  The exit status is 1 when a mutant survives, or its old text no
-longer occurs exactly once in its file, and 0 otherwise.  Standard library
-only, besides the pytest and hypothesis that the tests need.
+For each mutant it copies the repository (all but .git and caches) into a
+temporary directory, applies the edit there, and runs the mutant's test files
+with `pytest -x -q`; a failing run kills the mutant.  First it runs every
+named test file once on an unmutated copy: unless that run passes, a failing
+run shows nothing, so no mutant is run and the exit status is 1.  An
+equivalent mutant, one that no input can tell from the original, names no
+test files: it is reported with its reason and not run.  The exit status is 1
+when a mutant survives, or its old text no longer occurs exactly once in its
+file, and 0 otherwise.  Standard library only, besides the pytest and
+hypothesis that the tests need.
 """
 
 import os
@@ -43,32 +46,43 @@ MUTANTS = [
     ("oracle.py", "if n * (m.bit_length() - 1) >= cap.bit_length() or m ** n > cap:",
      "if m ** n > cap:",
      "brute_force computes m**n of any size before refusing it", ORACLE),
+    ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
+     "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
+     "at the null device", CLI),
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
 ]
 
 
-def run_mutant(file, old, new, tests):
-    """True when the tests fail on the mutant, False when they pass."""
+def run_tests(tests, file=None, old="", new=""):
+    """pytest's result for the tests on a copy of the repository with old
+    replaced by new in src/lincong/file, or unmutated when file is None."""
     with tempfile.TemporaryDirectory(prefix="lincong-mutant-") as tmp:
-        tmp = pathlib.Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, tmp / part, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", tmp)
-        path = tmp / "src" / "lincong" / file
-        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        copy = pathlib.Path(tmp) / "repo"
+        skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                      "*.egg-info", ".bench_out", ".bench_build")
+        shutil.copytree(ROOT, copy, ignore=skip)
+        if file is not None:
+            path = copy / "src" / "lincong" / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *tests], cwd=tmp, env=env, capture_output=True, text=True)
+                               *tests], cwd=copy, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # 1: a test failed; anything else broke the run
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return proc.returncode == 1
+    return proc
 
 
 def main():
     start = time.perf_counter()
+    tests = sorted({name for *_, names in MUTANTS for name in names})
+    proc = run_tests(tests)
+    if proc.returncode:
+        print(f"the unmutated copy fails {' '.join(tests)}, so no mutant can be judged:\n"
+              f"{proc.stdout}{proc.stderr}")
+        return 1
+    print(f"{'passed':10} unmutated: {' '.join(tests)} ({time.perf_counter() - start:.0f} s)")
     failed = 0
     for file, old, new, reason, tests in MUTANTS:
         label = f"{file}: {old!r} -> {new!r}"
@@ -80,7 +94,7 @@ def main():
             print(f"{'equivalent':10} {label}\n    {reason}")
         else:
             t0 = time.perf_counter()
-            killed = run_mutant(file, old, new, tests)
+            killed = run_tests(tests, file, old, new).returncode == 1
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict:10} {label} ({time.perf_counter() - t0:.0f} s)\n    {reason}")
             failed += not killed

@@ -1305,6 +1305,25 @@ def test_a_closed_standard_stream_is_a_usage_error(capsys, monkeypatch, stream, 
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
+class _UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        raise IsADirectoryError(21, "Is a directory")
+
+
+def test_an_unreadable_stdin_leaves_stdout_alone(monkeypatch, tmp_path):
+    # a stdin whose read fails: one error line, and stdout's descriptor,
+    # which nothing wrote to, still points at its file, not at the null device
+    out = tmp_path / "out.txt"
+    with open(out, "w") as stdout:
+        monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["solve", "-"]) == 2
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(out))
+    assert err.getvalue() == "error: stdin: [Errno 21] Is a directory\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_a_failing_stdout_is_one_error_line():
     # every write to /dev/full fails with ENOSPC: one error line, and the
