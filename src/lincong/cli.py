@@ -79,6 +79,34 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
+def _quotient(digits: str, divisor: int) -> str:
+    # The decimal digits of int(digits) // divisor, which must divide it
+    # exactly, in time linear in len(digits) for a short divisor: parsing the
+    # digits, dividing by the divisor and writing the quotient are each
+    # linear in decimal, where int -> str is quadratic before Python 3.12.
+    # The precision holds every digit of the quotient, so an inexact result
+    # is a bug and raises; Emax lifts the default bound of a million digits.
+    import decimal  # only long counts need it
+
+    context = decimal.Context(prec=len(digits), Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    return f"{context.divide(decimal.Decimal(digits), divisor):f}"
+
+
+def _counts(s: SolveSummary) -> tuple[str, str, str, str]:
+    # The one renderer of the four counts, d, p1, p2 and s, as decimal
+    # strings.  s = p1 / p2 is read off p1's digits by one exact division when
+    # s has at least 3,322 bits (so 1,000 digits) and p2 at most a quarter of
+    # them; below that, or with a longer p2, int -> str of s is faster.  The
+    # cutover changes speed only: both ways write the same digits.
+    p1 = f"{s.solution_count}"
+    bits = s.basis_size.bit_length()
+    if bits >= 3322 and 4 * s.expansion_count.bit_length() <= bits:
+        basis_size = _quotient(p1, s.expansion_count)
+    else:
+        basis_size = f"{s.basis_size}"
+    return f"{s.gcd_all}", p1, f"{s.expansion_count}", basis_size
+
+
 def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     # The one writer of both commands' rows and cut mark: the basis rows, or
     # their expansions when expand is True, at most `limit` of them.  Every
@@ -110,9 +138,10 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
     if fmt == "json":
         rows_key = "solutions" if expand else "basis"
-        out.write(f'{{"d": "{s.gcd_all}", "solvable": {"true" if s.solvable else "false"}, '
-                  f'"p1": "{s.solution_count}", "p2": "{s.expansion_count}", '
-                  f'"s": "{s.basis_size}"' + (f', "{rows_key}": [' if s.solvable else ""))
+        d, p1, p2, basis_size = _counts(s)
+        out.write(f'{{"d": "{d}", "solvable": {"true" if s.solvable else "false"}, '
+                  f'"p1": "{p1}", "p2": "{p2}", "s": "{basis_size}"'
+                  + (f', "{rows_key}": [' if s.solvable else ""))
     glue = close + joiner
     before = ""
     lead, shown = None, ()
@@ -147,12 +176,13 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
 
 
 def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
+    d, p1, p2, basis_size = _counts(s)
     sys.stdout.write(f"congruence: {format_congruence(parsed)}\n"
-                     f"d = {s.gcd_all}\n"
+                     f"d = {d}\n"
                      f"solvable = {'true' if s.solvable else 'false'}\n"
-                     f"solutions (p1) = {s.solution_count}\n"
-                     f"per-seed (p2) = {s.expansion_count}\n"
-                     f"basis size (s) = {s.basis_size}\n"
+                     f"solutions (p1) = {p1}\n"
+                     f"per-seed (p2) = {p2}\n"
+                     f"basis size (s) = {basis_size}\n"
                      + ("basis:\n" if s.solvable else ""))
 
 
@@ -288,7 +318,15 @@ def build_arg_parser():
     """
     import argparse  # a valid argv never needs it: only help and usage errors do
 
-    ap = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers are of this class too
+        def print_help(self, file=None):
+            # argparse's own print_help swallows an OSError, so help to a full
+            # disk would exit 0; this one lets it reach main's handler
+            file = file or sys.stdout or sys.stderr  # argparse's choice of stream
+            if file is not None:
+                file.write(self.format_help())
+
+    ap = Parser(
         prog="lincong",
         description="Solve linear congruences a1*x1 + ... + an*xn ≡ b (mod m).")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -401,7 +439,12 @@ def main(argv=None) -> int:
         # ones the scan passes on, and writes every help text and usage
         # message.  No argv means sys.argv[1:], as it does to argparse.
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = _scan(argv) or _main_parser().parse_args(argv)
+        try:
+            args = _scan(argv) or _main_parser().parse_args(argv)
+        except SystemExit:  # help or a usage error: a buffered help text must reach stdout
+            if sys.stdout is not None:
+                sys.stdout.flush()
+            raise
         if sys.stdout is None:  # started with stdout closed
             raise ValueError("stdout is closed")
         code = COMMANDS[args.command][1](args)

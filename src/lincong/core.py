@@ -153,9 +153,11 @@ class LinearCongruence(_Record):
         """Derive the record, once, on first use: 2n gcd calls for arity n."""
         m = self.modulus
         gcds = tuple(gcd(a, m) for a in self.coeffs)
-        h = [m]  # h[-1]: gcd of m and the coefficients taken so far, from the right
-        for a in reversed(self.coeffs):
-            h.append(gcd(a, h[-1]))
+        # h[-1]: gcd of m and the coefficients taken so far, from the right;
+        # gcd(a_i, h) = gcd(g_i, h) as h divides m, and g_i is already reduced
+        h = [m]
+        for g in reversed(gcds):
+            h.append(gcd(g, h[-1]))
         d = h[-1]
         p1, p2 = d * m ** (self.arity - 1), prod(gcds)
         s, rest = divmod(p1, p2)

@@ -49,9 +49,22 @@ MUTANTS = [
     ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
      "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
      "at the null device", CLI),
+    ("cli.py", "decimal.Decimal(digits), divisor)", "decimal.Decimal(digits), divisor + 1)",
+     "_quotient divides p1 by p2 + 1 when it writes a long s", CLI),
+    ("cli.py", "Emax=decimal.MAX_EMAX, ", "",
+     "_quotient keeps decimal's default Emax, which overflows past a million digits", CLI),
+    ("cli.py", "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(digit_limit)",
+     "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused", CLI),
+    ("cli.py", ".join(tail if left >= 0 else tail[:left])", ".join(tail if left >= 0 else tail)",
+     "_print_rows writes a single prefix's whole block past the limit", CLI),
+    ("cli.py", "(tail if left >= 0 else tail[:left],)", "(tail if left >= 0 else tail,)",
+     "_print_rows writes a group's last whole block past the limit", CLI),
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
+    ("cli.py", "if bits >= 3322 and", "if bits >= 0 and",
+     "equivalent: both sides of _counts' cutover write the same digits of s, so it "
+     "changes speed only", ()),
 ]
 
 

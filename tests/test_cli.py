@@ -18,7 +18,7 @@ from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis.strategies import composite, integers, lists, sampled_from
+from hypothesis.strategies import composite, integers, lists, one_of, sampled_from
 
 import lincong.cli
 import lincong.core
@@ -1216,9 +1216,9 @@ def test_importing_the_cli_loads_only_what_every_call_uses():
     # typing nothing at run time, so a cold start does not import them; the
     # records are plain classes, so neither dataclasses nor the inspect it
     # pulls in is loaded either; argparse and its gettext wait for an argv
-    # the scan passes on
+    # the scan passes on, decimal for a count of 1,000 digits
     unused = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
-              "lincong.oracle", "lincong.intmath"]
+              "decimal", "lincong.oracle", "lincong.intmath"]
     probe = (f"import sys; before = set(sys.modules); import lincong.cli; "
              f"print(sorted(set(sys.modules) - before & set({unused!r})))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
@@ -1248,9 +1248,10 @@ def test_no_module_of_the_package_loads_dataclasses():
 def test_each_subcommand_loads_only_what_it_uses(argv):
     # the modules a call loads, `import lincong.cli` included: the oracle for
     # verify alone, random for its --seed batch alone, and json, typing,
-    # intmath, dataclasses, inspect, argparse or gettext for none
+    # intmath, dataclasses, inspect, argparse, gettext or, with short counts,
+    # decimal for none
     watched = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
-               "lincong.oracle", "lincong.intmath"]
+               "decimal", "lincong.oracle", "lincong.intmath"]
     probe = (f"import os, sys; before = set(sys.modules); import lincong.cli; "
              f"sys.stdout = open(os.devnull, 'w'); code = lincong.cli.main({argv!r}); "
              f"sys.stdout = sys.__stdout__; "
@@ -1336,6 +1337,18 @@ def test_a_failing_stdout_is_one_error_line():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_help_to_a_failing_stdout_is_one_error_line(unbuffered):
+    # argparse would swallow the failed write of the help text and exit 0;
+    # unbuffered, the write itself fails, buffered, main's flush does
+    env = {**subprocess_env(), "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lincong", "solve", "--help"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
 def test_solve_sixty_unknowns_renders_counts_past_the_digit_limit(capsys):
     m = 10**100 - 1
     coeffs = ",".join(str(a) for a in range(1, 61))
@@ -1355,3 +1368,43 @@ def test_solve_parses_a_5000_digit_modulus(capsys):
     assert lines[0] == f"congruence: 1*x ≡ 1 (mod {literal})"
     assert "solutions (p1) = 1" in lines
     assert "basis size (s) = 1" in lines
+
+
+@composite
+def count_instances(draw):
+    # arity 1-4 with m = u * 2**e, e up to 100 or 3,000 to 3,800, and
+    # coefficients v * 2**f, so that s and p2 fall on both sides of _counts'
+    # cutover
+    n = draw(integers(min_value=1, max_value=4))
+    e = draw(one_of(integers(min_value=0, max_value=100),
+                    integers(min_value=3000, max_value=3800)))
+    factor = integers(min_value=0, max_value=2**40)
+    shift = one_of(integers(min_value=0, max_value=64), integers(min_value=0, max_value=e))
+    m = max(1, draw(factor)) << e
+    coeffs = [draw(factor) << draw(shift) for _ in range(n)]
+    return normalize(coeffs, draw(integers(min_value=0, max_value=m)), m)
+
+
+@settings(max_examples=150)
+@given(count_instances())
+@example(normalize([1, 1], 0, 10**999 - 1))  # s = m of 999 digits, p2 = 1
+@example(normalize([1, 1], 0, 10**1000 + 1))  # 1,001 digits
+@example(normalize([1, 1], 0, 2**3321 - 1))  # the last s written by str
+@example(normalize([1, 1], 0, 2**3321))  # the first s read off p1
+@example(normalize([2**899, 1], 0, 2**4498))  # p2 has a quarter of s's bits
+@example(normalize([2**900, 1], 0, 2**4498))  # and one bit more
+@example(normalize([2**1300, 1], 0, 2**5000))  # p2 of 392 digits, s of 1,114
+@example(normalize([2, 2], 1, 2 * (10**1100 + 7)))  # unsolvable
+@example(normalize([3], 0, 3 * 10**1200))  # n = 1
+@example(normalize([0, 0], 0, 1))  # m = 1
+def test_the_counts_are_their_decimal_strings(c):
+    # both sides of the cutover write each count as str() does
+    s = c.summary
+    expected = tuple(map(decimal, (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size)))
+    assert lincong.cli._counts(s) == expected
+
+
+def test_the_quotient_writes_a_count_past_a_million_digits():
+    # the quotient of 10**1200000 by 2 has an exponent past decimal's
+    # default bound of 999,999
+    assert lincong.cli._quotient("1" + "0" * 1_200_000, 2) == "5" + "0" * 1_199_999

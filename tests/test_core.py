@@ -163,6 +163,29 @@ def test_record_matches_independent_derivations_300_digit_modulus():
     assert shifted != p and set(expand(shifted, c)) == set(expand(p, c))
 
 
+@composite
+def big_shared_factor_instances(draw):
+    # arity 1-12, moduli up to 300 digits, coefficients that share a random
+    # factor of m, some of them 0, and m = 1
+    n = draw(integers(min_value=1, max_value=12))
+    k = draw(integers(min_value=1, max_value=10**150))
+    m = k * draw(integers(min_value=1, max_value=10**150))
+    unit = one_of(just(0), integers(min_value=1, max_value=m))
+    coeffs = [draw(unit) * draw(one_of(just(1), just(k))) for _ in range(n)]
+    return normalize(coeffs, 0, m)
+
+
+@settings(max_examples=200)
+@given(big_shared_factor_instances())
+@example(normalize([0], 0, 1))
+@example(normalize([0, 0, 0], 0, 1))
+@example(normalize([6 * 10**297], 0, 12 * 10**298))
+@example(normalize([0, 0, 4 * 10**298, 3 * 10**298], 0, 12 * 10**298))
+def test_record_matches_independent_derivations_on_shared_factors(c):
+    # the record folds the suffix gcds from gcd(a_i, m), not from a_i
+    check_record_folds(c)
+
+
 def test_record_is_derived_once_and_kept_on_the_instance():
     c = normalize([2, 4, 6], 0, 12)
     s = summarize(c)

@@ -16,6 +16,11 @@ CUBE = "x + y + z ≡ 0 (mod 1000)"
 UNSOLVABLE = "2x ≡ 1 (mod 4)"
 # a 300-digit modulus 12 * 10**298 with gcd(a_i, m) of 8, 3 * 10**298, m and 5
 BIG = ["--coeffs=8,%d,0,-5" % (3 * 10**298), "--rhs=4", "--mod=%d" % (12 * 10**298)]
+# 12 coefficients 30 * 7**(100 + i) mod R of 299 digits, modulus 30 * R of
+# 300 digits: d and each gcd(a_i, m) are 210, p1 and s have about 3,300 digits
+R = 10**298 + 3
+D300N12 = ["--coeffs=" + ",".join(str(30 * pow(7, 100 + i, R)) for i in range(12)),
+           "--rhs=420", "--mod=%d" % (30 * R)]
 
 CASES = {
     "solve-text": ["solve", REF],
@@ -37,6 +42,14 @@ CASES = {
     "solve-arity-5": ["solve", "2a + 4b + 6c + 3d + 5e ≡ 1 (mod 12)", "--limit", "40"],
     "solve-300-digits-json": ["solve", "--format", "json", "--limit", "3", *BIG],
     "enumerate-300-digits": ["enumerate", "--limit", "5", *BIG],
+    "solve-d300n12-text": ["solve", "--limit", "0", *D300N12],
+    "solve-d300n12-json": ["solve", "--format", "json", "--limit", "0", *D300N12],
+    # s = p1 = m of 1,101 digits, p2 = 1
+    "solve-p2-is-1": ["solve", "--limit", "0", "--coeffs=1,3", "--rhs=0",
+                      "--mod=%d" % (10**1100 + 7)],
+    # s = 2**3700, p2 = 2**1300: p2 has more than a quarter of s's bits
+    "solve-long-p2-json": ["solve", "--format", "json", "--limit", "0",
+                           "--coeffs=%d,1" % 2**1300, "--rhs=0", "--mod=%d" % 2**5000],
     "check-dependent": ["check", REF, "7,4", "1,0"],
     "check-independent-warning": ["check", REF, "1,0", "2,3"],
     "verify": ["verify", REF],
@@ -64,6 +77,10 @@ GOLDEN = {
     "solve-arity-5": (0, "e3818df73d114a19f8b8cbe090e25c4979b44617eb31242a879639fee473813f"),
     "solve-300-digits-json": (0, "fd491740b49f27423ec765a64bad1a9a12f413c7a7a4b3a0ca54735a6e87924e"),
     "enumerate-300-digits": (0, "8f870dea6be7e17f41e6637569019d89771708c7d12d86389fa23707c33442d4"),
+    "solve-d300n12-text": (0, "ba26ae7b9aa297c214fa047925049a63711ec9e9b5901c7b6a9e25fcdaedd5a0"),
+    "solve-d300n12-json": (0, "c6ed65a53f495b914f75869899f0a81804a92f0bd6bc68602f01eab2eadc5c9b"),
+    "solve-p2-is-1": (0, "564a01baccc0cd50ba34ac45db8478838593761dc02ab4f3076b632d2e481c90"),
+    "solve-long-p2-json": (0, "8768fa33d708a3722801f8eaac9ade534cf34a18801dbddfac2f7780009945a0"),
     "check-dependent": (0, "265785ef26e60f36c8b1463aaba6f690ea8d695798a1c90d58363dd6743dc84d"),
     "check-independent-warning": (0, "b6b4802070b2aeafe3b212ad03b096a009c1b6a0451ce0bcf55a5f44d4d0cfab"),
     "verify": (0, "d529b4ecc803a7636954458e556728917fdf141d3cf60117e7a9bf0e04594b9a"),
