@@ -16,7 +16,6 @@ from types import SimpleNamespace
 
 from .core import (
     LinearCongruence,
-    SolveSummary,
     _blocks,
     iter_basis,
     normalize,
@@ -79,32 +78,40 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
-def _quotient(digits: str, divisor: int) -> str:
-    # The decimal digits of int(digits) // divisor, which must divide it
-    # exactly, in time linear in len(digits) for a short divisor: parsing the
-    # digits, dividing by the divisor and writing the quotient are each
-    # linear in decimal, where int -> str is quadratic before Python 3.12.
-    # The precision holds every digit of the quotient, so an inexact result
+def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
+    # The one renderer of the four counts, d, p1, p2 and s, as decimal
+    # strings.  Before Python 3.12 int -> str is quadratic, so once p1 has at
+    # least 3,322 bits (1,000 digits) it is written as d * m**(n - 1) computed
+    # in decimal, whose products are subquadratic; below that str is faster.
+    # (Decimal(m) is itself quadratic, so at n = 2 with a short d the power
+    # costs about what str(p1) would.)  Then the longer of p2 and s = p1 / p2
+    # is read off p1 by one exact division when it has at least 3,322 bits
+    # and its cofactor at most a quarter of them; with a longer cofactor,
+    # int -> str is faster.  The precision bounds p1's digits,
+    # floor(bits * log10(2)) + 1, so every result is exact and an inexact one
     # is a bug and raises; Emax lifts the default bound of a million digits.
+    # Both sides of each cutover write the same digits.
+    s = c.summary
+    d = f"{s.gcd_all}"
+    if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
+        return d, d, d, "1"
+    bits = s.solution_count.bit_length()
+    if bits < 3322:
+        return d, f"{s.solution_count}", f"{s.expansion_count}", f"{s.basis_size}"
     import decimal  # only long counts need it
 
-    context = decimal.Context(prec=len(digits), Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    return f"{context.divide(decimal.Decimal(digits), divisor):f}"
+    context = decimal.Context(prec=bits * 30103 // 100000 + 1,
+                              Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    p1 = context.multiply(context.power(decimal.Decimal(c.modulus), c.arity - 1),
+                          decimal.Decimal(d))
 
+    def quotient(count: int, cofactor: int) -> str:  # count = p1 / cofactor
+        if count.bit_length() >= 3322 and 4 * cofactor.bit_length() <= count.bit_length():
+            return f"{context.divide(p1, cofactor):f}"
+        return f"{count}"
 
-def _counts(s: SolveSummary) -> tuple[str, str, str, str]:
-    # The one renderer of the four counts, d, p1, p2 and s, as decimal
-    # strings.  s = p1 / p2 is read off p1's digits by one exact division when
-    # s has at least 3,322 bits (so 1,000 digits) and p2 at most a quarter of
-    # them; below that, or with a longer p2, int -> str of s is faster.  The
-    # cutover changes speed only: both ways write the same digits.
-    p1 = f"{s.solution_count}"
-    bits = s.basis_size.bit_length()
-    if bits >= 3322 and 4 * s.expansion_count.bit_length() <= bits:
-        basis_size = _quotient(p1, s.expansion_count)
-    else:
-        basis_size = f"{s.basis_size}"
-    return f"{s.gcd_all}", p1, f"{s.expansion_count}", basis_size
+    return (d, f"{p1:f}", quotient(s.expansion_count, s.basis_size),
+            quotient(s.basis_size, s.expansion_count))
 
 
 def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
@@ -126,8 +133,8 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     # same block, so it is rendered once and reused while the next one
     # compares equal (O(1) for ranges).  A group of prefixes is one C-level
     # join.  The whole JSON document is written by hand, as json.dumps would
-    # write it: counts are decimal strings because they can exceed any fixed
-    # integer width, and an unsolvable solve has no rows key
+    # write it: counts are _counts' decimal strings, as they can exceed any
+    # fixed integer width, and an unsolvable solve has no rows key
     s = c.summary
     total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
     left = total if limit is None else min(limit, total)  # rows still to write
@@ -138,7 +145,7 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
     if fmt == "json":
         rows_key = "solutions" if expand else "basis"
-        d, p1, p2, basis_size = _counts(s)
+        d, p1, p2, basis_size = _counts(c)
         out.write(f'{{"d": "{d}", "solvable": {"true" if s.solvable else "false"}, '
                   f'"p1": "{p1}", "p2": "{p2}", "s": "{basis_size}"'
                   + (f', "{rows_key}": [' if s.solvable else ""))
@@ -175,8 +182,9 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
         out.write("# truncated\n")
 
 
-def _print_summary_text(parsed: ParsedCongruence, s: SolveSummary):
-    d, p1, p2, basis_size = _counts(s)
+def _print_summary_text(parsed: ParsedCongruence, c: LinearCongruence):
+    s = c.summary
+    d, p1, p2, basis_size = _counts(c)
     sys.stdout.write(f"congruence: {format_congruence(parsed)}\n"
                      f"d = {d}\n"
                      f"solvable = {'true' if s.solvable else 'false'}\n"
@@ -191,7 +199,7 @@ def cmd_solve(args) -> int:
     limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
     if args.format == "text":
-        _print_summary_text(parsed, s)
+        _print_summary_text(parsed, c)
     _print_rows(args.format, c, limit, expand=False)
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 

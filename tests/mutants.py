@@ -49,10 +49,17 @@ MUTANTS = [
     ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
      "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
      "at the null device", CLI),
-    ("cli.py", "decimal.Decimal(digits), divisor)", "decimal.Decimal(digits), divisor + 1)",
-     "_quotient divides p1 by p2 + 1 when it writes a long s", CLI),
+    ("cli.py", "context.divide(p1, cofactor)", "context.divide(p1, cofactor + 1)",
+     "_counts divides p1 by the cofactor + 1 when it reads a long s or p2 off p1", CLI),
     ("cli.py", "Emax=decimal.MAX_EMAX, ", "",
-     "_quotient keeps decimal's default Emax, which overflows past a million digits", CLI),
+     "_counts keeps decimal's default Emax, which overflows past a million digits", CLI),
+    ("cli.py", "Decimal(c.modulus), c.arity - 1)", "Decimal(c.modulus), c.arity)",
+     "_counts raises m to the n-th power, not the (n - 1)-th, when it writes a long p1", CLI),
+    ("cli.py", "prec=bits * 30103 // 100000 + 1,", "prec=bits * 30103 // 100000,",
+     "_counts' precision is one digit short of a p1 such as 10**1000 + 1, so the power "
+     "rounds and the trapped Inexact raises", CLI),
+    ("cli.py", "if bits < 3322:", "if bits < 0:",
+     "_counts writes every p1 at n >= 2 in decimal, so a tiny solve imports it", CLI),
     ("cli.py", "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(digit_limit)",
      "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused", CLI),
     ("cli.py", ".join(tail if left >= 0 else tail[:left])", ".join(tail if left >= 0 else tail)",
@@ -62,9 +69,16 @@ MUTANTS = [
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
-    ("cli.py", "if bits >= 3322 and", "if bits >= 0 and",
-     "equivalent: both sides of _counts' cutover write the same digits of s, so it "
-     "changes speed only", ()),
+    ("cli.py", "if count.bit_length() >= 3322 and", "if count.bit_length() >= 0 and",
+     "equivalent: both sides of _counts' quotient cutover write the same digits of s "
+     "or p2, and p1 is already in decimal, so it changes speed only", ()),
+    ("core.py", "cut = depth == 1 and not size", "cut = False",
+     "_expand_runs renders a cycle longer than _BLOCK_ROWS values as one block, so a "
+     "run of 10**300 values is held whole", CLI),
+    ("core.py", "if bound == g:", "if bound >= g:",
+     "_lex_runs takes one last value per x_{n-1} when x_n takes several", CORE),
+    ("cli.py", "if block != shown:", "if block is not shown:",
+     "_print_rows renders a block afresh for each seed whose equal run is a new range", CLI),
 ]
 
 

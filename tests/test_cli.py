@@ -14,7 +14,7 @@ import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -719,10 +719,12 @@ def test_verify_checks_the_rows_enumerate_writes(monkeypatch):
 
 def test_enumerate_streams_a_run_of_10_to_the_300_rows():
     # a_1 = 0 makes gcd(a_1, m) = m: the only basis row expands into one run
-    # of 10**300 values, which is written in slices as it is walked
+    # of 10**300 values, which is written in slices as it is walked; in 1 GiB,
+    # a writer that rendered the whole run first fails instead of growing
     argv = ["enumerate", "--coeffs=0", "--rhs=0", f"--mod={decimal(10**300)}"]
     proc = subprocess.Popen([sys.executable, "-m", "lincong", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+                            preexec_fn=_capped_address_space)
     # a writer that never gets to its first line is killed, so the reads end
     deadline = threading.Timer(30, proc.kill)
     deadline.start()
@@ -1387,24 +1389,50 @@ def count_instances(draw):
 
 @settings(max_examples=150)
 @given(count_instances())
-@example(normalize([1, 1], 0, 10**999 - 1))  # s = m of 999 digits, p2 = 1
+@example(normalize([1, 1], 0, 10**999 - 1))  # p1 = s = m of 999 digits, p2 = 1
 @example(normalize([1, 1], 0, 10**1000 + 1))  # 1,001 digits
-@example(normalize([1, 1], 0, 2**3321 - 1))  # the last s written by str
-@example(normalize([1, 1], 0, 2**3321))  # the first s read off p1
+@example(normalize([1, 1], 0, 2**3321 - 1))  # p1 of 3,321 bits, the last written by str
+@example(normalize([1, 1], 0, 2**3321))  # p1 of 3,322 bits, the first computed in decimal
 @example(normalize([2**899, 1], 0, 2**4498))  # p2 has a quarter of s's bits
 @example(normalize([2**900, 1], 0, 2**4498))  # and one bit more
 @example(normalize([2**1300, 1], 0, 2**5000))  # p2 of 392 digits, s of 1,114
+@example(normalize([0, 0, 0, 0, 0, 1, 1], 0, 10**300 + 7))  # p2 = m**5 read off p1, s = m
+@example(normalize([0, 0, 1], 0, 10**1100 + 7))  # p2 = p1 = m**2, s = 1
 @example(normalize([2, 2], 1, 2 * (10**1100 + 7)))  # unsolvable
-@example(normalize([3], 0, 3 * 10**1200))  # n = 1
+@example(normalize([6 * 10**1100], 0, 9 * 10**1100))  # n = 1, p1 = p2 = d of 1,101 digits
+@example(normalize([3], 0, 3 * 10**1200))  # n = 1, d = 3
 @example(normalize([0, 0], 0, 1))  # m = 1
 def test_the_counts_are_their_decimal_strings(c):
-    # both sides of the cutover write each count as str() does
+    # both sides of each cutover write each count as str() does
     s = c.summary
     expected = tuple(map(decimal, (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size)))
-    assert lincong.cli._counts(s) == expected
+    assert lincong.cli._counts(c) == expected
 
 
 def test_the_quotient_writes_a_count_past_a_million_digits():
-    # the quotient of 10**1200000 by 2 has an exponent past decimal's
-    # default bound of 999,999
-    assert lincong.cli._quotient("1" + "0" * 1_200_000, 2) == "5" + "0" * 1_199_999
+    # p1 = s = 10**1200000 has an exponent past decimal's default bound of
+    # 999,999, both as the power and as the quotient by p2 = 1
+    p1 = "1" + "0" * 1_200_000
+    assert lincong.cli._counts(normalize([1] * 1201, 0, 10**1000)) == ("1", p1, "1", p1)
+
+
+def test_long_counts_are_written_under_the_default_digit_limit():
+    # under the interpreter's default limit, int -> str refuses p1 = s =
+    # (10**100 + 7)**1999, of 199,901 digits; the expected digits are written
+    # in base 10**100 without it: place j holds C(1999, j) * 7**(1999 - j),
+    # plus the carry from the place below
+    n, base = 1999, 10**100
+    places, carry = [], 0
+    for j in range(n + 1):
+        carry, place = divmod(comb(n, j) * 7 ** (n - j) + carry, base)
+        places.append(f"{place:0100d}")
+    assert carry == 0
+    p1 = "".join(reversed(places)).lstrip("0")
+    assert len(p1) == 199_901
+    c = normalize([1] * (n + 1), 0, base + 7)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert lincong.cli._counts(c) == ("1", p1, "1", p1)
+    finally:
+        sys.set_int_max_str_digits(limit)
