@@ -114,12 +114,20 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
             quotient(s.basis_size, s.expansion_count))
 
 
-def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
-    # The one writer of both commands' rows and cut mark: the basis rows, or
-    # their expansions when expand is True, at most `limit` of them.  Every
-    # basis row expands into p2 >= 1 rows, so the first `limit` basis rows
-    # carry every row written and no later one is pulled (islice takes no stop
-    # above sys.maxsize); --limit 0 pulls none, so counts alone start no walk.
+def _print_rows(args, expand: bool) -> int:
+    # The body of solve (expand False) and of enumerate (expand True): the one
+    # writer of all either prints to stdout.  Errors come in a fixed order:
+    # the instance's, then --limit's (both raised, for main to report), then,
+    # for enumerate alone, an unsolvable instance, which writes one stderr
+    # line and no stdout.  The head is the JSON document's opening for both
+    # commands, and the counting summary for a text solve; a text enumerate
+    # has none.  Both heads take the counts from one _counts call, and an
+    # unsolvable solve writes its head with no rows and exits 3.  Then come
+    # the rows and the cut mark: the basis rows, or their expansions when
+    # expand is True, at most `limit` of them.  Every basis row expands into
+    # p2 >= 1 rows, so the first `limit` basis rows carry every row written
+    # and no later one is pulled (islice takes no stop above sys.maxsize);
+    # --limit 0 pulls none, so counts alone start no walk.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
     # cut to the rows left, and none after it is pulled.  Every prefix of a
@@ -135,20 +143,32 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
     # join.  The whole JSON document is written by hand, as json.dumps would
     # write it: counts are _counts' decimal strings, as they can exceed any
     # fixed integer width, and an unsolvable solve has no rows key
-    s = c.summary
+    c, parsed = _load_instance(args)
+    limit = _flag_int(args.limit, "--limit", nonnegative=True)
+    s = summarize(c)
+    if expand and not s.solvable:
+        print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
+              file=sys.stderr)
+        return EXIT_UNSOLVABLE
+    out = sys.stdout
+    as_json = args.format == "json"
+    if as_json or not expand:
+        d, p1, p2, basis_size = _counts(c)
+        solvable = "true" if s.solvable else "false"
+        if as_json:
+            out.write(f'{{"d": "{d}", "solvable": {solvable}, "p1": "{p1}", "p2": "{p2}", '
+                      f'"s": "{basis_size}"'
+                      + (f', "{"solutions" if expand else "basis"}": [' if s.solvable else ""))
+        else:
+            out.write(f"congruence: {format_congruence(parsed)}\nd = {d}\n"
+                      f"solvable = {solvable}\nsolutions (p1) = {p1}\nper-seed (p2) = {p2}\n"
+                      f"basis size (s) = {basis_size}\n" + ("basis:\n" if s.solvable else ""))
     total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
     left = total if limit is None else min(limit, total)  # rows still to write
     truncated = left < total
     # the seeds are constructed solutions, so they skip expand()'s seed check
     seeds = islice(iter_basis(c), None if limit is None else min(limit, sys.maxsize))
-    out = sys.stdout
-    opening, sep, close, joiner = ("[", ", ", "]", ", ") if fmt == "json" else ("", " ", "\n", "")
-    if fmt == "json":
-        rows_key = "solutions" if expand else "basis"
-        d, p1, p2, basis_size = _counts(c)
-        out.write(f'{{"d": "{d}", "solvable": {"true" if s.solvable else "false"}, '
-                  f'"p1": "{p1}", "p2": "{p2}", "s": "{basis_size}"'
-                  + (f', "{rows_key}": [' if s.solvable else ""))
+    opening, sep, close, joiner = ("[", ", ", "]", ", ") if as_json else ("", " ", "\n", "")
     glue = close + joiner
     before = ""
     lead, shown = None, ()
@@ -175,45 +195,20 @@ def _print_rows(fmt: str, c: LinearCongruence, limit: int | None, expand: bool):
         if left <= 0:
             break
         before = joiner
-    if fmt == "json":
+    if as_json:
         truncation = "true" if truncated else "false"
         out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')
     elif truncated:
         out.write("# truncated\n")
-
-
-def _print_summary_text(parsed: ParsedCongruence, c: LinearCongruence):
-    s = c.summary
-    d, p1, p2, basis_size = _counts(c)
-    sys.stdout.write(f"congruence: {format_congruence(parsed)}\n"
-                     f"d = {d}\n"
-                     f"solvable = {'true' if s.solvable else 'false'}\n"
-                     f"solutions (p1) = {p1}\n"
-                     f"per-seed (p2) = {p2}\n"
-                     f"basis size (s) = {basis_size}\n"
-                     + ("basis:\n" if s.solvable else ""))
-
-
-def cmd_solve(args) -> int:
-    c, parsed = _load_instance(args)
-    limit = _flag_int(args.limit, "--limit", nonnegative=True)
-    s = summarize(c)
-    if args.format == "text":
-        _print_summary_text(parsed, c)
-    _print_rows(args.format, c, limit, expand=False)
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
+def cmd_solve(args) -> int:
+    return _print_rows(args, expand=False)
+
+
 def cmd_enumerate(args) -> int:
-    c, parsed = _load_instance(args)
-    limit = _flag_int(args.limit, "--limit", nonnegative=True)
-    s = summarize(c)
-    if not s.solvable:
-        print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
-              file=sys.stderr)
-        return EXIT_UNSOLVABLE
-    _print_rows(args.format, c, limit, expand=True)
-    return EXIT_OK
+    return _print_rows(args, expand=True)
 
 
 def cmd_check(args) -> int:

@@ -900,9 +900,11 @@ def test_enumerate_unsolvable(capsys):
 
 
 def test_enumerate_negative_limit(capsys):
-    code, _, err = run(capsys, "enumerate", REF_EXPR, "--limit", "-1")
-    assert code == 2
-    assert "--limit" in err
+    # --limit is read before solvability: an unsolvable instance with a bad
+    # --limit is a usage error for both commands, and writes no stdout
+    for command, expr in itertools.product(("solve", "enumerate"), (REF_EXPR, "2x ≡ 1 (mod 4)")):
+        assert run(capsys, command, expr, "--limit", "-1") == (
+            2, "", "error: --limit must be nonnegative\n"), (command, expr)
 
 
 @pytest.mark.parametrize("argv", [["x ≡ 0 (mod 5)"], ["--seed", "1"]])
