@@ -125,9 +125,11 @@ def _print_rows(args, expand: bool) -> int:
     # unsolvable solve writes its head with no rows and exits 3.  Then come
     # the rows and the cut mark: the basis rows, or their expansions when
     # expand is True, at most `limit` of them.  Every basis row expands into
-    # p2 >= 1 rows, so the first `limit` basis rows carry every row written
-    # and no later one is pulled (islice takes no stop above sys.maxsize);
-    # --limit 0 pulls none, so counts alone start no walk.
+    # p2 >= 1 rows, so the first ceil(limit / p2) basis rows carry every row
+    # written and no later one is pulled (islice takes no stop above
+    # sys.maxsize): a stream that batches its seeds, as a seed-major one does,
+    # builds fewer than p2 rows past the limit.  --limit 0 pulls none, so
+    # counts alone start no walk.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
     # cut to the rows left, and none after it is pulled.  Every prefix of a
@@ -137,12 +139,14 @@ def _print_rows(args, expand: bool) -> int:
     # int as str() does).  A block is a range of lone values at depth 1, which
     # str renders faster than "%d"; deeper, a list of cycles, each value
     # rendered once and joined in their product's order; or whole rows, as
-    # wide as the first block's first.  All the prefixes of a seed take the
-    # same block, so it is rendered once and reused while the next one
-    # compares equal (O(1) for ranges).  A group of prefixes is one C-level
-    # join.  The whole JSON document is written by hand, as json.dumps would
-    # write it: counts are _counts' decimal strings, as they can exceed any
-    # fixed integer width, and an unsolvable solve has no rows key
+    # wide as the first block's first (a basis, and an expansion at p2 = 1 or
+    # a seed-major one at small p2, under one empty prefix).  All the
+    # prefixes of a seed take the same block, so it is rendered once and
+    # reused while the next one compares equal (O(1) for ranges).  A group of
+    # prefixes is one C-level join.  The whole JSON document is written by
+    # hand, as json.dumps would write it: counts are _counts' decimal
+    # strings, as they can exceed any fixed integer width, and an unsolvable
+    # solve has no rows key
     c, parsed = _load_instance(args)
     limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
@@ -167,7 +171,8 @@ def _print_rows(args, expand: bool) -> int:
     left = total if limit is None else min(limit, total)  # rows still to write
     truncated = left < total
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    seeds = islice(iter_basis(c), None if limit is None else min(limit, sys.maxsize))
+    seeds = islice(iter_basis(c), None if limit is None else
+                   min(-(-limit // s.expansion_count) if expand else limit, sys.maxsize))
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if as_json else ("", " ", "\n", "")
     glue = close + joiner
     before = ""
@@ -329,6 +334,14 @@ def build_arg_parser():
             if file is not None:
                 file.write(self.format_help())
 
+    class Value(argparse.Action):  # every flag's action: it stores one value
+        def __call__(self, parser, namespace, values, option_string=None):
+            # argparse strips "--" from a flag's values, so --limit=-- reaches
+            # here as an empty list, which no command could read
+            if not isinstance(values, str):
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     ap = Parser(
         prog="lincong",
         description="Solve linear congruences a1*x1 + ... + an*xn ≡ b (mod m).")
@@ -339,7 +352,9 @@ def build_arg_parser():
             if name == "expr":
                 p.add_argument(name, nargs="?", help=text)
             elif name == "--format":
-                p.add_argument(name, choices=FORMATS, default="text")
+                p.add_argument(name, action=Value, choices=FORMATS, default="text")
+            elif name[:2] == "--":
+                p.add_argument(name, action=Value, help=text)
             else:
                 p.add_argument(name, help=text)
     return ap

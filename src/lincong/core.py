@@ -38,9 +38,12 @@ unless a cycle is too long to hold (over 1024 values).  Such an instance,
 and both CLI commands, read _blocks, which picks the depth and batching of
 every stream and yields (prefixes, block) pairs of at most 1024 rows, each
 prefix taking the whole block in turn; the CLI bounds the walk, by passing
-no more seeds than its row limit, and cuts the last pair it writes.  A
-basis, and an expansion stream at p2 = 1, comes as whole rows under one
-empty prefix; otherwise the deepest coordinates step through their cycles
+no more seeds than ceil(limit / p2) for its row limit, and cuts the last pair
+it writes.  A basis, and an expansion stream at p2 = 1, comes as whole rows
+under one empty prefix.  So does an expansion at p2 <= 8 whose last cycle
+is shorter than 8 values, built seed-major: a reduced seed never wraps, so
+a batch of seeds is shifted, column by column at C level, by the p2 offset
+vectors.  Otherwise the deepest coordinates step through their cycles
 together under each prefix of the first ones.  At depth 1 a block is the
 last coordinate's cycle, cut into slices when it is longer; deeper it is
 the list of the deepest cycles, whose product is its rows, built once per
@@ -63,7 +66,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd, prod
-from operator import attrgetter
+from operator import add, attrgetter
 
 __all__ = [
     "FrozenRecordError",
@@ -87,6 +90,7 @@ Solution = tuple[int, ...]
 
 _BLOCK_ROWS = 1024  # most rows in one block of _blocks
 _GROUP_LEAST = 16  # fewest prefixes in a group of _expand_runs (see there)
+_SEED_MAJOR_MOST = 8  # largest p2, and bound on gcd(a_n, m), of a whole-row expansion (_blocks)
 
 
 def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
@@ -310,13 +314,41 @@ def _blocks(seeds: Iterable[Solution], c: LinearCongruence,
     # seeds' expansions, or of the seeds when expand is False; each prefix
     # takes the whole block in turn.  A prefix's length, the same in the whole
     # stream, fixes the row format.  At p2 = 1 both are the seeds, batched as
-    # whole rows under one empty prefix.  A caller bounds the stream by the
-    # seeds it passes, and pulls no pair it does not write.
-    if not expand or c.summary.expansion_count == 1:
+    # whole rows under one empty prefix, and so is an expansion at small p2
+    # whose last coordinate takes fewer than _SEED_MAJOR_MOST values: there
+    # the pairs of _expand_runs would carry runs of so few rows that a pair
+    # costs the writer more than its rows do as whole rows.  Such rows come
+    # from _seed_major, which needs reduced seeds; _rows, which may pass any
+    # seed, reaches this stream only at p2 > _BLOCK_ROWS.  A caller bounds the
+    # stream by the seeds it passes, and pulls no pair it does not write.
+    p2 = c.summary.expansion_count
+    if not expand or p2 == 1:
         rows = iter(seeds)
         return ((((),), block) for block in
                 iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
+    if p2 <= _SEED_MAJOR_MOST and c.summary.gcds[-1] < _SEED_MAJOR_MOST:
+        return _seed_major(seeds, c)
     return _expand_runs(seeds, c, _block_depth(c))
+
+
+def _seed_major(seeds: Iterable[Solution],
+                c: LinearCongruence) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
+    # The expansions of reduced seeds as whole rows under one empty prefix, in
+    # expand's order, _BLOCK_ROWS // p2 seeds a block.  A reduced seed's cycle
+    # x_i, x_i + g_i, ... never wraps, so its expansion is the seed plus each
+    # of the p2 offsets t * g in turn.  A batch is shifted column by column:
+    # coordinate i's column, as it is and plus each nonzero multiple of g_i
+    # below m, one C-level map each.  The product of those shifted columns,
+    # in expand's order of the parameter tuples, zipped, gives one offset's
+    # rows of every seed; zipping those interleaves them seed by seed, so no
+    # Python code runs per row.
+    m, strides, repeat = c.modulus, c.summary.strides, itertools.repeat
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, _BLOCK_ROWS // c.summary.expansion_count)):
+        columns = [(col, *[tuple(map(add, col, repeat(o))) for o in range(g, m, g)])
+                   for col, g in zip(zip(*batch), strides)]
+        yield ((),), tuple(itertools.chain.from_iterable(
+            zip(*itertools.starmap(zip, itertools.product(*columns)))))
 
 
 def _block_depth(c: LinearCongruence) -> int:

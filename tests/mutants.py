@@ -94,6 +94,25 @@ MUTANTS = [
      "an unsolvable solve writes enumerate's error and no counting summary", CLI),
     ("core.py", "islice(rows, _BLOCK_ROWS)", "islice(rows, _BLOCK_ROWS - 1)",
      "_blocks batches a basis stream 1,023 rows a block, not 1,024", CLI),
+    ("cli.py", "if not isinstance(values, str):", "if False:",
+     "argparse's empty list for --limit=-- reaches the command, a TypeError", CLI),
+    ("core.py", "if p2 <= _SEED_MAJOR_MOST and", "if p2 < _SEED_MAJOR_MOST and",
+     "_blocks writes p2 = 8 as runs per seed, not as whole rows built seed-major", CORE),
+    ("core.py", "c.summary.gcds[-1] < _SEED_MAJOR_MOST", "c.summary.gcds[-1] <= _SEED_MAJOR_MOST",
+     "_blocks builds whole rows for a last cycle of 8 values, which one run per seed "
+     "writes faster", CORE),
+    ("cli.py", "-(-limit // s.expansion_count)", "limit // s.expansion_count",
+     "_print_rows passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row", CLI),
+    ("core.py", "for col, g in zip(zip(*batch), strides)",
+     "for col, g in zip(zip(*batch), strides[::-1])",
+     "_seed_major shifts each column by another coordinate's stride", CLI),
+    ("core.py", "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count)",
+     "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count + 1)",
+     "_seed_major takes one seed too many a batch, so a block holds over 1024 rows", CORE),
+    ("core.py", "(col, *[tuple(map(add, col, repeat(o))) for o in range(g, m, g)])",
+     "[tuple(map(add, col, repeat(o))) for o in range(0, m, g)]",
+     "equivalent: _seed_major adds the zero offset to a column it could keep as it is, "
+     "which changes speed only", ()),
 ]
 
 

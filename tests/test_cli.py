@@ -14,7 +14,7 @@ import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -437,6 +437,59 @@ def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
             with redirect_stdout(out):
                 assert main(["enumerate", *instance, "--format", fmt, *flags]) == 0
             assert_same_text(out.getvalue(), reference_enumerate(c, fmt, limit), (limit, fmt))
+
+
+@composite
+def small_p2_instances(draw):
+    # p2 from 2 to 16 split over arity 1-5 as g_i = gcd(a_i, m), with a
+    # modulus of up to 300 digits that every g_i divides: a_i is g_i times a
+    # drawn multiplier when that keeps gcd(a_i, m) = g_i, else g_i itself
+    p2, n = draw(integers(2, 16)), draw(integers(1, 5))
+    gcds = [1] * n
+    for p in (2, 3, 5, 7, 11, 13):
+        while p2 % p == 0:
+            p2 //= p
+            gcds[draw(integers(0, n - 1))] *= p
+    m = lcm(*gcds) * draw(one_of(integers(1, 6), integers(1, 10**299)))
+    coeffs = []
+    for g in gcds:
+        a = g * draw(integers(1, m)) % m
+        coeffs.append(a if gcd(a, m) == g else g)
+    d = gcd(*coeffs, m)
+    return normalize(coeffs, d * draw(integers(0, m - 1)) % m, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_p2_instances(), integers(0, 40))
+# p2 = 8 on both sides of the whole-row cutover: a last cycle of 2 and of 1
+# values is written seed-major, one of 8 values as a run per seed
+@example(normalize([2, 2, 2], 0, 10**300), 3)
+@example(normalize([8, 1], 5, 16), 0)
+@example(normalize([1, 8], 0, 8 * 10**299), 7)
+# p2 = 2, as enum-p2is2 in the benchmark, and p2 = 9 and 16 past the cutover
+@example(normalize([1, 1, 2], 0, 1000), 12)
+@example(normalize([3, 3], 3, 9 * 10**40), 1)
+@example(normalize([2, 2, 2, 2], 0, 6), 5)
+def test_small_p2_streams_write_the_per_row_writers_bytes(c, k):
+    # at small p2 enumerate builds whole rows seed-major, or runs per seed
+    # past the cutover; either way its text and JSON are the per-row
+    # writer's bytes for the rows of enumerate_all, which expands each seed
+    # as one product of its cycles.  The limits fall on the first row, on
+    # either side of the first seed's last row, and past the first block of
+    # whole rows, off a seed boundary; where m**n is small, the whole stream
+    # is the oracle's solution set
+    s = summarize(c)
+    p2 = s.expansion_count
+    limits = [0, 1, p2 - 1, p2 + 1, (lincong.core._BLOCK_ROWS // p2 + k) * p2 + 1 + k % (p2 - 1)]
+    small = c.modulus ** c.arity <= 20000
+    for limit in limits + [None] * small:
+        stop = None if limit is None else limit + 1
+        rows = list(itertools.islice(enumerate_all(lincong.core.iter_basis(c), c), stop))
+        for fmt in ("text", "json"):
+            assert_same_text(enumerate_output(c, fmt, limit), per_row_output(c, fmt, rows, limit),
+                             (limit, fmt))
+    if small:
+        assert len(rows) == len(set(rows)) and set(rows) == brute_force(c)
 
 
 @pytest.fixture
@@ -1128,6 +1181,43 @@ def test_the_command_table_builds_the_parser():
             name for name in names if not name.startswith("--")]
         formats = [a.choices for a in sub._actions if a.dest == "format"]
         assert formats == ([lincong.cli.FORMATS] if "--format" in names else [])
+
+
+VALID_FLAG_VALUES = {"--coeffs": "1", "--rhs": "0", "--mod": "3", "--format": "json",
+                     "--limit": "1", "--cap": "100", "--seed": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, name) for command, (_, _, arguments) in lincong.cli.COMMANDS.items()
+    for name, _ in arguments if name[:2] == "--"])
+def test_a_double_dash_flag_value_is_a_usage_error(capsys, command, flag):
+    # argparse strips "--" from a flag's values, and --limit=-- once reached
+    # the command as an empty list, a TypeError.  Each flag is given "--" in
+    # an argv that runs with a valid value instead; argparse's wording
+    # differs between versions, so the exit code and stderr's error line are
+    # pinned, and any traceback would have escaped main
+    if flag in ("--coeffs", "--rhs", "--mod"):
+        positionals, flags = [], ["--coeffs", "--rhs", "--mod"]
+    elif flag == "--seed":
+        positionals, flags = [], [flag]
+    else:
+        positionals, flags = ["x ≡ 1 (mod 3)"], [flag]
+    positionals += ["1", "1"] if command == "check" else []
+
+    def argv(value):
+        return [command, *positionals,
+                *(f"{name}={value if name == flag else VALID_FLAG_VALUES[name]}"
+                  for name in flags)]
+
+    assert main(argv(VALID_FLAG_VALUES[flag])) == 0
+    capsys.readouterr()
+    try:
+        code = main(argv("--"))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["solve", REF_EXPR], ["solve", REF_EXPR, "--lim", "1"]])

@@ -303,20 +303,28 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
 @settings(max_examples=100, deadline=None)
 @given(record_instances())
 @example(normalize([1, 0], 0, 3000))
+@example(normalize([2, 2, 2], 0, 8))  # p2 = 8, last cycle 2: whole rows
+@example(normalize([8, 1], 0, 16))  # p2 = 8, last cycle 1: whole rows
+@example(normalize([1, 8], 0, 16))  # p2 = 8, last cycle 8: a prefix of one value
+@example(normalize([3, 3], 0, 9))  # p2 = 9, last cycle 3: a prefix of one value
+@example(normalize([1, 2], 0, 2000))  # p2 = 2: blocks of 512 seeds, 1024 whole rows
 def test_every_prefix_of_a_block_stream_has_the_same_length(c):
     # the CLI reads the row format from a stream's first prefix: the seeds
-    # come under an empty prefix, an expansion under its n - depth leading
-    # values; gcd(0, 3000) > 1024 cuts the last coordinate's run into slices.
-    # A pair's prefixes each take its whole block, and no pair holds more
-    # than 1024 rows.  The CLI bounds a stream by its seeds, so the limits
-    # cut the seeds here
+    # come under an empty prefix, and so does an expansion at p2 = 1, or at
+    # p2 <= 8 with a last cycle of fewer than 8 values (whole rows, built
+    # seed-major); any other expansion under its n - depth leading values.
+    # gcd(0, 3000) > 1024 cuts the last coordinate's run into slices.  A
+    # pair's prefixes each take its whole block, and no pair holds more than
+    # 1024 rows.  The CLI bounds a stream by its seeds, so the limits cut the
+    # seeds here
     def rows(pair):
         prefixes, block = pair
         return len(prefixes) * (math.prod(map(len, block)) if type(block) is list else len(block))
 
     s = c.summary
+    whole_rows = s.expansion_count <= 8 and s.gcds[-1] < 8
     for expand in (True, False):
-        want = 0 if not expand or s.expansion_count == 1 else c.arity - core._block_depth(c)
+        want = 0 if not expand or whole_rows else c.arity - core._block_depth(c)
         first = next(core._blocks(iter_basis(c), c, expand), None)
         pair = 1 if first is None else rows(first)
         for limit in (None, 0, 1, pair, pair + 1, s.solution_count + 1):
