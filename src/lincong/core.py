@@ -66,7 +66,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd, prod
-from operator import add, attrgetter
+from operator import add, attrgetter, mod
 
 __all__ = [
     "FrozenRecordError",
@@ -94,7 +94,7 @@ _SEED_MAJOR_MOST = 8  # largest p2, and bound on gcd(a_n, m), of a whole-row exp
 
 
 def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
-    if not all(isinstance(v, int) for v in values):
+    if not all(map(isinstance, values, itertools.repeat(int))):
         raise ValueError(f"{what} must be integers")
 
 
@@ -106,7 +106,14 @@ class _Record:
     # A frozen record of the fields __match_args__ names.  Its __init__ writes
     # them with vars(self).update, past __setattr__ as cached_property writes;
     # == and hash read them only, never a cached property in __dict__, and
-    # repr shows them as a dataclass would.
+    # repr shows them as a dataclass would.  _of builds one from fields its
+    # caller has already checked, past __init__ and its checks.
+
+    @classmethod
+    def _of(cls, **fields):
+        record = object.__new__(cls)
+        vars(record).update(fields)
+        return record
 
     def _fields(self) -> tuple:
         return attrgetter(*self.__match_args__)(self)
@@ -156,7 +163,7 @@ class LinearCongruence(_Record):
     def summary(self) -> SolveSummary:
         """Derive the record, once, on first use: 2n gcd calls for arity n."""
         m = self.modulus
-        gcds = tuple(gcd(a, m) for a in self.coeffs)
+        gcds = tuple(map(gcd, self.coeffs, itertools.repeat(m)))
         # h[-1]: gcd of m and the coefficients taken so far, from the right;
         # gcd(a_i, h) = gcd(g_i, h) as h divides m, and g_i is already reduced
         h = [m]
@@ -169,7 +176,8 @@ class LinearCongruence(_Record):
             raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
         return SolveSummary(gcd_all=d, solvable=self.rhs % d == 0, solution_count=p1,
                             expansion_count=p2, basis_size=s, gcds=gcds,
-                            strides=tuple(m // g for g in gcds), suffix_gcds=tuple(h[:0:-1]))
+                            strides=tuple(map(m.__floordiv__, gcds)),
+                            suffix_gcds=tuple(h[:0:-1]))
 
 
 class SolveSummary(_Record):
@@ -201,15 +209,19 @@ def normalize(raw_coeffs: Sequence[int], raw_b: int, raw_m: int) -> LinearCongru
     """Build the canonical instance: modulus |m|, everything reduced mod m.
 
     Normalization never changes the solution set.  Rejects values that are
-    not integers, a zero modulus and (through LinearCongruence) an empty
-    coefficient list, each with a ValueError.
+    not integers, a zero modulus and an empty coefficient list, each with a
+    ValueError, in that order.  The values it returns are reduced here, so
+    the record is built without LinearCongruence's checks.
     """
     raw_coeffs = tuple(raw_coeffs)
     _require_ints((*raw_coeffs, raw_b, raw_m))  # before % and abs() can fail otherwise
     if raw_m == 0:
         raise ValueError("modulus must be nonzero")
+    if not raw_coeffs:
+        raise ValueError("at least one coefficient is required")
     m = abs(raw_m)
-    return LinearCongruence(tuple(a % m for a in raw_coeffs), raw_b % m, m)
+    return LinearCongruence._of(coeffs=tuple(map(mod, raw_coeffs, itertools.repeat(m))),
+                                rhs=raw_b % m, modulus=m)
 
 
 def summarize(c: LinearCongruence) -> SolveSummary:

@@ -1,4 +1,4 @@
-"""Parse and render linear congruence expressions.
+r"""Parse and render linear congruence expressions.
 
 Grammar, with whitespace insignificant throughout:
 
@@ -13,9 +13,15 @@ letter is a character for which str.isalpha() is true, and whitespace is any
 character for which str.isspace() is true, Unicode spaces such as U+00A0
 and U+3000 included.
 
-Each rule is one match of a compiled pattern, so a literal or a run of
-whitespace costs the same calls whatever its length; identifiers are read a
-character at a time, because no pattern class is exactly str.isalpha().
+A text is read at once when it can be: one fullmatch of the whole grammar,
+with identifiers matched as [^\W\d]\w*, then one check that the names hold
+only letters, ASCII digits and '_' (no pattern class is exactly
+str.isalpha(), and \w also takes digits such as '²' or '٣') and are
+distinct, and one findall for the terms.  Any text that fails a step is read
+again rule by rule, and only that reader raises ParseError: each rule is one
+match of a compiled pattern, and identifiers are read a character at a time.
+Either way a literal or a run of whitespace costs the same calls whatever
+its length.
 
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
@@ -89,8 +95,47 @@ def parse_integer(text: str) -> int:
     return value
 
 
+# The whole grammar in one pattern.  A name is matched as [^\W\d]\w*, a
+# superset of the identifier rule that parse narrows with _NAME_CHARS: \w
+# shares no character with \s, nor with any that may follow a name, so a
+# name the rules read is matched whole.  Whitespace follows a sign, a
+# coefficient or a star only where that token is there, so no two \s* runs
+# meet and a failing match backtracks in linear time.  The groups are the
+# left-hand side, and the sign and digits of the rhs and of the modulus.
+_NAME = r"[^\W\d]\w*"
+_SIGNED = rf"{_S}(?:([+-]){_S})?({_DIGIT}+)"
+_TERM_AFTER_SIGN = rf"(?:{_DIGIT}+{_S}(?:\*{_S})?)?{_NAME}"
+_LAID_OUT = re.compile(
+    rf"({_S}(?:[+-]{_S})?{_TERM_AFTER_SIGN}(?:{_S}[+-]{_S}{_TERM_AFTER_SIGN})*)"
+    rf"{_S}[≡=]{_SIGNED}{_S}\({_S}mod{_SIGNED}{_S}\){_S}")
+# each term of a matched left-hand side: its sign, its digits and its name
+_TERMS = re.compile(rf"{_S}(?:([+-]){_S})?(?:({_DIGIT}+){_S}(?:\*{_S})?)?({_NAME})")
+# with ASCII digits and "_" made letters, a name of the grammar is all letters
+_NAME_CHARS = dict.fromkeys(map(ord, "0123456789_"), "a")
+
+
 def parse(text: str) -> ParsedCongruence:
     """Parse a congruence expression such as "2x - 6y ≡ 2 (mod 12)"."""
+    m = _LAID_OUT.fullmatch(text)
+    if m is not None:
+        lhs, rhs_sign, rhs_digits, mod_sign, mod_digits = m.groups("")
+        terms = _TERMS.findall(lhs)
+        _, _, names = zip(*terms)
+        if len(set(names)) == len(names) and "".join(names).translate(_NAME_CHARS).isalpha():
+            try:  # an int() past the digit limit is reported by the rules
+                coeffs = tuple([int(sign + (digits or "1")) for sign, digits, _ in terms])
+                rhs, modulus = int(rhs_sign + rhs_digits), int(mod_sign + mod_digits)
+            except ValueError:
+                pass
+            else:
+                if modulus:
+                    return ParsedCongruence._of(variables=names, raw_coeffs=coeffs, rhs=rhs,
+                                                modulus=modulus)
+    return _parse_by_rule(text)
+
+
+def _parse_by_rule(text: str) -> ParsedCongruence:
+    # the rule-by-rule reader: parse's fallback, and the one writer of its ParseError
     terms: dict[str, int] = {}  # coefficient by variable name, in written order
     m = _TERM.match(text)
     while not terms or m.group(1):  # a sign starts every term but the first

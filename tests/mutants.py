@@ -25,6 +25,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CLI, CORE, ORACLE = ("tests/test_cli.py",), ("tests/test_core.py",), ("tests/test_oracle.py",)
+PARSER = ("tests/test_parser.py",)
 
 # (file under src/lincong, old text, new text, reason, test files)
 MUTANTS = [
@@ -113,6 +114,16 @@ MUTANTS = [
      "[tuple(map(add, col, repeat(o))) for o in range(0, m, g)]",
      "equivalent: _seed_major adds the zero offset to a column it could keep as it is, "
      "which changes speed only", ()),
+    ("parser.py", "len(set(names)) == len(names) and ", "",
+     "parse's one match takes a variable written twice, which the rules refuse", PARSER),
+    ("parser.py", ' and "".join(names).translate(_NAME_CHARS).isalpha()', "",
+     "parse's one match takes a name holding a numeral such as '²' or '٣', which \\w "
+     "matches and the grammar refuses", PARSER),
+    ("core.py", "rhs=raw_b % m,", "rhs=raw_b,",
+     "normalize leaves the rhs unreduced, and builds the record past the checks "
+     "that would refuse it", CORE),
+    ("cli.py", "if c.arity == 2:  # Decimal reads", "if False:  # Decimal reads",
+     "_counts computes p1 = d * m in decimal at n = 2, where str(p1) costs less", CLI),
 ]
 
 

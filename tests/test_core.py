@@ -74,6 +74,29 @@ def test_normalize_rejects_degenerate_input():
     assert normalize([True, False], True, 3) == normalize([1, 0], 1, 3)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (([1.5], 0, 0), "coefficients, rhs and modulus must be integers"),
+    (([], 0, 0), "modulus must be nonzero"),
+    (([], 0, 5), "at least one coefficient is required"),
+])
+def test_normalize_rejects_in_order_types_modulus_and_arity(raw, message):
+    with pytest.raises(ValueError) as info:
+        normalize(*raw)
+    assert str(info.value) == message
+
+
+@given(lists(integers(), min_size=1, max_size=4), integers(),
+       integers().filter(bool))
+@example([-1, 10**40], -(10**40) - 3, -7)
+def test_normalize_builds_the_record_its_checks_accept(coeffs, rhs, m):
+    # normalize reduces every value itself and skips LinearCongruence's
+    # checks: the record it builds is the one they accept and build
+    c, k = normalize(coeffs, rhs, m), abs(m)
+    assert c == LinearCongruence(c.coeffs, c.rhs, c.modulus)
+    assert (c.coeffs, c.rhs, c.modulus) == (tuple(a % k for a in coeffs), rhs % k, k)
+    assert type(c.coeffs) is tuple and type(c) is LinearCongruence
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         LinearCongruence((13,), 0, 12)

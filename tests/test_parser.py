@@ -3,9 +3,10 @@
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis.strategies import (booleans, composite, integers, just, lists, one_of,
                                    sampled_from, text)
 
@@ -182,20 +183,25 @@ def test_any_text_parses_or_fails_with_a_position_inside_it(text):
         assert 1 <= exc.pos <= len(text) + 1
 
 
-# the grammar's characters, Unicode spaces, and digits that are not ASCII
-_ALPHABET = "xy_09+-*≡=() mod\t\u00a0\u2003\u3000²٣７"
+# the grammar's characters, Unicode spaces, digits that are not ASCII, and a
+# letter and numerals that are not: \w takes all of "é٣²½Ⅻ", the grammar "é" alone
+_ALPHABET = "xy_09+-*≡=() mod\t\u00a0\u2003\u3000²٣７é½Ⅻ"
+# names of the grammar, a leading "_" and digits glued on included
+_GRAMMAR_NAMES = ["x", "y1", "_z", "é", "v_2", "_", "_9", "x2y", "Ωmega"]
+# names that \w matches but the grammar rejects: each holds a numeral that
+# is no ASCII digit, glued to a name or alone
+_WORD_NAMES = ["x٣", "é²", "٣x", "²", "a½", "Ⅻ"]
 _SPACE_RUNS = text(alphabet=" \t\n\u00a0\u2003\u3000", max_size=3)
 _NUMERALS = one_of(text(alphabet="0123456789", min_size=1, max_size=3),
                    text(alphabet="0123456789", min_size=100, max_size=600))
 
 
 @composite
-def _laid_out_congruences(draw):
+def _laid_out_congruences(draw, names=sampled_from(_GRAMMAR_NAMES + _WORD_NAMES), edit=True):
     """Text laid out by the grammar, with Unicode spaces between the tokens
-    and literals of up to hundreds of digits; sometimes one character of the
-    alphabet is put in anywhere."""
-    names = draw(lists(sampled_from(["x", "y1", "_z", "é", "v_2"]),
-                       min_size=1, max_size=4, unique=True))
+    and literals of up to hundreds of digits; when edit is true, sometimes
+    one character of the alphabet is put in anywhere."""
+    names = draw(lists(names, min_size=1, max_size=4, unique=True))
     pieces = [draw(sampled_from(["", "+", "-"]))]
     for k, name in enumerate(names):
         if k:
@@ -207,7 +213,7 @@ def _laid_out_congruences(draw):
                draw(sampled_from(["", "-"])), draw(_NUMERALS), draw(_SPACE_RUNS), ")",
                draw(_SPACE_RUNS)]
     laid_out = "".join(pieces)
-    if draw(booleans()):
+    if edit and draw(booleans()):
         at = draw(integers(0, len(laid_out)))
         laid_out = laid_out[:at] + draw(sampled_from(_ALPHABET)) + laid_out[at:]
     return laid_out
@@ -224,6 +230,25 @@ def _outcome(parse_with, text):
               lists(one_of(sampled_from(_ALPHABET), _SPACE_RUNS, _NUMERALS)).map("".join)))
 def test_parse_agrees_with_the_character_by_character_scanner(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def _rules_unreached(text):
+    raise AssertionError(f"read rule by rule: {text!r}")
+
+
+@given(_laid_out_congruences(sampled_from(_GRAMMAR_NAMES), edit=False))
+@example("2x - 6y ≡ 2 (mod 12)")
+@example("_ + 3*é - _9 + x2y = -0 (mod - 7)")
+def test_every_valid_congruence_is_read_in_one_match(text):
+    # the rules read only what the one match refuses, so a slip in its
+    # pattern that refused valid text would pass every other test
+    expected = _outcome(reference_parse, text)
+    with mock.patch.object(lincong.parser, "_parse_by_rule", _rules_unreached):
+        if isinstance(expected, ParsedCongruence):
+            assert parse(text) == expected
+        else:  # "*x" or a modulus of zeros: the rules write every error
+            with pytest.raises(AssertionError, match="read rule by rule"):
+                parse(text)
 
 
 def test_mod_keyword_ends_where_its_letters_end():
@@ -257,18 +282,44 @@ def _scanner_steps(text):
     sys.setprofile(count)
     try:
         parse(text)
+    except ParseError:
+        pass
     finally:
         sys.setprofile(None)
     return steps
 
 
-def test_a_digit_or_whitespace_run_costs_the_same_calls_at_any_length():
-    def laid_out(digits, spaces):
-        n, w = "7" * digits, " " * spaces
-        return f"{w}{n}x{w}-{w}{n}*y{w}≡{w}-{n}{w}({w}mod{w}{n}{w}){w}"
+def _runs_laid_out(digits, spaces, end=""):
+    n, w = "7" * digits, " " * spaces
+    return f"{w}{n}x{w}-{w}{n}*y{w}≡{w}-{n}{w}({w}mod{w}{n}{w}){w}{end}"
 
-    assert (_scanner_steps(laid_out(3, 3)) == _scanner_steps(laid_out(3000, 3))
-            == _scanner_steps(laid_out(3, 3000)))
+
+def test_a_digit_or_whitespace_run_costs_the_same_calls_at_any_length():
+    assert (_scanner_steps(_runs_laid_out(3, 3)) == _scanner_steps(_runs_laid_out(3000, 3))
+            == _scanner_steps(_runs_laid_out(3, 3000)))
+
+
+def test_a_text_read_rule_by_rule_costs_the_same_calls_at_any_run_length():
+    # trailing input fails the one match, so the rules read the whole text
+    assert (_scanner_steps(_runs_laid_out(3, 3, "!"))
+            == _scanner_steps(_runs_laid_out(3000, 3, "!"))
+            == _scanner_steps(_runs_laid_out(3, 3000, "!")))
+
+
+@pytest.mark.parametrize("text", [
+    " " * 20_000 + "!",
+    "2" + " " * 20_000 + "*" + " " * 20_000 + "!",
+    "x" + " " * 20_000 + "- " * 10_000 + "!",
+    "x ≡ -" + " " * 20_000 + "!",
+], ids=["spaces", "spaces-round-a-star", "spaces-and-signs", "spaces-after-a-sign"])
+def test_a_refused_match_backtracks_in_linear_time(text):
+    # no two whitespace runs of the one-match pattern meet, so a text it
+    # refuses is given up in linear time, where split runs would take
+    # quadratic time: about 10**8 steps here
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse(text)
+    assert time.perf_counter() - start < 2
 
 
 def test_matchers_accept_exactly_the_unicode_spaces_and_the_ascii_digits():
