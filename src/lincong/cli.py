@@ -59,11 +59,10 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("give either an expression or --coeffs/--rhs/--mod, not both")
         if args.rhs is None or args.mod is None:
             raise ValueError("--coeffs requires --rhs and --mod")
-        coeffs = _comma_ints(args.coeffs, "--coeffs")  # at least one
-        names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))  # distinct
-        parsed = ParsedCongruence._of(variables=names, raw_coeffs=coeffs,
-                                      rhs=_flag_int(args.rhs, "--rhs"),
-                                      modulus=_flag_int(args.mod, "--mod"))
+        coeffs = _comma_ints(args.coeffs, "--coeffs")
+        names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))
+        parsed = ParsedCongruence(names, coeffs, _flag_int(args.rhs, "--rhs"),
+                                  _flag_int(args.mod, "--mod"))
     else:
         if args.rhs is not None or args.mod is not None:
             raise ValueError("--rhs and --mod go with --coeffs")
@@ -82,19 +81,16 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
 def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     # The one renderer of the four counts, d, p1, p2 and s, as decimal
     # strings.  Before Python 3.12 int -> str is quadratic, so once p1 has at
-    # least 3,322 bits (1,000 digits) and n >= 3 it is written as
-    # d * m**(n - 1) computed in decimal, whose products are subquadratic;
-    # below that str is faster.  At n = 2, p1 = d * m is written by str too:
-    # Decimal(m) is itself a quadratic conversion, and with a short d the
-    # power costs 1.05-1.2x what str(p1) and Decimal(str(p1)) do together
-    # at moduli of 1,000 to 20,000 digits (a d of 30% or more of m's bits
-    # turns this only from about 20,000 digits on).  Then the longer of p2
-    # and s = p1 / p2 is read off p1 by one exact division when it has at
-    # least 3,322 bits and its cofactor at most a quarter of them; with a
-    # longer cofactor, int -> str is faster.  The precision bounds p1's
-    # digits, floor(bits * log10(2)) + 1, so every result is exact and an
-    # inexact one is a bug and raises; Emax lifts the default bound of a
-    # million digits.  Both sides of each cutover write the same digits.
+    # least 3,322 bits (1,000 digits) it is written as d * m**(n - 1) computed
+    # in decimal, whose products are subquadratic; below that str is faster.
+    # (Decimal(m) is itself quadratic, so at n = 2 with a short d the power
+    # costs about what str(p1) would.)  Then the longer of p2 and s = p1 / p2
+    # is read off p1 by one exact division when it has at least 3,322 bits
+    # and its cofactor at most a quarter of them; with a longer cofactor,
+    # int -> str is faster.  The precision bounds p1's digits,
+    # floor(bits * log10(2)) + 1, so every result is exact and an inexact one
+    # is a bug and raises; Emax lifts the default bound of a million digits.
+    # Both sides of each cutover write the same digits.
     s = c.summary
     d = f"{s.gcd_all}"
     if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
@@ -106,20 +102,15 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
 
     context = decimal.Context(prec=bits * 30103 // 100000 + 1,
                               Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    if c.arity == 2:  # Decimal reads a decimal string in linear time
-        text = f"{s.solution_count}"
-        p1 = decimal.Decimal(text)
-    else:
-        p1 = context.multiply(context.power(decimal.Decimal(c.modulus), c.arity - 1),
-                              decimal.Decimal(d))
-        text = f"{p1:f}"
+    p1 = context.multiply(context.power(decimal.Decimal(c.modulus), c.arity - 1),
+                          decimal.Decimal(d))
 
     def quotient(count: int, cofactor: int) -> str:  # count = p1 / cofactor
         if count.bit_length() >= 3322 and 4 * cofactor.bit_length() <= count.bit_length():
             return f"{context.divide(p1, cofactor):f}"
         return f"{count}"
 
-    return (d, text, quotient(s.expansion_count, s.basis_size),
+    return (d, f"{p1:f}", quotient(s.expansion_count, s.basis_size),
             quotient(s.basis_size, s.expansion_count))
 
 

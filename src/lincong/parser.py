@@ -74,14 +74,20 @@ _TERM = re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
 _INTEGER = re.compile(rf"{_S}([+-]?){_S}({_DIGIT}*){_S}")
 
 
+def _literal(sign: str, digits: str) -> int:
+    # the value of every literal either reader reads: ASCII digits only, so
+    # a ValueError means int()'s digit limit
+    return int(sign + digits)
+
+
 def _integer(m: re.Match) -> int:
     # the value of a _TERM or _INTEGER match; errors point at its first digit
     sign, digits = m.groups()
     if not digits:
         raise ParseError("expected an integer", m.start(2) + 1)
     try:
-        return int(sign + digits)
-    except ValueError:  # ASCII digits only, so over int()'s digit limit
+        return _literal(sign, digits)
+    except ValueError:
         raise ParseError(f"integer of {len(digits)} digits exceeds the interpreter's "
                          "int/str digit limit", m.start(2) + 1) from None
 
@@ -122,9 +128,9 @@ def parse(text: str) -> ParsedCongruence:
         terms = _TERMS.findall(lhs)
         _, _, names = zip(*terms)
         if len(set(names)) == len(names) and "".join(names).translate(_NAME_CHARS).isalpha():
-            try:  # an int() past the digit limit is reported by the rules
-                coeffs = tuple([int(sign + (digits or "1")) for sign, digits, _ in terms])
-                rhs, modulus = int(rhs_sign + rhs_digits), int(mod_sign + mod_digits)
+            try:  # a literal past the digit limit is reported by the rules
+                coeffs = tuple([_literal(sign, digits or "1") for sign, digits, _ in terms])
+                rhs, modulus = _literal(rhs_sign, rhs_digits), _literal(mod_sign, mod_digits)
             except ValueError:
                 pass
             else:

@@ -122,8 +122,6 @@ MUTANTS = [
     ("core.py", "rhs=raw_b % m,", "rhs=raw_b,",
      "normalize leaves the rhs unreduced, and builds the record past the checks "
      "that would refuse it", CORE),
-    ("cli.py", "if c.arity == 2:  # Decimal reads", "if False:  # Decimal reads",
-     "_counts computes p1 = d * m in decimal at n = 2, where str(p1) costs less", CLI),
 ]
 
 

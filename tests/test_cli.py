@@ -1501,31 +1501,6 @@ def test_the_counts_are_their_decimal_strings(c):
     assert lincong.cli._counts(c) == expected
 
 
-@pytest.mark.parametrize("c, powers", [
-    (normalize([1, 1], 0, 10**1100 + 1), 0),  # n = 2: p1 = s = m, s read off p1
-    (normalize([2, 3], 0, 10**1200), 0),  # n = 2: p2 = 2, s read off p1
-    (normalize([6, 10], 0, 30 * 10**1100), 0),  # n = 2, d = 2: p2 = 60
-    (normalize([1, 1, 1], 0, 10**600 + 7), 1),  # n = 3: p1 = s = m**2, of 1,201 digits
-    (normalize([0, 1, 1], 0, 10**600 + 7), 1),  # n = 3: p2 = m read off p1
-])
-def test_the_counts_compute_p1_in_decimal_from_three_unknowns_on(monkeypatch, c, powers):
-    # at n = 2, p1 = d * m is written by str, as Decimal(m) would cost more;
-    # from n = 3 on, as d * m**(n - 1) in decimal; both write the same digits
-    from decimal import Context
-    calls = []
-
-    class CountingContext(Context):
-        def power(self, *args):
-            calls.append(args)
-            return super().power(*args)
-
-    monkeypatch.setattr("decimal.Context", CountingContext)
-    s = c.summary
-    expected = tuple(map(decimal, (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size)))
-    assert lincong.cli._counts(c) == expected
-    assert len(calls) == powers
-
-
 def test_the_quotient_writes_a_count_past_a_million_digits():
     # p1 = s = 10**1200000 has an exponent past decimal's default bound of
     # 999,999, both as the power and as the quotient by p2 = 1
