@@ -15,8 +15,10 @@ from operator import add
 from types import SimpleNamespace
 
 from .core import (
+    _LONG_BITS,
     LinearCongruence,
     _blocks,
+    _p1_bits_bound,
     iter_basis,
     normalize,
     satisfies,
@@ -80,23 +82,28 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
 
 def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     # The one renderer of the four counts, d, p1, p2 and s, as decimal
-    # strings.  Before Python 3.12 int -> str is quadratic, so once p1 has at
-    # least 3,322 bits (1,000 digits) it is written as d * m**(n - 1) computed
-    # in decimal, whose products are subquadratic; below that str is faster.
-    # (Decimal(m) is itself quadratic, so at n = 2 with a short d the power
-    # costs about what str(p1) would.)  Then the longer of p2 and s = p1 / p2
-    # is read off p1 by one exact division when it has at least 3,322 bits
-    # and its cofactor at most a quarter of them; with a longer cofactor,
-    # int -> str is faster.  The precision bounds p1's digits,
-    # floor(bits * log10(2)) + 1, so every result is exact and an inexact one
-    # is a bug and raises; Emax lifts the default bound of a million digits.
-    # Both sides of each cutover write the same digits.
+    # strings.  Before Python 3.12 int -> str is quadratic, so once the bound
+    # on p1's bits, bits(d) + (n - 1) * bits(m), reaches 3,322 (1,000 digits)
+    # p1 is written as d * m**(n - 1) computed in decimal, whose products are
+    # subquadratic; below that str is faster.  (Decimal(m) is itself
+    # quadratic, so at n = 2 with a short d the power costs about what str(p1)
+    # would.)  Past the same bound the summary builds p1 and s as ints only
+    # when they are read.  So when the bound less bits(p2), at least
+    # bits(s) - 1, is 3,322 or more and p2 has at most a quarter of that, s
+    # is read off p1 by one exact division by p2, and neither int is built.
+    # Otherwise s is read from the summary, and p2 is read off p1 by one exact
+    # division by s when it has at least 3,322 bits and s at most a quarter
+    # of them; with a longer cofactor, int -> str is faster.  The precision
+    # bounds p1's digits, floor(bound * log10(2)) + 1, so every result is
+    # exact and an inexact one is a bug and raises; Emax lifts the default
+    # bound of a million digits.  Both sides of each cutover write the same
+    # digits.
     s = c.summary
     d = f"{s.gcd_all}"
     if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
         return d, d, d, "1"
-    bits = s.solution_count.bit_length()
-    if bits < 3322:
+    bits = _p1_bits_bound(s.gcd_all, c.modulus, c.arity)
+    if bits < _LONG_BITS:
         return d, f"{s.solution_count}", f"{s.expansion_count}", f"{s.basis_size}"
     import decimal  # only long counts need it
 
@@ -104,14 +111,14 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
                               Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     p1 = context.multiply(context.power(decimal.Decimal(c.modulus), c.arity - 1),
                           decimal.Decimal(d))
-
-    def quotient(count: int, cofactor: int) -> str:  # count = p1 / cofactor
-        if count.bit_length() >= 3322 and 4 * cofactor.bit_length() <= count.bit_length():
-            return f"{context.divide(p1, cofactor):f}"
-        return f"{count}"
-
-    return (d, f"{p1:f}", quotient(s.expansion_count, s.basis_size),
-            quotient(s.basis_size, s.expansion_count))
+    p2 = s.expansion_count
+    s_bits = bits - p2.bit_length()  # at least bits(s) - 1
+    if s_bits >= _LONG_BITS and 4 * p2.bit_length() <= s_bits:
+        return d, f"{p1:f}", f"{p2}", f"{context.divide(p1, p2):f}"
+    basis_size = s.basis_size
+    if p2.bit_length() >= _LONG_BITS and 4 * basis_size.bit_length() <= p2.bit_length():
+        return d, f"{p1:f}", f"{context.divide(p1, basis_size):f}", f"{basis_size}"
+    return d, f"{p1:f}", f"{p2}", f"{basis_size}"
 
 
 def _print_rows(args, expand: bool) -> int:
@@ -129,7 +136,8 @@ def _print_rows(args, expand: bool) -> int:
     # written and no later one is pulled (islice takes no stop above
     # sys.maxsize): a stream that batches its seeds, as a seed-major one does,
     # builds fewer than p2 rows past the limit.  --limit 0 pulls none, so
-    # counts alone start no walk.
+    # counts alone start no walk, and it reads neither p1 nor s: a solvable
+    # instance has at least one row of each, so the cut mark is written.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
     # cut to the rows left, and none after it is pulled.  Every prefix of a
@@ -167,9 +175,12 @@ def _print_rows(args, expand: bool) -> int:
             out.write(f"congruence: {format_congruence(parsed)}\nd = {d}\n"
                       f"solvable = {solvable}\nsolutions (p1) = {p1}\nper-seed (p2) = {p2}\n"
                       f"basis size (s) = {basis_size}\n" + ("basis:\n" if s.solvable else ""))
-    total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
-    left = total if limit is None else min(limit, total)  # rows still to write
-    truncated = left < total
+    if limit == 0:  # a solvable instance has p1 >= 1 rows, and s >= 1: read neither
+        left, truncated = 0, s.solvable
+    else:
+        total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
+        left = total if limit is None else min(limit, total)  # rows still to write
+        truncated = left < total
     # the seeds are constructed solutions, so they skip expand()'s seed check
     seeds = islice(iter_basis(c), None if limit is None else
                    min(-(-limit // s.expansion_count) if expand else limit, sys.maxsize))

@@ -32,6 +32,7 @@ never zero.  Output always uses '≡'; input may use '=' as well.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .core import _Record
 
@@ -67,8 +68,16 @@ class ParsedCongruence(_Record):
 _DIGITS = re.compile("[0-9]*")
 _SPACES = re.compile(r"\s*")
 _S, _DIGIT = _SPACES.pattern, _DIGITS.pattern[:-1]
-# a sign, a coefficient and a star, each after whitespace; no star without a coefficient
-_TERM = re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
+
+
+@cache
+def _term() -> re.Pattern:
+    # a sign, a coefficient and a star, each after whitespace; no star without
+    # a coefficient.  Compiled on first use: only text that parse's one match
+    # refuses is read by the rules.
+    return re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
+
+
 # the right-hand side and the modulus: a sign, then digits that may be
 # missing, each after whitespace, and the whitespace after them
 _INTEGER = re.compile(rf"{_S}([+-]?){_S}({_DIGIT}*){_S}")
@@ -81,7 +90,7 @@ def _literal(sign: str, digits: str) -> int:
 
 
 def _integer(m: re.Match) -> int:
-    # the value of a _TERM or _INTEGER match; errors point at its first digit
+    # the value of a _term() or _INTEGER match; errors point at its first digit
     sign, digits = m.groups()
     if not digits:
         raise ParseError("expected an integer", m.start(2) + 1)
@@ -143,7 +152,8 @@ def parse(text: str) -> ParsedCongruence:
 def _parse_by_rule(text: str) -> ParsedCongruence:
     # the rule-by-rule reader: parse's fallback, and the one writer of its ParseError
     terms: dict[str, int] = {}  # coefficient by variable name, in written order
-    m = _TERM.match(text)
+    term = _term().match
+    m = term(text)
     while not terms or m.group(1):  # a sign starts every term but the first
         sign, digits = m.groups()
         coeff = _integer(m) if digits else -1 if sign == "-" else 1
@@ -158,7 +168,7 @@ def _parse_by_rule(text: str) -> ParsedCongruence:
         if name in terms:
             raise ParseError(f"duplicate variable {name!r}", i + 1)
         terms[name] = coeff
-        m = _TERM.match(text, j)
+        m = term(text, j)
 
     i = m.start(1)
     if not text.startswith(("≡", "="), i):

@@ -25,7 +25,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CLI, CORE, ORACLE = ("tests/test_cli.py",), ("tests/test_core.py",), ("tests/test_oracle.py",)
-PARSER = ("tests/test_parser.py",)
+PARSER, RECORDS = ("tests/test_parser.py",), ("tests/test_records.py",)
 
 # (file under src/lincong, old text, new text, reason, test files)
 MUTANTS = [
@@ -50,8 +50,10 @@ MUTANTS = [
     ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
      "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
      "at the null device", CLI),
-    ("cli.py", "context.divide(p1, cofactor)", "context.divide(p1, cofactor + 1)",
-     "_counts divides p1 by the cofactor + 1 when it reads a long s or p2 off p1", CLI),
+    ("cli.py", "context.divide(p1, p2)", "context.divide(p1, p2 + 1)",
+     "_counts divides p1 by p2 + 1 when it reads a long s off p1", CLI),
+    ("cli.py", "context.divide(p1, basis_size)", "context.divide(p1, basis_size + 1)",
+     "_counts divides p1 by s + 1 when it reads a long p2 off p1", CLI),
     ("cli.py", "Emax=decimal.MAX_EMAX, ", "",
      "_counts keeps decimal's default Emax, which overflows past a million digits", CLI),
     ("cli.py", "Decimal(c.modulus), c.arity - 1)", "Decimal(c.modulus), c.arity)",
@@ -59,7 +61,7 @@ MUTANTS = [
     ("cli.py", "prec=bits * 30103 // 100000 + 1,", "prec=bits * 30103 // 100000,",
      "_counts' precision is one digit short of a p1 such as 10**1000 + 1, so the power "
      "rounds and the trapped Inexact raises", CLI),
-    ("cli.py", "if bits < 3322:", "if bits < 0:",
+    ("cli.py", "if bits < _LONG_BITS:", "if bits < 0:",
      "_counts writes every p1 at n >= 2 in decimal, so a tiny solve imports it", CLI),
     ("cli.py", "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(digit_limit)",
      "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused", CLI),
@@ -70,9 +72,9 @@ MUTANTS = [
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
-    ("cli.py", "if count.bit_length() >= 3322 and", "if count.bit_length() >= 0 and",
-     "equivalent: both sides of _counts' quotient cutover write the same digits of s "
-     "or p2, and p1 is already in decimal, so it changes speed only", ()),
+    ("cli.py", "if s_bits >= _LONG_BITS and", "if s_bits >= 0 and",
+     "equivalent: both sides of _counts' quotient cutover write the same digits of s, "
+     "and p1 is already in decimal, so it changes speed only", ()),
     ("core.py", "cut = depth == 1 and not size", "cut = False",
      "_expand_runs renders a cycle longer than _BLOCK_ROWS values as one block, so a "
      "run of 10**300 values is held whole", CLI),
@@ -122,6 +124,15 @@ MUTANTS = [
     ("core.py", "rhs=raw_b % m,", "rhs=raw_b,",
      "normalize leaves the rhs unreduced, and builds the record past the checks "
      "that would refuse it", CORE),
+    ("core.py", "return d.bit_length() + (n - 1) * m.bit_length()", "return d.bit_length()",
+     "the bound on p1's bits leaves out the modulus, so a d300n12 summary builds p1 and s "
+     "at once and _counts writes them with str", CLI),
+    ("core.py", "if _p1_bits_bound(d, m, n) < _LONG_BITS:", "if True:",
+     "summary builds p1 and s of every instance at once, also where no count reads them", CLI),
+    ("core.py", "summary.strides[0] * summary.gcds[0],", "summary.strides[0],",
+     "counts built on first read take g_1 for the modulus", CLI + RECORDS),
+    ("cli.py", "left, truncated = 0, s.solvable", "left, truncated = 0, False",
+     "solve and enumerate --limit 0 write no cut mark", CLI),
 ]
 
 

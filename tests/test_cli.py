@@ -1479,6 +1479,12 @@ def count_instances(draw):
     return normalize(coeffs, draw(integers(min_value=0, max_value=m)), m)
 
 
+# 12 coefficients 30 * 7**(100 + i) mod R and modulus 30 * R of 300 digits:
+# p1 has about 3,300 digits and a bound on its bits of about 11,000
+R300 = 10**298 + 3
+D300N12 = ([30 * pow(7, 100 + i, R300) for i in range(12)], 420, 30 * R300)
+
+
 @settings(max_examples=150)
 @given(count_instances())
 @example(normalize([1, 1], 0, 10**999 - 1))  # p1 = s = m of 999 digits, p2 = 1
@@ -1494,11 +1500,47 @@ def count_instances(draw):
 @example(normalize([6 * 10**1100], 0, 9 * 10**1100))  # n = 1, p1 = p2 = d of 1,101 digits
 @example(normalize([3], 0, 3 * 10**1200))  # n = 1, d = 3
 @example(normalize([0, 0], 0, 1))  # m = 1
+@example(normalize([1] * 34, 0, 2**100 + 1))  # p1 of 3,301 bits, its bound 3,334
+@example(normalize([1] * 34, 0, 2**100))  # p1 = 2**3300, its bound 3,334
+@example(normalize([1] * 3400, 0, 1))  # p1 = 1, its bound 3,400
+@example(normalize([0] * 10 + [1, 1], 0, 10**300 + 7))  # p2 = m**10 read off p1, s = m
+@example(normalize([0] * 3400, 0, 2))  # p2 = p1 = 2**3400, s = 1
+@example(normalize(*D300N12))
+@example(normalize(D300N12[0], 421, D300N12[2]))  # unsolvable
 def test_the_counts_are_their_decimal_strings(c):
-    # both sides of each cutover write each count as str() does
+    # both sides of each cutover write each count as str() does.  _counts
+    # reads a fresh instance first, whose summary past the cutover has not
+    # built p1 and s yet, and then the same instance with both built
+    c = normalize(c.coeffs, c.rhs, c.modulus)
+    first = lincong.cli._counts(c)
     s = c.summary
+    assert s.solution_count == s.gcd_all * c.modulus ** (c.arity - 1)
     expected = tuple(map(decimal, (s.gcd_all, s.solution_count, s.expansion_count, s.basis_size)))
-    assert lincong.cli._counts(c) == expected
+    assert first == lincong.cli._counts(c) == expected
+
+
+def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
+    # _counts, find_particular and solve --limit 0 write and find everything
+    # of a d300n12 instance from p2 and the decimal p1, so its summary keeps
+    # p1 and s unbuilt; below the cutover, summary builds them at once
+    unbuilt = {"solution_count", "basis_size"}
+    c = normalize(*D300N12)
+    lincong.cli._counts(c)
+    assert lincong.core.find_particular(c) is not None
+    assert not unbuilt & vars(c.summary).keys()
+    loaded = []
+
+    def keep(*args):
+        loaded.append(normalize(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(lincong.cli, "normalize", keep)
+    flags = [f"--coeffs={','.join(map(str, D300N12[0]))}", "--rhs=420", f"--mod={D300N12[2]}"]
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "solve", "--limit", "0", "--format", fmt, *flags)
+        assert (code, err) == (0, "")
+    assert len(loaded) == 2 and not any(unbuilt & vars(c.summary).keys() for c in loaded)
+    assert unbuilt <= vars(normalize([2, -6], 2, 12).summary).keys()
 
 
 def test_the_quotient_writes_a_count_past_a_million_digits():

@@ -21,6 +21,11 @@ BIG = ["--coeffs=8,%d,0,-5" % (3 * 10**298), "--rhs=4", "--mod=%d" % (12 * 10**2
 R = 10**298 + 3
 D300N12 = ["--coeffs=" + ",".join(str(30 * pow(7, 100 + i, R)) for i in range(12)),
            "--rhs=420", "--mod=%d" % (30 * R)]
+# the same modulus and two of those coefficients, written as an expression
+# after ten coefficients 0: p2 = m**10 * 210**2 of 3,000 digits, s = m / 210
+D300N12_ZEROS = (" + ".join([f"0x{i}" for i in range(1, 11)]
+                            + [f"{30 * pow(7, 100 + i, R)}x{i}" for i in (11, 12)])
+                 + f" ≡ 420 (mod {30 * R})")
 
 CASES = {
     "solve-text": ["solve", REF],
@@ -44,6 +49,8 @@ CASES = {
     "enumerate-300-digits": ["enumerate", "--limit", "5", *BIG],
     "solve-d300n12-text": ["solve", "--limit", "0", *D300N12],
     "solve-d300n12-json": ["solve", "--format", "json", "--limit", "0", *D300N12],
+    "solve-d300n12-zeros-text": ["solve", D300N12_ZEROS, "--limit", "0"],
+    "solve-d300n12-zeros-json": ["solve", D300N12_ZEROS, "--format", "json", "--limit", "0"],
     # s = p1 = m of 1,101 digits, p2 = 1
     "solve-p2-is-1": ["solve", "--limit", "0", "--coeffs=1,3", "--rhs=0",
                       "--mod=%d" % (10**1100 + 7)],
@@ -79,6 +86,8 @@ GOLDEN = {
     "enumerate-300-digits": (0, "8f870dea6be7e17f41e6637569019d89771708c7d12d86389fa23707c33442d4"),
     "solve-d300n12-text": (0, "ba26ae7b9aa297c214fa047925049a63711ec9e9b5901c7b6a9e25fcdaedd5a0"),
     "solve-d300n12-json": (0, "c6ed65a53f495b914f75869899f0a81804a92f0bd6bc68602f01eab2eadc5c9b"),
+    "solve-d300n12-zeros-text": (0, "683f3640db72bd45ecabf0cb729b1d15f8434abb3b2d4b6b491b1ec36389bbe7"),
+    "solve-d300n12-zeros-json": (0, "0c7c057e63afb54d356381b84025b7651c60340846619e010a85a3c01bcacde3"),
     "solve-p2-is-1": (0, "564a01baccc0cd50ba34ac45db8478838593761dc02ab4f3076b632d2e481c90"),
     "solve-long-p2-json": (0, "8768fa33d708a3722801f8eaac9ade534cf34a18801dbddfac2f7780009945a0"),
     "check-dependent": (0, "265785ef26e60f36c8b1463aaba6f690ea8d695798a1c90d58363dd6743dc84d"),
