@@ -140,18 +140,18 @@ def _print_rows(args, expand: bool) -> int:
     # instance has at least one row of each, so the cut mark is written.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
-    # cut to the rows left, and none after it is pulled.  Every prefix of a
-    # stream has the length k of the first, so a row is its head, lead % its k
+    # cut to the rows left, and none after it is pulled.  _blocks names the
+    # stream's path and depth, so a row is its head, lead % its n - depth
     # leading values, the rendering of the rest, and close, and rows are
     # joined by joiner, as json.dumps writes them for JSON ("%d" renders an
-    # int as str() does).  A block is a range of lone values at depth 1, which
-    # str renders faster than "%d"; deeper, a list of cycles, each value
-    # rendered once and joined in their product's order; or whole rows, as
-    # wide as the first block's first (a basis, and an expansion at p2 = 1 or
-    # a seed-major one at small p2, under one empty prefix).  All the
-    # prefixes of a seed take the same block, so it is rendered once and
-    # reused while the next one compares equal (O(1) for ranges).  A group of
-    # prefixes is one C-level join.  The whole JSON document is written by
+    # int as str() does).  On the seeds and seed-major paths a block is whole
+    # rows under one empty prefix.  Otherwise it is a range of lone values at
+    # depth 1 (runs, slices, groups), which str renders faster than "%d", or
+    # deeper (deep, groups) a list of cycles, each value rendered once and
+    # joined in their product's order.  All the prefixes of a seed take the
+    # same block, so it is rendered once and reused while the next one
+    # compares equal (O(1) for ranges).  A group of prefixes (the groups
+    # path) is one C-level join.  The whole JSON document is written by
     # hand, as json.dumps would write it: counts are _counts' decimal
     # strings, as they can exceed any fixed integer width, and an unsolvable
     # solve has no rows key
@@ -188,15 +188,15 @@ def _print_rows(args, expand: bool) -> int:
     glue = close + joiner
     before = ""
     lead, shown = None, ()
-    for prefixes, block in _blocks(seeds, c, expand):
-        if lead is None:
-            lead = opening + ("%d" + sep) * len(prefixes[0])
-            render = sep.join(["%d"] * len(block[0])).__mod__ if type(block) is tuple else str
-        if block != shown:
-            if type(block) is list:  # a deep block's cycles: each value rendered once
-                tail = list(map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))
-            else:
-                tail = list(map(render, block))
+    (path, depth), pairs = _blocks(seeds, c, expand)
+    for prefixes, block in pairs:
+        if lead is None:  # on the first pair, so --limit 0 builds no format
+            lead = opening + ("%d" + sep) * (c.arity - depth)
+            whole = path in ("seeds", "seed-major")
+            render = sep.join(["%d"] * depth).__mod__ if whole else str
+        if block != shown:  # a deep block's cycles: each value rendered once
+            tail = list(map(render, block) if whole or depth == 1 else
+                        map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))
             shown, size = block, len(tail)
         if len(prefixes) == 1:
             head = lead % prefixes[0]

@@ -35,23 +35,25 @@ x0_i + g_i, ... mod m, which returns to x0_i after gcd(a_i, m) steps, so its
 rows are the product of the n cycles: expand, enumerate_all and verify take
 one C-level itertools.product per seed, or the seeds themselves at p2 = 1,
 unless a cycle is too long to hold (over 1024 values).  Such an instance,
-and both CLI commands, read _blocks, which picks the depth and batching of
-every stream and yields (prefixes, block) pairs of at most 1024 rows, each
-prefix taking the whole block in turn; the CLI bounds the walk, by passing
-no more seeds than ceil(limit / p2) for its row limit, and cuts the last pair
-it writes.  A basis, and an expansion stream at p2 = 1, comes as whole rows
-under one empty prefix.  So does an expansion at p2 <= 8 whose last cycle
-is shorter than 8 values, built seed-major: a reduced seed never wraps, so
-a batch of seeds is shifted, column by column at C level, by the p2 offset
-vectors.  Otherwise the deepest coordinates step through their cycles
-together under each prefix of the first ones.  At depth 1 a block is the
-last coordinate's cycle, cut into slices when it is longer; deeper it is
-the list of the deepest cycles, whose product is its rows, built once per
-seed and shared by all its prefixes.  When the deepest prefix coordinate
-takes at least 16 values, a pair carries a group of prefixes, a slice of
-that coordinate's cycle, as many as fill 1024 rows.  A prefix's length
-fixes the row format; the CLI renders each cycle value of a block once and
-writes a group with one join, with no tuple per row.
+and both CLI commands, read _blocks, the one function that picks a stream's
+shape: it returns its path and depth, and (prefixes, block) pairs of at most
+1024 rows, each prefix taking the whole block in turn; the CLI bounds the
+walk, by passing no more seeds than ceil(limit / p2) for its row limit, and
+cuts the last pair it writes.  A block covers the deepest `depth`
+coordinates, so every prefix holds the first n - depth.  The six paths are:
+seeds, a basis or an expansion at p2 = 1, as whole rows under one empty
+prefix; seed-major, whole rows too, for an expansion at p2 <= 8 whose last
+cycle is shorter than 8 values: a reduced seed never wraps, so a batch of
+seeds is shifted, column by column at C level, by the p2 offset vectors;
+runs, one prefix a pair with the last coordinate's cycle for its block;
+slices, the same cut into slices of 1024 values for a longer cycle; deep,
+one prefix a pair with the list of the deepest cycles, whose product is its
+rows, built once per seed and shared by all its prefixes; and groups, at
+any depth, when the deepest prefix coordinate takes at least 16 values and
+16 blocks fit in 1024 rows: a pair carries a slice of that coordinate's
+cycle as a group of prefixes, as many as fill 1024 rows.  The CLI takes
+the row format from the path and the depth, renders each cycle value of a
+block once and writes a group with one join, with no tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed at most once per instance, by
@@ -93,7 +95,7 @@ __all__ = [
 Solution = tuple[int, ...]
 
 _BLOCK_ROWS = 1024  # most rows in one block of _blocks
-_GROUP_LEAST = 16  # fewest prefixes in a group of _expand_runs (see there)
+_GROUP_LEAST = 16  # fewest prefixes in a group of _blocks' groups path (see there)
 _SEED_MAJOR_MOST = 8  # largest p2, and bound on gcd(a_n, m), of a whole-row expansion (_blocks)
 _LONG_BITS = 3322  # bits of 10**1000: from this bound on p1's bits, p1 and s wait for a read
 
@@ -367,31 +369,62 @@ def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
     if max(s.gcds) <= _BLOCK_ROWS:
         return itertools.chain.from_iterable(
             itertools.product(*_cycles(x0, m, s.strides)) for x0 in seeds)
-    return (prefix + row for prefixes, block in _blocks(seeds, c) for prefix in prefixes
-            for row in (itertools.product(*block) if type(block) is list else zip(block)))
+    (_, depth), pairs = _blocks(seeds, c)
+    return (prefix + row for prefixes, block in pairs for prefix in prefixes
+            for row in (itertools.product(*block) if depth > 1 else zip(block)))
 
 
-def _blocks(seeds: Iterable[Solution], c: LinearCongruence,
-            expand: bool = True) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
-    # The one block stream of every writer: the (prefixes, block) pairs of the
-    # seeds' expansions, or of the seeds when expand is False; each prefix
-    # takes the whole block in turn.  A prefix's length, the same in the whole
-    # stream, fixes the row format.  At p2 = 1 both are the seeds, batched as
-    # whole rows under one empty prefix, and so is an expansion at small p2
-    # whose last coordinate takes fewer than _SEED_MAJOR_MOST values: there
-    # the pairs of _expand_runs would carry runs of so few rows that a pair
-    # costs the writer more than its rows do as whole rows.  Such rows come
-    # from _seed_major, which needs reduced seeds; _rows, which may pass any
-    # seed, reaches this stream only at p2 > _BLOCK_ROWS.  A caller bounds the
-    # stream by the seeds it passes, and pulls no pair it does not write.
-    p2 = c.summary.expansion_count
+def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True
+            ) -> tuple[tuple[str, int], Iterator[tuple[tuple[Solution, ...], Sequence]]]:
+    # The one block stream of every writer, and the one place that picks its
+    # shape: ((path, depth), pairs), the (prefixes, block) pairs of the seeds'
+    # expansions, or of the seeds when expand is False, each prefix taking the
+    # whole block in turn.  A block covers the deepest `depth` coordinates, so
+    # every prefix holds the first n - depth.  The paths:
+    # * seeds: the seeds as whole rows (depth n) under one empty prefix,
+    #   _BLOCK_ROWS a block; so is an expansion at p2 = 1.
+    # * seed-major: whole rows too, from _seed_major, at p2 <= _SEED_MAJOR_MOST
+    #   with a last cycle shorter than _SEED_MAJOR_MOST: there the pairs of
+    #   _expand_runs would carry runs of so few rows that a pair costs the
+    #   writer more than its rows do as whole rows.  It needs reduced seeds;
+    #   _rows, which may pass any seed, reaches _blocks only at p2 > _BLOCK_ROWS.
+    # * runs: one prefix a pair, the last coordinate's cycle its block.
+    # * slices: as runs, but the cycle is longer than _BLOCK_ROWS values and is
+    #   cut into slices of that many, one a pair.
+    # * deep: one prefix a pair, the list of the deepest `depth` >= 2 cycles
+    #   its block, whose product is its rows.
+    # * groups: a pair carries a group of prefixes, of any depth's block, when
+    #   the deepest prefix coordinate takes at least _GROUP_LEAST values and
+    #   that many blocks fit in _BLOCK_ROWS rows; below that a group costs more
+    #   C-level objects here and in the writer than it saves.
+    # At depth 1 a seed's p2 rows are written as p2 // L runs of the last
+    # coordinate, L = gcd(a_n, m).  A block of the deepest coordinates, of R
+    # rows, is rendered once per seed and written p2 // R times, one join
+    # each, so it pays when it saves at least as many runs as it has rows.
+    # The depth is the largest whose block does so within _BLOCK_ROWS rows,
+    # and 1 when none does: a block written once per seed, or one that adds
+    # only coordinates with gcd(a_i, m) = 1 to a run, saves nothing.  A caller
+    # bounds the stream by the seeds it passes, and pulls no pair it does not
+    # write.
+    n, p2, gcds = c.arity, c.summary.expansion_count, c.summary.gcds
     if not expand or p2 == 1:
         rows = iter(seeds)
-        return ((((),), block) for block in
-                iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
-    if p2 <= _SEED_MAJOR_MOST and c.summary.gcds[-1] < _SEED_MAJOR_MOST:
-        return _seed_major(seeds, c)
-    return _expand_runs(seeds, c, _block_depth(c))
+        return ("seeds", n), ((((),), block) for block in
+                              iter(lambda: tuple(itertools.islice(rows, _BLOCK_ROWS)), ()))
+    if p2 <= _SEED_MAJOR_MOST and gcds[-1] < _SEED_MAJOR_MOST:
+        return ("seed-major", n), _seed_major(seeds, c)
+    runs = p2 // gcds[-1]
+    depth, rows = 1, gcds[-1]
+    for k in range(2, n + 1):
+        rows *= gcds[-k]
+        if rows > _BLOCK_ROWS:
+            break
+        if rows + p2 // rows <= runs:
+            depth = k
+    size = _BLOCK_ROWS // prod(gcds[n - depth:])  # most prefixes in a group
+    path = ("groups" if depth < n and min(gcds[-depth - 1], size) >= _GROUP_LEAST
+            else "deep" if depth > 1 else "runs" if size else "slices")
+    return (path, depth), _expand_runs(seeds, c, path, depth, size)
 
 
 def _seed_major(seeds: Iterable[Solution],
@@ -414,27 +447,6 @@ def _seed_major(seeds: Iterable[Solution],
             zip(*itertools.starmap(zip, itertools.product(*columns)))))
 
 
-def _block_depth(c: LinearCongruence) -> int:
-    # How many of the deepest coordinates one block of _expand_runs covers.
-    # At depth 1 a seed's p2 rows are written as p2 // L runs of the last
-    # coordinate, L = gcd(a_n, m).  A block of the deepest coordinates, of R
-    # rows, is rendered once per seed and written p2 // R times, one join
-    # each, so it pays when it saves at least as many runs as it has rows.
-    # The depth is the largest whose block does so within _BLOCK_ROWS rows,
-    # and 1 when none does: a block written once per seed, or one that adds
-    # only coordinates with gcd(a_i, m) = 1 to a run, saves nothing.
-    p2, gcds = c.summary.expansion_count, c.summary.gcds
-    runs = p2 // gcds[-1]
-    depth, rows = 1, gcds[-1]
-    for k in range(2, c.arity + 1):
-        rows *= gcds[-k]
-        if rows > _BLOCK_ROWS:
-            break
-        if rows + p2 // rows <= runs:
-            depth = k
-    return depth
-
-
 def _slices(x: int, m: int, g: int, size: int) -> Iterator[range]:
     # the cycle x, x + g, ... mod m as ranges of at most `size` values: slicing
     # a range is O(1), and its truth needs no len(), which fails past sys.maxsize
@@ -444,24 +456,19 @@ def _slices(x: int, m: int, g: int, size: int) -> Iterator[range]:
             run = run[size:]
 
 
-def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence,
-                 depth: int) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
-    # The expansions of the seeds, one after another in expand's order, as
-    # (prefixes, block) pairs: a prefix holds the first n - depth coordinates,
-    # and each takes in turn the whole block, the values the last `depth` take
-    # with it.  A block is the list of the deepest cycles, whose product is its
-    # rows, built once per seed for all its prefixes; at depth 1 it is the last
-    # coordinate's cycle itself, or, past _BLOCK_ROWS values, one slice of that
-    # many a pair.  Otherwise a pair carries the prefixes that differ only in
-    # the deepest prefix coordinate, a lazy slice of its cycle of up to
-    # _BLOCK_ROWS // R values (R the block's rows), zipped with the ones
-    # before it; below _GROUP_LEAST prefixes a group costs more C-level objects
-    # here and in the writer than it saves, so each prefix has its own pair.
-    # The odometer steps the other moving prefix coordinates, by g_i.
+def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence, path: str, depth: int,
+                 size: int) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
+    # The pairs of _blocks' runs, slices, deep and groups paths: the
+    # expansions of the seeds, one after another in expand's order.  A block
+    # is the list of the deepest cycles, whose product is its rows, built once
+    # per seed for all its prefixes; at depth 1 it is the last coordinate's
+    # cycle itself, or on the slices path one slice of _BLOCK_ROWS values a
+    # pair.  A group is the prefixes that differ only in the deepest prefix
+    # coordinate, a lazy slice of its cycle of up to `size` values, zipped
+    # with the ones before it.  The odometer steps the other moving prefix
+    # coordinates, by g_i.
     m, gcds, strides, lead = c.modulus, c.summary.gcds, c.summary.strides, c.arity - depth
-    size = _BLOCK_ROWS // prod(gcds[lead:])  # most prefixes in a group
-    group = lead > 0 and min(gcds[lead - 1], size) >= _GROUP_LEAST
-    cut = depth == 1 and not size
+    group, cut = path == "groups", path == "slices"
     moving = [i for i in reversed(range(lead - group)) if gcds[i] > 1]  # deepest first, not a group's
     gl, repeat = strides[-1], itertools.repeat
     for x0 in seeds:

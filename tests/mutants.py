@@ -1,15 +1,17 @@
 """A mutation harness for the fast paths' boundaries: each mutant below is
-one small edit of src/lincong that the named test files must catch.
+one small edit of src/lincong that the named tests must catch.
 
     python tests/mutants.py
 
 For each mutant it copies the repository (all but .git and caches) into a
-temporary directory, applies the edit there, and runs the mutant's test files
-with `pytest -x -q`; a failing run kills the mutant.  First it runs every
-named test file once on an unmutated copy: unless that run passes, a failing
-run shows nothing, so no mutant is run and the exit status is 1.  An
-equivalent mutant, one that no input can tell from the original, names no
-test files: it is reported with its reason and not run.  The exit status is 1
+temporary directory, applies the edit there, and runs the mutant's tests with
+`pytest -x -q`; a failing run kills the mutant.  A mutant names test files,
+or pytest node ids where one test kills it, such as a row of the stream shape
+table, which pytest runs alone.  First it runs every file named, or holding a
+node named, once on an unmutated copy: unless that run passes, a failing run
+shows nothing, so no mutant is run and the exit status is 1.  An equivalent
+mutant, one that no input can tell from the original, names no tests: it is
+reported with its reason and not run.  The exit status is 1
 when a mutant survives, or its old text no longer occurs exactly once in its
 file, and 0 otherwise.  Standard library only, besides the pytest and
 hypothesis that the tests need.
@@ -27,16 +29,23 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CLI, CORE, ORACLE = ("tests/test_cli.py",), ("tests/test_core.py",), ("tests/test_oracle.py",)
 PARSER, RECORDS = ("tests/test_parser.py",), ("tests/test_records.py",)
 
-# (file under src/lincong, old text, new text, reason, test files)
+
+def shape(name):
+    """The node id of one row of the stream shape table in test_cli.py."""
+    return (f"tests/test_cli.py::test_each_stream_shape_writes_the_per_row_writers_bytes[{name}]",)
+
+
+# (file under src/lincong, old text, new text, reason, test files or node ids)
 MUTANTS = [
     ("cli.py", "not value[1:].isdecimal()", "not value[1:].isdigit()",
      "_scan reads '-²' as a negative number, which argparse takes for an option", CLI),
     ("cli.py", "closed = bool(positionals)", "closed = False",
      "_scan reads positionals on both sides of a flag, which argparse splits", CLI),
     ("core.py", "if rows + p2 // rows <= runs:", "if rows + p2 // rows < runs:",
-     "_block_depth stays at depth 1 at a tie that a deeper block serves as well", CLI),
+     "_blocks stays at depth 1 at a tie that a deeper block serves as well",
+     shape("deep-2-tie")),
     ("core.py", "_GROUP_LEAST = 16", "_GROUP_LEAST = 2",
-     "groups of 2 to 15 prefixes, each slower than one prefix a pair", CLI),
+     "groups of 2 to 15 prefixes, each slower than one prefix a pair", shape("runs-15-prefixes")),
     ("core.py", "yield run[:size]", "yield run[:size - 1]",
      "_slices drops one value of each slice of a long cycle", CLI + CORE),
     ("core.py", "range(x, m, g) if x < g else", "range(x, m, g) if x <= g else",
@@ -75,9 +84,18 @@ MUTANTS = [
     ("cli.py", "if s_bits >= _LONG_BITS and", "if s_bits >= 0 and",
      "equivalent: both sides of _counts' quotient cutover write the same digits of s, "
      "and p1 is already in decimal, so it changes speed only", ()),
-    ("core.py", "cut = depth == 1 and not size", "cut = False",
-     "_expand_runs renders a cycle longer than _BLOCK_ROWS values as one block, so a "
-     "run of 10**300 values is held whole", CLI),
+    ("core.py", 'else "runs" if size else "slices")', 'else "runs")',
+     "_blocks takes the runs path for a cycle longer than _BLOCK_ROWS values, so a "
+     "run of 10**300 values is held whole as one block", shape("slices-1025")),
+    ("core.py", 'else "runs" if size else "slices")', 'else "runs" if size > 1 else "slices")',
+     "_blocks cuts a cycle of exactly _BLOCK_ROWS values into slices, which one run "
+     "holds", shape("runs-1024")),
+    ("core.py", "min(gcds[-depth - 1], size) >= _GROUP_LEAST",
+     "min(gcds[-depth - 1], size) > _GROUP_LEAST",
+     "_blocks writes 16 prefixes one a pair, not as one group", shape("groups-16-prefixes")),
+    ("core.py", 'else "deep" if depth > 1 else', 'else "deep" if depth > 2 else',
+     "_blocks names a depth-2 block's stream runs, so its list of cycles is rendered "
+     "as lone values", shape("deep-2")),
     ("core.py", "if bound == g:", "if bound >= g:",
      "_lex_runs takes one last value per x_{n-1} when x_n takes several", CORE),
     ("cli.py", "if block != shown:", "if block is not shown:",
@@ -100,10 +118,11 @@ MUTANTS = [
     ("cli.py", "if not isinstance(values, str):", "if False:",
      "argparse's empty list for --limit=-- reaches the command, a TypeError", CLI),
     ("core.py", "if p2 <= _SEED_MAJOR_MOST and", "if p2 < _SEED_MAJOR_MOST and",
-     "_blocks writes p2 = 8 as runs per seed, not as whole rows built seed-major", CORE),
-    ("core.py", "c.summary.gcds[-1] < _SEED_MAJOR_MOST", "c.summary.gcds[-1] <= _SEED_MAJOR_MOST",
+     "_blocks writes p2 = 8 as runs per seed, not as whole rows built seed-major",
+     shape("seed-major-p2-8")),
+    ("core.py", "gcds[-1] < _SEED_MAJOR_MOST", "gcds[-1] <= _SEED_MAJOR_MOST",
      "_blocks builds whole rows for a last cycle of 8 values, which one run per seed "
-     "writes faster", CORE),
+     "writes faster", shape("runs-last-8")),
     ("cli.py", "-(-limit // s.expansion_count)", "limit // s.expansion_count",
      "_print_rows passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row", CLI),
     ("core.py", "for col, g in zip(zip(*batch), strides)",
@@ -157,7 +176,7 @@ def run_tests(tests, file=None, old="", new=""):
 
 def main():
     start = time.perf_counter()
-    tests = sorted({name for *_, names in MUTANTS for name in names})
+    tests = sorted({name.partition("::")[0] for *_, names in MUTANTS for name in names})
     proc = run_tests(tests)
     if proc.returncode:
         print(f"the unmutated copy fails {' '.join(tests)}, so no mutant can be judged:\n"

@@ -202,9 +202,9 @@ def test_enumerate_pulls_only_the_blocks_it_prints(capsys, monkeypatch, limit, b
     pulled = []
     expand_runs = lincong.core._expand_runs
 
-    def counting_runs(seeds, c, depth):
-        assert depth == 3
-        for prefixes, block in expand_runs(seeds, c, depth):
+    def counting_runs(seeds, c, path, depth, size):
+        assert (path, depth) == ("deep", 3)
+        for prefixes, block in expand_runs(seeds, c, path, depth, size):
             pulled.append(len(prefixes))
             yield prefixes, block
 
@@ -492,6 +492,53 @@ def test_small_p2_streams_write_the_per_row_writers_bytes(c, k):
         assert len(rows) == len(set(rows)) and set(rows) == brute_force(c)
 
 
+# One instance on each side of every cutover _blocks decides, by name:
+# (coeffs, m, expand, the (path, depth) plan).  No benchmark workload runs
+# the runs or slices paths or a deep group, so this table is their guard.
+STREAM_SHAPES = {
+    "seeds-basis": ((2, -6), 12, False, ("seeds", 2)),
+    "seeds-p2-1": ((1, 1), 3000, True, ("seeds", 2)),
+    "seed-major-p2-8": ((8, 1), 1000, True, ("seed-major", 2)),
+    "seed-major-last-7": ((1, 7), 700, True, ("seed-major", 2)),
+    "runs-p2-9": ((3, 3), 9, True, ("runs", 1)),
+    "runs-last-8": ((1, 8), 16, True, ("runs", 1)),
+    "runs-1024": ((1, 0), 1024, True, ("runs", 1)),
+    "slices-1025": ((1, 0), 1025, True, ("slices", 1)),
+    "runs-15-prefixes": ((15, 1), 15, True, ("runs", 1)),
+    "groups-16-prefixes": ((16, 1), 16, True, ("groups", 1)),
+    "groups-deep": ((16, 4, 4), 64, True, ("groups", 2)),
+    "deep-2": ((42, 28, 12), 84, True, ("deep", 2)),
+    # a tie: 8 runs at depth 1, and a depth-2 block of 4 rows joined 4 times
+    "deep-2-tie": ((4, 2, 2), 8, True, ("deep", 2)),
+    "deep-3": ((15, 10, 6, 5), 30, True, ("deep", 3)),
+}
+
+
+@pytest.mark.parametrize("coeffs, m, expand, plan", STREAM_SHAPES.values(), ids=STREAM_SHAPES)
+def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, plan):
+    # _blocks names the stream's path and depth; on every path, solve's basis
+    # rows and enumerate's solutions are the per-row writer's bytes, in text
+    # and JSON, at limit 0, 1, the last row of the first pair, one row past
+    # it, and with no limit (p1 is at most 27,000 here)
+    c = normalize(coeffs, 0, m)
+    got, pairs = lincong.core._blocks(lincong.core.iter_basis(c), c, expand)
+    assert got == plan
+    path, depth = plan
+    prefixes, block = next(pairs)
+    first = len(prefixes) * (prod(map(len, block)) if depth > 1 and path in ("deep", "groups")
+                             else len(block))
+    basis = build_basis(c)
+    for limit in (0, 1, first, first + 1, None):
+        rows = enumerate_all(basis, c) if expand else basis
+        rows = list(itertools.islice(rows, None if limit is None else limit + 1))
+        for fmt in ("text", "json"):
+            out = enumerate_output(c, fmt, limit, "enumerate" if expand else "solve")
+            if not expand:  # solve's rows, in enumerate's document
+                out = (out.partition("basis:\n")[2] if fmt == "text"
+                       else out.replace('"basis": [', '"solutions": [', 1))
+            assert_same_text(out, per_row_output(c, fmt, rows, limit), (limit, fmt))
+
+
 @pytest.fixture
 def str_calls(monkeypatch):
     """The values lincong.cli converts with str(), recorded by a shadowing str
@@ -507,8 +554,8 @@ def str_calls(monkeypatch):
     return converted
 
 
-def enumerate_output(c, fmt, limit=None):
-    argv = ["enumerate", f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
+def enumerate_output(c, fmt, limit=None, command="enumerate"):
+    argv = [command, f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
             f"--mod={c.modulus}", "--format", fmt]
     if limit is not None:
         argv += ["--limit", str(limit)]
@@ -599,7 +646,8 @@ def block_instances(draw):
         coeffs.append(g * u % m)
     c = normalize(coeffs, 0, m)
     c = normalize(coeffs, c.summary.gcd_all * draw(integers(0, m - 1)), m)
-    assume(lincong.core._block_depth(c) >= 2)
+    path, depth = lincong.core._blocks((), c)[0]
+    assume(path in ("deep", "groups") and depth >= 2)
     assume(c.summary.solution_count <= 6000)
     return c
 
@@ -615,9 +663,10 @@ def test_enumerate_blocks_match_the_oracle_row_for_row(c):
     # the block covers the deepest coordinates, and a coordinate outside it
     # moves, so each block is joined onto more than one prefix
     s = summarize(c)
-    depth = lincong.core._block_depth(c)
+    path, depth = lincong.core._blocks((), c)[0]
     block = prod(s.gcds[-depth:])
-    assert depth >= 2 and block <= lincong.core._BLOCK_ROWS and prod(s.gcds[:-depth]) > 1
+    assert path in ("deep", "groups") and depth >= 2
+    assert block <= lincong.core._BLOCK_ROWS and prod(s.gcds[:-depth]) > 1
     rows, p1 = canonical_rows(c), s.solution_count
     limits = [0, 1, block // 2, block, block + block // 2, p1 - 1, p1, p1 + 1, None]
     for limit in limits:
@@ -648,9 +697,9 @@ def test_enumerate_prefix_groups_match_the_per_row_writer(monkeypatch, coeffs, m
     pairs = []
     expand_runs = lincong.core._expand_runs
 
-    def recording(*args):
-        for prefixes, block in expand_runs(*args):
-            rows = prod(map(len, block)) if type(block) is list else len(block)
+    def recording(seeds, c, path, depth, size):
+        for prefixes, block in expand_runs(seeds, c, path, depth, size):
+            rows = prod(map(len, block)) if depth > 1 else len(block)
             pairs.append((len(prefixes), rows))
             yield prefixes, block
 
@@ -699,7 +748,7 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(str_calls, fmt):
     c = normalize([15, 10, 6, 5], 0, 30)
     s = summarize(c)
     assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
-    assert lincong.core._block_depth(c) == 3
+    assert lincong.core._blocks((), c)[0] == ("deep", 3)
     assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, canonical_rows(c), None))
     suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c))]
     assert len(str_calls) == (10 + 6 + 5) * len(suffixes) <= 21 * s.basis_size
@@ -733,9 +782,9 @@ def test_enumerate_at_p2_1_writes_blocks_of_1024_rows(monkeypatch, limit, sizes)
     blocks = lincong.cli._blocks
 
     def recording(*args, **kwargs):
-        for prefix, block in blocks(*args, **kwargs):
-            written.append(len(block))
-            yield prefix, block
+        plan, pairs = blocks(*args, **kwargs)
+        assert plan == ("seeds", 2)
+        return plan, ((prefix, written.append(len(block)) or block) for prefix, block in pairs)
 
     monkeypatch.setattr(lincong.cli, "_blocks", recording)
     assert enumerate_output(c, "text", limit).count("\n") == sum(sizes) + (limit is not None)
@@ -752,9 +801,9 @@ def test_verify_checks_the_rows_enumerate_writes(monkeypatch):
     depths = []
     expand_runs = lincong.core._expand_runs
 
-    def recording(seeds, c, depth):
-        depths.append(depth)
-        return expand_runs(seeds, c, depth)
+    def recording(seeds, c, path, depth, size):
+        depths.append((path, depth))
+        return expand_runs(seeds, c, path, depth, size)
 
     monkeypatch.setattr(lincong.core, "_expand_runs", recording)
     basis = build_basis(c)
@@ -766,7 +815,7 @@ def test_verify_checks_the_rows_enumerate_writes(monkeypatch):
     assert depths == []
     written = enumerate_output(c, "text")
     assert written.count("\n") == s.solution_count
-    assert depths == [3]
+    assert depths == [("deep", 3)]
     assert [tuple(map(int, line.split())) for line in written.splitlines()] == rows
 
 

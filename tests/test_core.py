@@ -317,10 +317,13 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
     c, seed = case
     want = reference_expand(seed, c)
     for depth in range(1, c.arity + 1):
-        blocks = core._expand_runs((seed, seed), c, depth)
-        rows = (prefix + row for prefixes, block in blocks for prefix in prefixes
-                for row in (itertools.product(*block) if depth > 1 else zip(block)))
-        assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, depth
+        size = core._BLOCK_ROWS // math.prod(c.summary.gcds[-depth:])
+        paths = ["runs", "slices"] if depth == 1 else ["deep"]
+        for path in paths + ["groups"] * (depth < c.arity and size > 0):
+            blocks = core._expand_runs((seed, seed), c, path, depth, size)
+            rows = (prefix + row for prefixes, block in blocks for prefix in prefixes
+                    for row in (itertools.product(*block) if depth > 1 else zip(block)))
+            assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, (path, depth)
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,29 +335,31 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
 @example(normalize([3, 3], 0, 9))  # p2 = 9, last cycle 3: a prefix of one value
 @example(normalize([1, 2], 0, 2000))  # p2 = 2: blocks of 512 seeds, 1024 whole rows
 def test_every_prefix_of_a_block_stream_has_the_same_length(c):
-    # the CLI reads the row format from a stream's first prefix: the seeds
-    # come under an empty prefix, and so does an expansion at p2 = 1, or at
-    # p2 <= 8 with a last cycle of fewer than 8 values (whole rows, built
-    # seed-major); any other expansion under its n - depth leading values.
-    # gcd(0, 3000) > 1024 cuts the last coordinate's run into slices.  A
-    # pair's prefixes each take its whole block, and no pair holds more than
-    # 1024 rows.  The CLI bounds a stream by its seeds, so the limits cut the
-    # seeds here
-    def rows(pair):
-        prefixes, block = pair
-        return len(prefixes) * (math.prod(map(len, block)) if type(block) is list else len(block))
-
+    # the CLI reads the row format from the plan _blocks returns: every
+    # prefix holds the first n - depth values, none on the whole-row paths
+    # (seeds and seed-major, at depth n).  gcd(0, 3000) > 1024 cuts the last
+    # coordinate's run into slices.  A pair's prefixes each take its whole
+    # block, and no pair holds more than 1024 rows.  The CLI bounds a stream
+    # by its seeds, so the limits cut the seeds here
     s = c.summary
-    whole_rows = s.expansion_count <= 8 and s.gcds[-1] < 8
     for expand in (True, False):
-        want = 0 if not expand or whole_rows else c.arity - core._block_depth(c)
-        first = next(core._blocks(iter_basis(c), c, expand), None)
+        (path, depth), pairs = core._blocks(iter_basis(c), c, expand)
+        cycles = depth > 1 and path in ("deep", "groups")
+
+        def rows(pair):
+            prefixes, block = pair
+            return len(prefixes) * (math.prod(map(len, block)) if cycles else len(block))
+
+        first = next(pairs, None)
         pair = 1 if first is None else rows(first)
         for limit in (None, 0, 1, pair, pair + 1, s.solution_count + 1):
             seeds = itertools.islice(iter_basis(c), limit)
-            pairs = list(core._blocks(seeds, c, expand))
+            plan, pairs = core._blocks(seeds, c, expand)
+            pairs = list(pairs)
             lengths = {len(prefix) for prefixes, _ in pairs for prefix in prefixes}
-            assert lengths == ({want} if s.solvable and limit != 0 else set()), (expand, limit)
+            assert plan == (path, depth), (expand, limit)
+            assert lengths == ({c.arity - depth} if s.solvable and limit != 0 else set()), (
+                expand, limit)
             assert all(0 < rows(pair) <= core._BLOCK_ROWS for pair in pairs), (expand, limit)
 
 
