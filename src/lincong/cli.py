@@ -14,16 +14,7 @@ from itertools import chain, islice, product, repeat
 from operator import add
 from types import SimpleNamespace
 
-from .core import (
-    _LONG_BITS,
-    LinearCongruence,
-    _blocks,
-    _p1_bits_bound,
-    iter_basis,
-    normalize,
-    satisfies,
-    summarize,
-)
+from .core import LinearCongruence, _blocks, iter_basis, normalize, satisfies, summarize
 from .parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
 EXIT_OK = 0
@@ -32,6 +23,7 @@ EXIT_UNSOLVABLE = 3
 EXIT_MISMATCH = 4
 
 BATCH_SIZE = 200  # instances checked by `verify --seed`
+_LONG_BITS = 3322  # bits of 10**1000: from this bound on p1's bits, _counts writes p1 in decimal
 
 
 # Every integer given as a flag or a vector is read as the expression grammar
@@ -87,10 +79,9 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     # p1 is written as d * m**(n - 1) computed in decimal, whose products are
     # subquadratic; below that str is faster.  (Decimal(m) is itself
     # quadratic, so at n = 2 with a short d the power costs about what str(p1)
-    # would.)  Past the same bound the summary builds p1 and s as ints only
-    # when they are read.  So when the bound less bits(p2), at least
-    # bits(s) - 1, is 3,322 or more and p2 has at most a quarter of that, s
-    # is read off p1 by one exact division by p2, and neither int is built.
+    # would.)  So when the bound less bits(p2), at least bits(s) - 1, is 3,322
+    # or more and p2 has at most a quarter of that, s is read off p1 by one
+    # exact division by p2, and neither int is built.
     # Otherwise s is read from the summary, and p2 is read off p1 by one exact
     # division by s when it has at least 3,322 bits and s at most a quarter
     # of them; with a longer cofactor, int -> str is faster.  The precision
@@ -102,7 +93,7 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     d = f"{s.gcd_all}"
     if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
         return d, d, d, "1"
-    bits = _p1_bits_bound(s.gcd_all, c.modulus, c.arity)
+    bits = s.gcd_all.bit_length() + (c.arity - 1) * c.modulus.bit_length()
     if bits < _LONG_BITS:
         return d, f"{s.solution_count}", f"{s.expansion_count}", f"{s.basis_size}"
     import decimal  # only long counts need it

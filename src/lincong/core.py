@@ -58,12 +58,11 @@ block once and writes a group with one join, with no tuple per row.
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed at most once per instance, by
 LinearCongruence.summary, and every other function reads that record.  p1
-and s are built with it while the bound bits(d) + (n - 1) * bits(m) on p1's
-bits is below 3,322 (1,000 digits), and otherwise on the first read of
-either: the CLI writes long counts from p1 computed in decimal, and the walks
-never read them.  The walk's level constants are left out of the record, so
-counting alone never pays for them.  All functions are pure; enumeration is
-lazy wherever the output can be large.
+and s are built on the first read of either, for every instance: the walks
+never read them, and the CLI may write long counts without them.  The walk's
+level constants are left out of the record, so counting alone never pays for
+them.  All functions are pure; enumeration is lazy wherever the output can be
+large.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ Solution = tuple[int, ...]
 _BLOCK_ROWS = 1024  # most rows in one block of _blocks
 _GROUP_LEAST = 16  # fewest prefixes in a group of _blocks' groups path (see there)
 _SEED_MAJOR_MOST = 8  # largest p2, and bound on gcd(a_n, m), of a whole-row expansion (_blocks)
-_LONG_BITS = 3322  # bits of 10**1000: from this bound on p1's bits, p1 and s wait for a read
 
 
 def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus") -> None:
@@ -170,8 +168,7 @@ class LinearCongruence(_Record):
     def summary(self) -> SolveSummary:
         """Derive the record, once, on first use: 2n gcd calls for arity n.
 
-        p1 and s are built here while _p1_bits_bound is below _LONG_BITS, and
-        otherwise on their first read (see SolveSummary).
+        p1 and s are left to their first read (see SolveSummary).
         """
         m = self.modulus
         gcds = tuple(map(gcd, self.coeffs, itertools.repeat(m)))
@@ -181,39 +178,17 @@ class LinearCongruence(_Record):
         for g in reversed(gcds):
             h.append(gcd(g, h[-1]))
         d = h[-1]
-        n, p2 = self.arity, prod(gcds)
-        solvable, strides = self.rhs % d == 0, tuple(map(m.__floordiv__, gcds))
-        suffix_gcds = tuple(h[:0:-1])
-        # one _of call on each side: adding the counts to a built record costs
-        # a small call about 0.3 µs more
-        if _p1_bits_bound(d, m, n) < _LONG_BITS:
-            p1, s = _exact_counts(d, m, n, p2)
-            return SolveSummary._of(gcd_all=d, solvable=solvable, solution_count=p1,
-                                    expansion_count=p2, basis_size=s, gcds=gcds,
-                                    strides=strides, suffix_gcds=suffix_gcds)
-        return SolveSummary._of(gcd_all=d, solvable=solvable, expansion_count=p2, gcds=gcds,
-                                strides=strides, suffix_gcds=suffix_gcds)
-
-
-def _p1_bits_bound(d: int, m: int, n: int) -> int:
-    """bits(d) + (n - 1) * bits(m): at least the bits of p1 = d * m**(n - 1)."""
-    return d.bit_length() + (n - 1) * m.bit_length()
-
-
-def _exact_counts(d: int, m: int, n: int, p2: int) -> tuple[int, int]:
-    # p1 = d * m**(n - 1) and s = p1 / p2
-    p1 = d * m ** (n - 1)
-    s, rest = divmod(p1, p2)
-    if rest:
-        raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
-    return p1, s
+        return SolveSummary._of(gcd_all=d, solvable=self.rhs % d == 0, expansion_count=prod(gcds),
+                                gcds=gcds, strides=tuple(map(m.__floordiv__, gcds)),
+                                suffix_gcds=tuple(h[:0:-1]))
 
 
 class _BuiltOnFirstRead:
-    # A count that LinearCongruence.summary may leave unbuilt.  It is a
-    # non-data descriptor, so a count in the record's __dict__ is read as any
-    # field is, with no call; the first read of an unbuilt one builds both
-    # counts, from the record alone: m = g_1 * gcd(a_1, m) and n = len(gcds).
+    # p1 = d * m**(n - 1) and s = p1 / p2, which LinearCongruence.summary
+    # leaves unbuilt.  It is a non-data descriptor, so a count in the
+    # record's __dict__ is read as any field is, with no call; the first read
+    # of either builds both, from the record alone: m = g_1 * gcd(a_1, m) and
+    # n = len(gcds).
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -221,8 +196,11 @@ class _BuiltOnFirstRead:
     def __get__(self, summary, owner=None):
         if summary is None:
             return self
-        p1, s = _exact_counts(summary.gcd_all, summary.strides[0] * summary.gcds[0],
-                              len(summary.gcds), summary.expansion_count)
+        p1 = summary.gcd_all * (summary.strides[0] * summary.gcds[0]) ** (len(summary.gcds) - 1)
+        p2 = summary.expansion_count
+        s, rest = divmod(p1, p2)
+        if rest:
+            raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
         vars(summary).update(solution_count=p1, basis_size=s)
         return vars(summary)[self.name]
 
@@ -233,9 +211,9 @@ class SolveSummary(_Record):
     solution_count and basis_size describe the solvable case; both are
     reported even for unsolvable instances (they depend only on the
     coefficients and the modulus, and are useful diagnostics).  A summary
-    whose p1 may have 1,000 digits or more computes both on the first read
-    of either, and keeps them; it reads, compares, hashes, prints and
-    pickles as one built with them.
+    from LinearCongruence.summary computes both on the first read of either,
+    and keeps them; it reads, compares, hashes, prints and pickles as one
+    built with them.
     """
 
     __match_args__ = ("gcd_all", "solvable", "solution_count", "expansion_count",

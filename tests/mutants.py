@@ -26,28 +26,37 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-CLI, CORE, ORACLE = ("tests/test_cli.py",), ("tests/test_core.py",), ("tests/test_oracle.py",)
-PARSER, RECORDS = ("tests/test_parser.py",), ("tests/test_records.py",)
+CORE, ORACLE = ("tests/test_core.py",), ("tests/test_oracle.py",)
+PARSER = ("tests/test_parser.py",)
+
+
+def cli_test(name):
+    """The node id of one test in test_cli.py, or of one of its parameter sets."""
+    return (f"tests/test_cli.py::{name}",)
 
 
 def shape(name):
     """The node id of one row of the stream shape table in test_cli.py."""
-    return (f"tests/test_cli.py::test_each_stream_shape_writes_the_per_row_writers_bytes[{name}]",)
+    return cli_test(f"test_each_stream_shape_writes_the_per_row_writers_bytes[{name}]")
+
+
+SCANNED = cli_test("test_a_scanned_argv_reads_as_argparse_reads_it")  # by its @examples
+COUNTS = cli_test("test_the_counts_are_their_decimal_strings")  # by its @examples
 
 
 # (file under src/lincong, old text, new text, reason, test files or node ids)
 MUTANTS = [
     ("cli.py", "not value[1:].isdecimal()", "not value[1:].isdigit()",
-     "_scan reads '-²' as a negative number, which argparse takes for an option", CLI),
+     "_scan reads '-²' as a negative number, which argparse takes for an option", SCANNED),
     ("cli.py", "closed = bool(positionals)", "closed = False",
-     "_scan reads positionals on both sides of a flag, which argparse splits", CLI),
+     "_scan reads positionals on both sides of a flag, which argparse splits", SCANNED),
     ("core.py", "if rows + p2 // rows <= runs:", "if rows + p2 // rows < runs:",
      "_blocks stays at depth 1 at a tie that a deeper block serves as well",
      shape("deep-2-tie")),
     ("core.py", "_GROUP_LEAST = 16", "_GROUP_LEAST = 2",
      "groups of 2 to 15 prefixes, each slower than one prefix a pair", shape("runs-15-prefixes")),
     ("core.py", "yield run[:size]", "yield run[:size - 1]",
-     "_slices drops one value of each slice of a long cycle", CLI + CORE),
+     "_slices drops one value of each slice of a long cycle", shape("slices-1025")),
     ("core.py", "range(x, m, g) if x < g else", "range(x, m, g) if x <= g else",
      "_cycles reads a seed value equal to its stride as reduced, and loses the "
      "values below it", CORE),
@@ -58,26 +67,30 @@ MUTANTS = [
      "brute_force computes m**n of any size before refusing it", ORACLE),
     ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
      "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
-     "at the null device", CLI),
+     "at the null device", cli_test("test_an_unreadable_stdin_leaves_stdout_alone")),
     ("cli.py", "context.divide(p1, p2)", "context.divide(p1, p2 + 1)",
-     "_counts divides p1 by p2 + 1 when it reads a long s off p1", CLI),
+     "_counts divides p1 by p2 + 1 when it reads a long s off p1",
+     cli_test("test_long_counts_are_written_under_the_default_digit_limit")),
     ("cli.py", "context.divide(p1, basis_size)", "context.divide(p1, basis_size + 1)",
-     "_counts divides p1 by s + 1 when it reads a long p2 off p1", CLI),
+     "_counts divides p1 by s + 1 when it reads a long p2 off p1", COUNTS),
     ("cli.py", "Emax=decimal.MAX_EMAX, ", "",
-     "_counts keeps decimal's default Emax, which overflows past a million digits", CLI),
+     "_counts keeps decimal's default Emax, which overflows past a million digits",
+     cli_test("test_the_quotient_writes_a_count_past_a_million_digits")),
     ("cli.py", "Decimal(c.modulus), c.arity - 1)", "Decimal(c.modulus), c.arity)",
-     "_counts raises m to the n-th power, not the (n - 1)-th, when it writes a long p1", CLI),
+     "_counts raises m to the n-th power, not the (n - 1)-th, when it writes a long p1", COUNTS),
     ("cli.py", "prec=bits * 30103 // 100000 + 1,", "prec=bits * 30103 // 100000,",
      "_counts' precision is one digit short of a p1 such as 10**1000 + 1, so the power "
-     "rounds and the trapped Inexact raises", CLI),
+     "rounds and the trapped Inexact raises", COUNTS),
     ("cli.py", "if bits < _LONG_BITS:", "if bits < 0:",
-     "_counts writes every p1 at n >= 2 in decimal, so a tiny solve imports it", CLI),
+     "_counts writes every p1 at n >= 2 in decimal, so a tiny solve imports it",
+     cli_test("test_each_subcommand_loads_only_what_it_uses")),
     ("cli.py", "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(digit_limit)",
-     "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused", CLI),
+     "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused",
+     cli_test("test_solve_parses_a_5000_digit_modulus")),
     ("cli.py", ".join(tail if left >= 0 else tail[:left])", ".join(tail if left >= 0 else tail)",
-     "_print_rows writes a single prefix's whole block past the limit", CLI),
+     "_print_rows writes a single prefix's whole block past the limit", shape("deep-2")),
     ("cli.py", "(tail if left >= 0 else tail[:left],)", "(tail if left >= 0 else tail,)",
-     "_print_rows writes a group's last whole block past the limit", CLI),
+     "_print_rows writes a group's last whole block past the limit", shape("groups-deep")),
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
@@ -99,24 +112,31 @@ MUTANTS = [
     ("core.py", "if bound == g:", "if bound >= g:",
      "_lex_runs takes one last value per x_{n-1} when x_n takes several", CORE),
     ("cli.py", "if block != shown:", "if block is not shown:",
-     "_print_rows renders a block afresh for each seed whose equal run is a new range", CLI),
+     "_print_rows renders a block afresh for each seed whose equal run is a new range",
+     cli_test("test_enumerate_reuses_a_run_shared_by_two_seeds")),
     ("cli.py", 'value == "" or value == "--"', 'value == ""',
-     "_scan takes --flag=-- for the value '--', which argparse reads otherwise", CLI),
+     "_scan takes --flag=-- for the value '--', which argparse reads otherwise", SCANNED),
     ("cli.py", 'value == "" or value == "--"', 'value == "--"',
      "equivalent on 3.11: argparse reads --limit= as limit='', as the scan then does; "
      "the rule stays for the other versions CI runs", ()),
     ("cli.py", 'if dest == "format" and value not in FORMATS:', "if False:",
-     "_scan takes a --format outside FORMATS, which argparse refuses with a usage error", CLI),
+     "_scan takes a --format outside FORMATS, which argparse refuses with a usage error",
+     cli_test("test_argparse_exits_keep_their_bytes")),
     ("cli.py", "if dest is None or dest in values:", "if dest is None:",
-     "_scan reads a flag given twice itself, not passing the argv on to argparse", CLI),
+     "_scan reads a flag given twice itself, not passing the argv on to argparse",
+     cli_test("test_each_spelling_of_an_argv_prints_the_same")),
     ("cli.py", "elif extra:", "elif extra < 0:",
-     "_scan drops positionals past the ones a command takes, which argparse refuses", CLI),
+     "_scan drops positionals past the ones a command takes, which argparse refuses",
+     cli_test("test_argparse_exits_keep_their_bytes")),
     ("cli.py", "if expand and not s.solvable:", "if not s.solvable:",
-     "an unsolvable solve writes enumerate's error and no counting summary", CLI),
+     "an unsolvable solve writes enumerate's error and no counting summary",
+     cli_test("test_solve_unsolvable_still_prints_summary")),
     ("core.py", "islice(rows, _BLOCK_ROWS)", "islice(rows, _BLOCK_ROWS - 1)",
-     "_blocks batches a basis stream 1,023 rows a block, not 1,024", CLI),
+     "_blocks batches a basis stream 1,023 rows a block, not 1,024",
+     cli_test("test_enumerate_at_p2_1_writes_blocks_of_1024_rows")),
     ("cli.py", "if not isinstance(values, str):", "if False:",
-     "argparse's empty list for --limit=-- reaches the command, a TypeError", CLI),
+     "argparse's empty list for --limit=-- reaches the command, a TypeError",
+     cli_test("test_a_double_dash_flag_value_is_a_usage_error")),
     ("core.py", "if p2 <= _SEED_MAJOR_MOST and", "if p2 < _SEED_MAJOR_MOST and",
      "_blocks writes p2 = 8 as runs per seed, not as whole rows built seed-major",
      shape("seed-major-p2-8")),
@@ -124,10 +144,11 @@ MUTANTS = [
      "_blocks builds whole rows for a last cycle of 8 values, which one run per seed "
      "writes faster", shape("runs-last-8")),
     ("cli.py", "-(-limit // s.expansion_count)", "limit // s.expansion_count",
-     "_print_rows passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row", CLI),
+     "_print_rows passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row",
+     shape("seed-major-p2-8")),
     ("core.py", "for col, g in zip(zip(*batch), strides)",
      "for col, g in zip(zip(*batch), strides[::-1])",
-     "_seed_major shifts each column by another coordinate's stride", CLI),
+     "_seed_major shifts each column by another coordinate's stride", shape("seed-major-p2-8")),
     ("core.py", "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count)",
      "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count + 1)",
      "_seed_major takes one seed too many a batch, so a block holds over 1024 rows", CORE),
@@ -143,15 +164,20 @@ MUTANTS = [
     ("core.py", "rhs=raw_b % m,", "rhs=raw_b,",
      "normalize leaves the rhs unreduced, and builds the record past the checks "
      "that would refuse it", CORE),
-    ("core.py", "return d.bit_length() + (n - 1) * m.bit_length()", "return d.bit_length()",
-     "the bound on p1's bits leaves out the modulus, so a d300n12 summary builds p1 and s "
-     "at once and _counts writes them with str", CLI),
-    ("core.py", "if _p1_bits_bound(d, m, n) < _LONG_BITS:", "if True:",
-     "summary builds p1 and s of every instance at once, also where no count reads them", CLI),
-    ("core.py", "summary.strides[0] * summary.gcds[0],", "summary.strides[0],",
-     "counts built on first read take g_1 for the modulus", CLI + RECORDS),
+    ("cli.py", "bits = s.gcd_all.bit_length() + (c.arity - 1) * c.modulus.bit_length()",
+     "bits = s.gcd_all.bit_length()",
+     "_counts' bound on p1's bits leaves out the modulus, so it writes a p1 of 199,901 "
+     "digits with str, which the default int/str digit limit refuses",
+     cli_test("test_long_counts_are_written_under_the_default_digit_limit")),
+    ("core.py", "suffix_gcds=tuple(h[:0:-1]))",
+     "suffix_gcds=tuple(h[:0:-1]), solution_count=d * m ** (self.arity - 1))",
+     "summary builds p1 at once, also where no count reads it",
+     cli_test("test_counts_past_the_cutover_build_no_p1_or_s")),
+    ("core.py", "(summary.strides[0] * summary.gcds[0])", "(summary.strides[0])",
+     "counts built on first read take g_1 for the modulus",
+     ("tests/test_records.py::test_a_summary_built_on_first_read_reads_as_one_built_whole",)),
     ("cli.py", "left, truncated = 0, s.solvable", "left, truncated = 0, False",
-     "solve and enumerate --limit 0 write no cut mark", CLI),
+     "solve and enumerate --limit 0 write no cut mark", shape("runs-p2-9")),
 ]
 
 

@@ -504,7 +504,11 @@ STREAM_SHAPES = {
     "runs-last-8": ((1, 8), 16, True, ("runs", 1)),
     "runs-1024": ((1, 0), 1024, True, ("runs", 1)),
     "slices-1025": ((1, 0), 1025, True, ("slices", 1)),
+    # a cycle of 10**300 values: written with no limit, it would never end
+    "slices-300-digits": ((1, 0), 10**300, True, ("slices", 1)),
     "runs-15-prefixes": ((15, 1), 15, True, ("runs", 1)),
+    # three moving prefix coordinates, so the odometer carries across them
+    "runs-3-moving": ((2, 2, 2, 8), 16, True, ("runs", 1)),
     "groups-16-prefixes": ((16, 1), 16, True, ("groups", 1)),
     "groups-deep": ((16, 4, 4), 64, True, ("groups", 2)),
     "deep-2": ((42, 28, 12), 84, True, ("deep", 2)),
@@ -519,7 +523,7 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
     # _blocks names the stream's path and depth; on every path, solve's basis
     # rows and enumerate's solutions are the per-row writer's bytes, in text
     # and JSON, at limit 0, 1, the last row of the first pair, one row past
-    # it, and with no limit (p1 is at most 27,000 here)
+    # it, and with no limit where p1 is at most 27,000 (all but a 300-digit m)
     c = normalize(coeffs, 0, m)
     got, pairs = lincong.core._blocks(lincong.core.iter_basis(c), c, expand)
     assert got == plan
@@ -528,7 +532,7 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
     first = len(prefixes) * (prod(map(len, block)) if depth > 1 and path in ("deep", "groups")
                              else len(block))
     basis = build_basis(c)
-    for limit in (0, 1, first, first + 1, None):
+    for limit in (0, 1, first, first + 1) + (None,) * (m < 10**300):
         rows = enumerate_all(basis, c) if expand else basis
         rows = list(itertools.islice(rows, None if limit is None else limit + 1))
         for fmt in ("text", "json"):
@@ -1571,7 +1575,7 @@ def test_the_counts_are_their_decimal_strings(c):
 def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
     # _counts, find_particular and solve --limit 0 write and find everything
     # of a d300n12 instance from p2 and the decimal p1, so its summary keeps
-    # p1 and s unbuilt; below the cutover, summary builds them at once
+    # p1 and s unbuilt
     unbuilt = {"solution_count", "basis_size"}
     c = normalize(*D300N12)
     lincong.cli._counts(c)
@@ -1589,7 +1593,17 @@ def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
         code, out, err = run(capsys, "solve", "--limit", "0", "--format", fmt, *flags)
         assert (code, err) == (0, "")
     assert len(loaded) == 2 and not any(unbuilt & vars(c.summary).keys() for c in loaded)
-    assert unbuilt <= vars(normalize([2, -6], 2, 12).summary).keys()
+    # no summary, short or long, builds them for the walks or an expansion;
+    # the first read of either builds both
+    for args in (([2, -6], 2, 12), D300N12):
+        for name in unbuilt:
+            c = normalize(*args)
+            seed = lincong.core.find_particular(c)
+            assert len(list(itertools.islice(lincong.core.iter_basis(c), 3))) >= 2
+            assert len(list(itertools.islice(expand(seed, c), 3))) == 3
+            assert not unbuilt & vars(c.summary).keys()
+            assert getattr(c.summary, name) > 0
+            assert unbuilt <= vars(c.summary).keys()
 
 
 def test_the_quotient_writes_a_count_past_a_million_digits():

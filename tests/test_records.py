@@ -229,30 +229,35 @@ def test_round_trips_keep_a_cached_summary_working():
 R300 = 10**298 + 3
 
 
-def _unbuilt_summary():
-    # a summary whose p1 may have 1,000 digits or more: 12 unknowns mod a
-    # modulus of 300 digits, so p1 and s are left to their first read
-    s = normalize([30 * pow(7, 100 + i, R300) for i in range(12)], 420, 30 * R300).summary
+def _unbuilt_summary(args):
+    # a fresh summary, whose p1 and s are left to their first read
+    s = normalize(*args).summary
     assert not {"solution_count", "basis_size"} & vars(s).keys()
     return s
 
 
 def test_a_summary_built_on_first_read_reads_as_one_built_whole():
-    built = SolveSummary(*(getattr(_unbuilt_summary(), name) for name in FIELDS[SolveSummary]))
-    assert {"solution_count", "basis_size"} <= vars(built).keys()
-    assert _unbuilt_summary() == built and built == _unbuilt_summary()
-    assert hash(_unbuilt_summary()) == hash(built)
-    assert repr(_unbuilt_summary()) == repr(built)
-    for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
-        copied = copy_of(_unbuilt_summary())
-        assert not {"solution_count", "basis_size"} & vars(copied).keys()
-        assert copied == built and hash(copied) == hash(built)
-    s = _unbuilt_summary()
-    assert s.basis_size * s.expansion_count == s.solution_count
-    assert s.solution_count == s.gcd_all * (30 * R300) ** 11
-    assert {"solution_count", "basis_size"} <= vars(s).keys()
-    with pytest.raises(FrozenRecordError):
-        s.solution_count = 1
+    # a short instance, and 12 unknowns mod a modulus of 300 digits, whose p1
+    # has about 3,300 digits: (normalize's arguments, m**(n - 1))
+    for args, m_power in ((([2, -6], 2, 12), 12),
+                          (([30 * pow(7, 100 + i, R300) for i in range(12)], 420, 30 * R300),
+                           (30 * R300) ** 11)):
+        built = SolveSummary(*(getattr(_unbuilt_summary(args), name)
+                               for name in FIELDS[SolveSummary]))
+        assert {"solution_count", "basis_size"} <= vars(built).keys()
+        assert _unbuilt_summary(args) == built and built == _unbuilt_summary(args)
+        assert hash(_unbuilt_summary(args)) == hash(built)
+        assert repr(_unbuilt_summary(args)) == repr(built)
+        for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
+            copied = copy_of(_unbuilt_summary(args))
+            assert not {"solution_count", "basis_size"} & vars(copied).keys()
+            assert copied == built and hash(copied) == hash(built)
+        s = _unbuilt_summary(args)
+        assert s.basis_size * s.expansion_count == s.solution_count
+        assert s.solution_count == s.gcd_all * m_power
+        assert {"solution_count", "basis_size"} <= vars(s).keys()
+        with pytest.raises(FrozenRecordError):
+            s.solution_count = 1
 
 
 def test_counts_built_on_first_read_check_their_division():
