@@ -10,8 +10,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache
-from itertools import chain, islice, product, repeat
-from operator import add
+from itertools import islice, product, repeat
 from types import SimpleNamespace
 
 from .core import LinearCongruence, _blocks, iter_basis, normalize, satisfies, summarize
@@ -127,25 +126,33 @@ def _print_rows(args, expand: bool) -> int:
     # written and no later one is pulled (islice takes no stop above
     # sys.maxsize): a stream that batches its seeds, as a seed-major one does,
     # builds fewer than p2 rows past the limit.  --limit 0 pulls none, so
-    # counts alone start no walk, and it reads neither p1 nor s: a solvable
-    # instance has at least one row of each, so the cut mark is written.
+    # counts alone start no walk.  It, and any limit below the bound on the
+    # rows there are, reads neither p1 nor s: a solvable instance has at
+    # least one row of each, so the cut mark is written.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
     # cut to the rows left, and none after it is pulled.  _blocks names the
-    # stream's path and depth, so a row is its head, lead % its n - depth
-    # leading values, the rendering of the rest, and close, and rows are
-    # joined by joiner, as json.dumps writes them for JSON ("%d" renders an
-    # int as str() does).  On the seeds and seed-major paths a block is whole
+    # stream's path and depth.  A row leads with its glue, close + joiner,
+    # which ends the row before it: lead is the glue, opening and a "%d" and
+    # sep for each leading value, so the n - depth values of a prefix format
+    # it once, and tail, the rendering of the rest after a leading "", is
+    # joined by it into all the prefix's rows as one string, as json.dumps
+    # writes them for JSON ("%d" renders an int as str() does).  The stream's
+    # first glue is dropped, on the first pair, and close is written once,
+    # after the last.  On the seeds and seed-major paths a block is whole
     # rows under one empty prefix.  Otherwise it is a range of lone values at
     # depth 1 (runs, slices, groups), which str renders faster than "%d", or
     # deeper (deep, groups) a list of cycles, each value rendered once and
     # joined in their product's order.  All the prefixes of a seed take the
     # same block, so it is rendered once and reused while the next one
-    # compares equal (O(1) for ranges).  A group of prefixes (the groups
-    # path) is one C-level join.  The whole JSON document is written by
-    # hand, as json.dumps would write it: counts are _counts' decimal
-    # strings, as they can exceed any fixed integer width, and an unsolvable
-    # solve has no rows key
+    # compares equal (O(1) for ranges).  A group (the groups path) carries
+    # its fixed lead, the first n - depth - 1 values, and a slice of the next
+    # coordinate's values: the fixed lead is formatted once, and the heads of
+    # the group's prefixes come from one join of the slice, split at "\0",
+    # which no row text holds.  The whole JSON document is written by hand,
+    # as json.dumps would write it: counts are _counts' decimal strings, as
+    # they can exceed any fixed integer width, and an unsolvable solve has no
+    # rows key
     c, parsed = _load_instance(args)
     limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
@@ -166,8 +173,14 @@ def _print_rows(args, expand: bool) -> int:
             out.write(f"congruence: {format_congruence(parsed)}\nd = {d}\n"
                       f"solvable = {solvable}\nsolutions (p1) = {p1}\nper-seed (p2) = {p2}\n"
                       f"basis size (s) = {basis_size}\n" + ("basis:\n" if s.solvable else ""))
-    if limit == 0:  # a solvable instance has p1 >= 1 rows, and s >= 1: read neither
-        left, truncated = 0, s.solvable
+    # a solvable instance has at least one row, p1 >= 2**E rows with
+    # E = bits(d) - 1 + (n - 1) * (bits(m) - 1), and s > 2**(E - bits(p2)) basis
+    # rows: a limit of 0, or of no more bits than that exponent, is cut there
+    # and reads neither count
+    if s.solvable and limit is not None and (limit == 0 or limit.bit_length() <= (
+            s.gcd_all.bit_length() - 1 + (c.arity - 1) * (c.modulus.bit_length() - 1)
+            - (0 if expand else s.expansion_count.bit_length()))):
+        left, truncated = limit, True
     else:
         total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
         left = total if limit is None else min(limit, total)  # rows still to write
@@ -177,31 +190,36 @@ def _print_rows(args, expand: bool) -> int:
                    min(-(-limit // s.expansion_count) if expand else limit, sys.maxsize))
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if as_json else ("", " ", "\n", "")
     glue = close + joiner
-    before = ""
+    skip = len(glue)  # the stream's first row follows no other
     lead, shown = None, ()
     (path, depth), pairs = _blocks(seeds, c, expand)
+    group = path == "groups"
     for prefixes, block in pairs:
         if lead is None:  # on the first pair, so --limit 0 builds no format
-            lead = opening + ("%d" + sep) * (c.arity - depth)
+            lead = glue + opening + ("%d" + sep) * (c.arity - depth - group)
             whole = path in ("seeds", "seed-major")
             render = sep.join(["%d"] * depth).__mod__ if whole else str
         if block != shown:  # a deep block's cycles: each value rendered once
-            tail = list(map(render, block) if whole or depth == 1 else
-                        map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))
-            shown, size = block, len(tail)
-        if len(prefixes) == 1:
-            head = lead % prefixes[0]
-            left -= size
-            text = head + (glue + head).join(tail if left >= 0 else tail[:left])
-        else:  # a group in one join: each head that holds rows still to write, with the tail
-            heads = list(map(lead.__mod__, prefixes[:-(-left // size)]))
+            tail = ["", *(map(render, block) if whole or depth == 1 else
+                          map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))]
+            shown, size = block, len(tail) - 1
+        if group:  # the fixed lead once, then each head that holds rows still to write
+            fixed, part = prefixes
+            part = part[:-(-left // size)]
+            pre = lead % fixed
+            heads = (pre + (sep + "\0" + pre).join(map(str, part)) + sep).split("\0")
             left -= size * len(heads)
-            tails = chain(repeat(tail, len(heads) - 1), (tail if left >= 0 else tail[:left],))
-            text = glue.join(map(add, heads, map(str.join, map(glue.__add__, heads), tails)))
-        out.write(before + text + close)
+            last = heads.pop().join(tail if left >= 0 else tail[:left])
+            text = "".join([*map(str.join, heads, repeat(tail)), last])
+        else:
+            left -= size
+            text = (lead % prefixes[0]).join(tail if left >= 0 else tail[:left])
+        out.write(text[skip:])
         if left <= 0:
             break
-        before = joiner
+        skip = 0
+    if lead is not None:
+        out.write(close)
     if as_json:
         truncation = "true" if truncated else "false"
         out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')

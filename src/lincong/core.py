@@ -50,10 +50,12 @@ slices, the same cut into slices of 1024 values for a longer cycle; deep,
 one prefix a pair with the list of the deepest cycles, whose product is its
 rows, built once per seed and shared by all its prefixes; and groups, at
 any depth, when the deepest prefix coordinate takes at least 16 values and
-16 blocks fit in 1024 rows: a pair carries a slice of that coordinate's
-cycle as a group of prefixes, as many as fill 1024 rows.  The CLI takes
-the row format from the path and the depth, renders each cycle value of a
-block once and writes a group with one join, with no tuple per row.
+16 blocks fit in 1024 rows: a pair carries a group of prefixes as its fixed
+lead, the prefix values before that coordinate, and a slice of that
+coordinate's cycle, as many values as fill 1024 rows, with no tuple per
+prefix (_rows builds those for the library).  The CLI takes the row format
+from the path and the depth, renders each cycle value of a block once, and
+writes each prefix's rows as one string, with no tuple per row.
 
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed at most once per instance, by
@@ -341,19 +343,22 @@ def _rows(seeds: Iterable[Solution], c: LinearCongruence) -> Iterator[Solution]:
     # the rows of the seeds' expansions as tuples, in expand's order: at p2 = 1
     # the seeds, else one product per seed, or, when a cycle is too long to
     # hold, _blocks' pairs, where zip makes 1-tuples of a depth-1 block's values
+    # and a group's prefixes are its fixed lead and each value of its slice
     m, s = c.modulus, c.summary
     if s.expansion_count == 1:
         return iter(seeds)
     if max(s.gcds) <= _BLOCK_ROWS:
         return itertools.chain.from_iterable(
             itertools.product(*_cycles(x0, m, s.strides)) for x0 in seeds)
-    (_, depth), pairs = _blocks(seeds, c)
+    (path, depth), pairs = _blocks(seeds, c)
+    if path == "groups":
+        pairs = (([(*fixed, x) for x in part], block) for (fixed, part), block in pairs)
     return (prefix + row for prefixes, block in pairs for prefix in prefixes
             for row in (itertools.product(*block) if depth > 1 else zip(block)))
 
 
 def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True
-            ) -> tuple[tuple[str, int], Iterator[tuple[tuple[Solution, ...], Sequence]]]:
+            ) -> tuple[tuple[str, int], Iterator[tuple[tuple, Sequence]]]:
     # The one block stream of every writer, and the one place that picks its
     # shape: ((path, depth), pairs), the (prefixes, block) pairs of the seeds'
     # expansions, or of the seeds when expand is False, each prefix taking the
@@ -374,7 +379,9 @@ def _blocks(seeds: Iterable[Solution], c: LinearCongruence, expand: bool = True
     # * groups: a pair carries a group of prefixes, of any depth's block, when
     #   the deepest prefix coordinate takes at least _GROUP_LEAST values and
     #   that many blocks fit in _BLOCK_ROWS rows; below that a group costs more
-    #   C-level objects here and in the writer than it saves.
+    #   C-level objects here and in the writer than it saves.  Its first item
+    #   is (fixed, part): the fixed lead, the first n - depth - 1 values, and
+    #   a slice of the next coordinate's cycle, one prefix a value.
     # At depth 1 a seed's p2 rows are written as p2 // L runs of the last
     # coordinate, L = gcd(a_n, m).  A block of the deepest coordinates, of R
     # rows, is rendered once per seed and written p2 // R times, one join
@@ -435,20 +442,20 @@ def _slices(x: int, m: int, g: int, size: int) -> Iterator[range]:
 
 
 def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence, path: str, depth: int,
-                 size: int) -> Iterator[tuple[tuple[Solution, ...], Sequence]]:
+                 size: int) -> Iterator[tuple[tuple, Sequence]]:
     # The pairs of _blocks' runs, slices, deep and groups paths: the
     # expansions of the seeds, one after another in expand's order.  A block
     # is the list of the deepest cycles, whose product is its rows, built once
     # per seed for all its prefixes; at depth 1 it is the last coordinate's
     # cycle itself, or on the slices path one slice of _BLOCK_ROWS values a
     # pair.  A group is the prefixes that differ only in the deepest prefix
-    # coordinate, a lazy slice of its cycle of up to `size` values, zipped
-    # with the ones before it.  The odometer steps the other moving prefix
-    # coordinates, by g_i.
+    # coordinate: the tuple of the values before it, and a lazy slice of its
+    # cycle of up to `size` values.  The odometer steps the other moving
+    # prefix coordinates, by g_i.
     m, gcds, strides, lead = c.modulus, c.summary.gcds, c.summary.strides, c.arity - depth
     group, cut = path == "groups", path == "slices"
     moving = [i for i in reversed(range(lead - group)) if gcds[i] > 1]  # deepest first, not a group's
-    gl, repeat = strides[-1], itertools.repeat
+    gl = strides[-1]
     for x0 in seeds:
         if depth > 1:
             block = _cycles(x0[lead:], m, strides[lead:])
@@ -457,8 +464,9 @@ def _expand_runs(seeds: Iterable[Solution], c: LinearCongruence, path: str, dept
         head = list(x0[:lead])
         while True:
             if group:
+                fixed = tuple(head[:-1])
                 for part in _slices(head[-1], m, strides[lead - 1], size):
-                    yield tuple(zip(*map(repeat, head[:-1]), part)), block
+                    yield (fixed, part), block
             elif cut:
                 prefixes = (tuple(head),)
                 for part in _slices(x0[-1], m, gl, _BLOCK_ROWS):

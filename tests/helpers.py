@@ -4,6 +4,7 @@ import itertools
 import random
 import string
 import sys
+from collections.abc import Iterator
 from math import gcd
 
 from lincong import LinearCongruence, ParsedCongruence, normalize, summarize
@@ -94,19 +95,23 @@ def reference_expand(x0, c: LinearCongruence) -> list[tuple[int, ...]]:
     """The expansion of x0 by a generic odometer: every parameter tuple
     (t_1, ..., t_n), 0 <= t_i < gcd(a_i, m), in lexicographic order, mapped
     to (x0_i + g_i * t_i) mod m coordinate by coordinate."""
+    return list(iter_reference_expand(x0, c))
+
+
+def iter_reference_expand(x0, c: LinearCongruence) -> Iterator[tuple[int, ...]]:
+    """reference_expand's rows one at a time, for an expansion too long to hold."""
     m = c.modulus
     bounds = [gcd(a, m) for a in c.coeffs]
     strides = [m // d for d in bounds]
-    rows = []
     counters = [0] * len(bounds)
     while True:
-        rows.append(tuple((xi + g * t) % m for xi, g, t in zip(x0, strides, counters)))
+        yield tuple((xi + g * t) % m for xi, g, t in zip(x0, strides, counters))
         i = len(bounds) - 1
         while i >= 0 and counters[i] == bounds[i] - 1:
             counters[i] = 0
             i -= 1
         if i < 0:
-            return rows
+            return
         counters[i] += 1
 
 

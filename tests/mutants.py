@@ -42,6 +42,7 @@ def shape(name):
 
 SCANNED = cli_test("test_a_scanned_argv_reads_as_argparse_reads_it")  # by its @examples
 COUNTS = cli_test("test_the_counts_are_their_decimal_strings")  # by its @examples
+LIMITS = cli_test("test_limits_round_the_row_count_write_the_per_row_writers_bytes")
 
 
 # (file under src/lincong, old text, new text, reason, test files or node ids)
@@ -87,10 +88,20 @@ MUTANTS = [
     ("cli.py", "sys.set_int_max_str_digits(0)", "sys.set_int_max_str_digits(digit_limit)",
      "main keeps the int/str digit limit, so a p1 of over 4,300 digits is refused",
      cli_test("test_solve_parses_a_5000_digit_modulus")),
-    ("cli.py", ".join(tail if left >= 0 else tail[:left])", ".join(tail if left >= 0 else tail)",
+    ("cli.py", "(lead % prefixes[0]).join(tail if left >= 0 else tail[:left])",
+     "(lead % prefixes[0]).join(tail)",
      "_print_rows writes a single prefix's whole block past the limit", shape("deep-2")),
-    ("cli.py", "(tail if left >= 0 else tail[:left],)", "(tail if left >= 0 else tail,)",
+    ("cli.py", "heads.pop().join(tail if left >= 0 else tail[:left])", "heads.pop().join(tail)",
      "_print_rows writes a group's last whole block past the limit", shape("groups-deep")),
+    ("cli.py", "skip = len(glue)", "skip = 0",
+     "_print_rows writes the glue that ends a row before the stream's first row too",
+     shape("runs-p2-9")),
+    ("core.py", "fixed = tuple(head[:-1])", "fixed = tuple(x0[:lead - 1])",
+     "_expand_runs gives every group of a seed the seed's fixed lead, not the odometer's",
+     shape("groups-fixed-lead")),
+    ("core.py", "[(*fixed, x) for x in part]", "[(x, *fixed) for x in part]",
+     "_rows puts a group's slice value before its fixed lead",
+     ("tests/test_core.py::test_enumerate_all_writes_a_groups_stream_as_prefix_tuples",)),
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
@@ -176,8 +187,14 @@ MUTANTS = [
     ("core.py", "(summary.strides[0] * summary.gcds[0])", "(summary.strides[0])",
      "counts built on first read take g_1 for the modulus",
      ("tests/test_records.py::test_a_summary_built_on_first_read_reads_as_one_built_whole",)),
-    ("cli.py", "left, truncated = 0, s.solvable", "left, truncated = 0, False",
+    ("cli.py", "left, truncated = limit, True", "left, truncated = limit, limit > 0",
      "solve and enumerate --limit 0 write no cut mark", shape("runs-p2-9")),
+    ("cli.py", "limit.bit_length() <= (", "limit.bit_length() <= 1 + (",
+     "_print_rows' bound on the rows there are is one bit too long, so a limit of "
+     "p1 rows is marked as a cut", LIMITS),
+    ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
+     "_print_rows bounds solve's basis rows by p1's bound, so a limit of s rows is "
+     "marked as a cut", LIMITS),
 ]
 
 

@@ -29,7 +29,7 @@ from lincong.core import (are_dependent, build_basis, enumerate_all, expand, mod
 from lincong.oracle import OracleReport, brute_force, verify
 from lincong.parser import ParsedCongruence, format_congruence
 
-from helpers import assert_same_text, random_instances
+from helpers import assert_same_text, iter_reference_expand, random_instances
 from test_golden import CASES, GOLDEN
 
 REF_EXPR = "2x - 6y ≡ 2 (mod 12)"
@@ -511,6 +511,9 @@ STREAM_SHAPES = {
     "runs-3-moving": ((2, 2, 2, 8), 16, True, ("runs", 1)),
     "groups-16-prefixes": ((16, 1), 16, True, ("groups", 1)),
     "groups-deep": ((16, 4, 4), 64, True, ("groups", 2)),
+    # x1 takes two values outside the group, so each group shares it as its
+    # fixed lead, and a group of x2's 16 values has 32 rows each
+    "groups-fixed-lead": ((2, 16, 32), 64, True, ("groups", 1)),
     "deep-2": ((42, 28, 12), 84, True, ("deep", 2)),
     # a tie: 8 runs at depth 1, and a depth-2 block of 4 rows joined 4 times
     "deep-2-tie": ((4, 2, 2), 8, True, ("deep", 2)),
@@ -523,24 +526,33 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
     # _blocks names the stream's path and depth; on every path, solve's basis
     # rows and enumerate's solutions are the per-row writer's bytes, in text
     # and JSON, at limit 0, 1, the last row of the first pair, one row past
-    # it, and with no limit where p1 is at most 27,000 (all but a 300-digit m)
+    # it, and with no limit where p1 is at most 27,000 (all but a 300-digit m).
+    # The rows written are the basis's expansions by the reference odometer,
+    # which shares no code with _blocks, and where m**n is at most 10**6 the
+    # basis is the oracle's reduced solutions and the rows its whole set
     c = normalize(coeffs, 0, m)
     got, pairs = lincong.core._blocks(lincong.core.iter_basis(c), c, expand)
     assert got == plan
     path, depth = plan
     prefixes, block = next(pairs)
-    first = len(prefixes) * (prod(map(len, block)) if depth > 1 and path in ("deep", "groups")
-                             else len(block))
+    group = len(prefixes[1]) if path == "groups" else len(prefixes)  # a group: lead and slice
+    first = group * (prod(map(len, block)) if depth > 1 and path in ("deep", "groups")
+                     else len(block))
     basis = build_basis(c)
+    small = m ** len(coeffs) <= 10**6
+    if small:
+        solutions = brute_force(c)
+        strides = summarize(c).strides
+        assert list(basis) == sorted(x for x in solutions if all(map(int.__lt__, x, strides)))
     for limit in (0, 1, first, first + 1) + (None,) * (m < 10**300):
-        rows = enumerate_all(basis, c) if expand else basis
+        rows = (itertools.chain.from_iterable(iter_reference_expand(x, c) for x in basis)
+                if expand else basis)
         rows = list(itertools.islice(rows, None if limit is None else limit + 1))
+        if small and expand and limit is None:
+            assert len(rows) == len(set(rows)) and set(rows) == solutions
         for fmt in ("text", "json"):
-            out = enumerate_output(c, fmt, limit, "enumerate" if expand else "solve")
-            if not expand:  # solve's rows, in enumerate's document
-                out = (out.partition("basis:\n")[2] if fmt == "text"
-                       else out.replace('"basis": [', '"solutions": [', 1))
-            assert_same_text(out, per_row_output(c, fmt, rows, limit), (limit, fmt))
+            assert_same_text(enumerate_output(c, fmt, limit, "enumerate" if expand else "solve"),
+                             per_row_output(c, fmt, rows, limit), (limit, fmt))
 
 
 @pytest.fixture
@@ -559,6 +571,8 @@ def str_calls(monkeypatch):
 
 
 def enumerate_output(c, fmt, limit=None, command="enumerate"):
+    """What `command` writes for c; for solve, its basis rows as enumerate's
+    document holds them: after the text summary, or under "solutions"."""
     argv = [command, f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
             f"--mod={c.modulus}", "--format", fmt]
     if limit is not None:
@@ -566,7 +580,10 @@ def enumerate_output(c, fmt, limit=None, command="enumerate"):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0
-    return out.getvalue()
+    if command == "enumerate":
+        return out.getvalue()
+    return (out.getvalue().partition("basis:\n")[2] if fmt == "text"
+            else out.getvalue().replace('"basis": [', '"solutions": [', 1))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -696,7 +713,9 @@ def test_enumerate_blocks_match_the_oracle_row_for_row(c):
 ])
 def test_enumerate_prefix_groups_match_the_per_row_writer(monkeypatch, coeffs, m, group, ends):
     # the limit falls on the first row, inside a group, on a group's last
-    # row and one past it, and at the ends; no pair holds more than 1024 rows
+    # row and one past it, and at the ends; no pair holds more than 1024 rows.
+    # A group pair carries its fixed lead and a slice of the next coordinate,
+    # one prefix a value; any other pair, its one prefix
     c = normalize(coeffs, 0, m)
     pairs = []
     expand_runs = lincong.core._expand_runs
@@ -704,7 +723,7 @@ def test_enumerate_prefix_groups_match_the_per_row_writer(monkeypatch, coeffs, m
     def recording(seeds, c, path, depth, size):
         for prefixes, block in expand_runs(seeds, c, path, depth, size):
             rows = prod(map(len, block)) if depth > 1 else len(block)
-            pairs.append((len(prefixes), rows))
+            pairs.append((len(prefixes[1]) if path == "groups" else len(prefixes), rows))
             yield prefixes, block
 
     monkeypatch.setattr(lincong.core, "_expand_runs", recording)
@@ -1538,7 +1557,7 @@ R300 = 10**298 + 3
 D300N12 = ([30 * pow(7, 100 + i, R300) for i in range(12)], 420, 30 * R300)
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(count_instances())
 @example(normalize([1, 1], 0, 10**999 - 1))  # p1 = s = m of 999 digits, p2 = 1
 @example(normalize([1, 1], 0, 10**1000 + 1))  # 1,001 digits
@@ -1575,7 +1594,9 @@ def test_the_counts_are_their_decimal_strings(c):
 def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
     # _counts, find_particular and solve --limit 0 write and find everything
     # of a d300n12 instance from p2 and the decimal p1, so its summary keeps
-    # p1 and s unbuilt
+    # p1 and s unbuilt; so do limits of a few rows, far below the bound on
+    # p1, 2**E with E = bits(d) - 1 + (n - 1) * (bits(m) - 1), and on s,
+    # 2**(E - bits(p2))
     unbuilt = {"solution_count", "basis_size"}
     c = normalize(*D300N12)
     lincong.cli._counts(c)
@@ -1589,10 +1610,11 @@ def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
 
     monkeypatch.setattr(lincong.cli, "normalize", keep)
     flags = [f"--coeffs={','.join(map(str, D300N12[0]))}", "--rhs=420", f"--mod={D300N12[2]}"]
-    for fmt in ("text", "json"):
-        code, out, err = run(capsys, "solve", "--limit", "0", "--format", fmt, *flags)
+    for argv in (["solve", "--limit", "0"], ["solve", "--limit", "0", "--format", "json"],
+                 ["solve", "--limit", "1", "--format", "json"], ["enumerate", "--limit", "5"]):
+        code, _, err = run(capsys, *argv, *flags)
         assert (code, err) == (0, "")
-    assert len(loaded) == 2 and not any(unbuilt & vars(c.summary).keys() for c in loaded)
+    assert len(loaded) == 4 and not any(unbuilt & vars(c.summary).keys() for c in loaded)
     # no summary, short or long, builds them for the walks or an expansion;
     # the first read of either builds both
     for args in (([2, -6], 2, 12), D300N12):
@@ -1604,6 +1626,24 @@ def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
             assert not unbuilt & vars(c.summary).keys()
             assert getattr(c.summary, name) > 0
             assert unbuilt <= vars(c.summary).keys()
+
+
+@pytest.mark.parametrize("coeffs, m", [((3,), 9), ((1,), 8), ((2, 2), 8), ((4, 6), 16),
+                                       ((1, 1, 1), 4), ((2, -6), 12), ((5, 10, 3), 7)])
+def test_limits_round_the_row_count_write_the_per_row_writers_bytes(coeffs, m):
+    # with d and m powers of two p1 = 2**E, so p1 - 1 is the largest limit
+    # cut without reading p1, and p1 the least that reads it; at n = 1, s = 1.
+    # The rows are the oracle's, in enumerate's order, and the basis is its
+    # reduced solutions
+    c = normalize(coeffs, 0, m)
+    rows = canonical_rows(c)
+    strides = summarize(c).strides
+    basis = [x for x in rows if all(map(int.__lt__, x, strides))]
+    for command, want in (("enumerate", rows), ("solve", basis)):
+        for limit in (len(want) - 1, len(want), len(want) + 1):
+            for fmt in ("text", "json"):
+                assert_same_text(enumerate_output(c, fmt, limit, command),
+                                 per_row_output(c, fmt, want, limit), (command, limit, fmt))
 
 
 def test_the_quotient_writes_a_count_past_a_million_digits():

@@ -28,7 +28,8 @@ from lincong.core import (
 )
 from lincong.oracle import brute_force, verify
 
-from helpers import fibonacci_pair, greedy_basis, lex_rows, random_instances, reference_expand
+from helpers import (fibonacci_pair, greedy_basis, iter_reference_expand, lex_rows,
+                     random_instances, reference_expand)
 
 # 2x - 6y = 2 (mod 12), the worked two-variable example used throughout.
 REF = normalize([2, -6], 2, 12)
@@ -306,6 +307,11 @@ def test_expand_matches_reference_odometer(case):
     assert list(itertools.islice(expand(seed, c), len(want) + 1)) == want
 
 
+def prefix_tuples(lead, part):
+    """The prefixes of a group pair: its fixed lead, then each value of its slice."""
+    return [(*lead, x) for x in part]
+
+
 @settings(max_examples=150)
 @given(seeded_instances())
 @example((normalize([0, 0, 0, 1], 0, 12), (5, 7, 11, 0)))  # deeper blocks of 1,728 rows
@@ -313,7 +319,8 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
     # a block of the deepest coordinates, joined onto each prefix of its
     # pair in turn, is the product of their cycles (the list of them, deeper
     # than 1), rotated for a seed that is not reduced: every depth walks the
-    # same rows in the same order, here for two seeds in turn
+    # same rows in the same order, here for two seeds in turn.  A group
+    # pair's prefixes are its fixed lead followed by each value of its slice
     c, seed = case
     want = reference_expand(seed, c)
     for depth in range(1, c.arity + 1):
@@ -321,7 +328,8 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
         paths = ["runs", "slices"] if depth == 1 else ["deep"]
         for path in paths + ["groups"] * (depth < c.arity and size > 0):
             blocks = core._expand_runs((seed, seed), c, path, depth, size)
-            rows = (prefix + row for prefixes, block in blocks for prefix in prefixes
+            rows = (prefix + row for prefixes, block in blocks
+                    for prefix in (prefix_tuples(*prefixes) if path == "groups" else prefixes)
                     for row in (itertools.product(*block) if depth > 1 else zip(block)))
             assert list(itertools.islice(rows, 2 * len(want) + 1)) == want + want, (path, depth)
 
@@ -334,6 +342,8 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
 @example(normalize([1, 8], 0, 16))  # p2 = 8, last cycle 8: a prefix of one value
 @example(normalize([3, 3], 0, 9))  # p2 = 9, last cycle 3: a prefix of one value
 @example(normalize([1, 2], 0, 2000))  # p2 = 2: blocks of 512 seeds, 1024 whole rows
+@example(normalize([16, 4, 4], 0, 64))  # groups of x1's 16 values, blocks of 16 rows
+@example(normalize([2, 16, 32], 0, 64))  # groups of x2's 16 values under each x1
 def test_every_prefix_of_a_block_stream_has_the_same_length(c):
     # the CLI reads the row format from the plan _blocks returns: every
     # prefix holds the first n - depth values, none on the whole-row paths
@@ -346,9 +356,12 @@ def test_every_prefix_of_a_block_stream_has_the_same_length(c):
         (path, depth), pairs = core._blocks(iter_basis(c), c, expand)
         cycles = depth > 1 and path in ("deep", "groups")
 
+        def prefixes(pair):  # a group pair carries its fixed lead and a slice
+            return prefix_tuples(*pair[0]) if path == "groups" else pair[0]
+
         def rows(pair):
-            prefixes, block = pair
-            return len(prefixes) * (math.prod(map(len, block)) if cycles else len(block))
+            block = pair[1]
+            return len(prefixes(pair)) * (math.prod(map(len, block)) if cycles else len(block))
 
         first = next(pairs, None)
         pair = 1 if first is None else rows(first)
@@ -356,11 +369,23 @@ def test_every_prefix_of_a_block_stream_has_the_same_length(c):
             seeds = itertools.islice(iter_basis(c), limit)
             plan, pairs = core._blocks(seeds, c, expand)
             pairs = list(pairs)
-            lengths = {len(prefix) for prefixes, _ in pairs for prefix in prefixes}
+            lengths = {len(prefix) for pair in pairs for prefix in prefixes(pair)}
             assert plan == (path, depth), (expand, limit)
             assert lengths == ({c.arity - depth} if s.solvable and limit != 0 else set()), (
                 expand, limit)
             assert all(0 < rows(pair) <= core._BLOCK_ROWS for pair in pairs), (expand, limit)
+
+
+def test_enumerate_all_writes_a_groups_stream_as_prefix_tuples():
+    # gcd(0, 1025) = 1025, so p2 > 1024 and enumerate_all reads _blocks, whose
+    # groups path carries up to 1024 values of x2 a pair under a fixed lead of
+    # x1: the rows are the reference odometer's, across three values of x1
+    c = normalize([0, 0, 2], 0, 1025)
+    assert core._blocks((), c)[0] == ("groups", 1)
+    basis = build_basis(c)
+    want = list(itertools.islice(itertools.chain.from_iterable(
+        iter_reference_expand(x, c) for x in basis), 3000))
+    assert list(itertools.islice(enumerate_all(basis, c), 3000)) == want
 
 
 def test_expand_stays_lazy_when_one_coordinate_takes_every_residue():
