@@ -105,6 +105,25 @@ def _require_ints(values: Iterable, what: str = "coefficients, rhs and modulus")
         raise ValueError(f"{what} must be integers")
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or by its bit length past Python's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
+def _field_repr(value) -> str:
+    # repr(value), with each int, also one inside a tuple, written by _decimal,
+    # so that a repr never raises, whatever the int/str digit limit
+    if isinstance(value, int):
+        return _decimal(value)
+    if isinstance(value, tuple):
+        items = ", ".join(map(_field_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
+
+
 class FrozenRecordError(AttributeError):
     """Raised on assignment to, or deletion of, an attribute of a lincong record."""
 
@@ -113,8 +132,9 @@ class _Record:
     # A frozen record of the fields __match_args__ names.  Its __init__ writes
     # them with vars(self).update, past __setattr__ as cached_property writes;
     # == and hash read them only, never a cached property in __dict__, and
-    # repr shows them as a dataclass would.  _of builds one from fields its
-    # caller has already checked, past __init__ and its checks.
+    # repr shows them as a dataclass would, but for an int past the int/str
+    # digit limit (_field_repr).  _of builds one from fields its caller has
+    # already checked, past __init__ and its checks.
 
     @classmethod
     def _of(cls, **fields):
@@ -134,7 +154,8 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}"
+                           for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

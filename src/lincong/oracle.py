@@ -12,8 +12,9 @@ coefficient is multiplied m times, once per value of its unknown.  Besides
 the solutions the scan holds the two tables, m**(n//2) + m**(n - n//2)
 tuples (at most m**(n-1) + m, and m**(n-1) <= p1 whenever a solution
 exists), and drops each right class once it is joined.  It uses no
-solver maths (no gcd, no inverse) and shares nothing with core beyond the
-LinearCongruence type; that independence is the point.  verify compares its
+solver maths (no gcd, no inverse) and computes with nothing from core beyond
+the LinearCongruence type (core's _decimal only writes the numbers of its
+refusal); that independence is the point.  verify compares its
 set with the counting and basis machinery of core: it counts the set, then
 strikes each regenerated row off it, so the scan is the only set it holds.
 """
@@ -24,7 +25,7 @@ from collections import deque
 from itertools import product, starmap
 from operator import add
 
-from .core import LinearCongruence, _Record, _rows, iter_basis, summarize
+from .core import LinearCongruence, _decimal, _Record, _rows, iter_basis, summarize
 
 __all__ = ["DEFAULT_CAP", "CapExceededError", "OracleReport", "brute_force", "verify"]
 
@@ -43,14 +44,6 @@ class OracleReport(_Record):
     def __init__(self, solution_count: int, agrees_with_summary: bool, agrees_with_basis: bool):
         vars(self).update(solution_count=solution_count, agrees_with_summary=agrees_with_summary,
                           agrees_with_basis=agrees_with_basis)
-
-
-def _decimal(x: int) -> str:
-    """x in decimal, or by its bit length past Python's int-to-str digit limit."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{x.bit_length()}-bit integer>"
 
 
 def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, ...]]:

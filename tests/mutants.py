@@ -5,27 +5,34 @@ one small edit of src/lincong that the named tests must catch.
 
 For each mutant it copies the repository (all but .git and caches) into a
 temporary directory, applies the edit there, and runs the mutant's tests with
-`pytest -x -q`; a failing run kills the mutant.  A mutant names test files,
-or pytest node ids where one test kills it, such as a row of the stream shape
-table, which pytest runs alone.  First it runs every file named, or holding a
-node named, once on an unmutated copy: unless that run passes, a failing run
-shows nothing, so no mutant is run and the exit status is 1.  An equivalent
-mutant, one that no input can tell from the original, names no tests: it is
-reported with its reason and not run.  The exit status is 1
-when a mutant survives, or its old text no longer occurs exactly once in its
-file, and 0 otherwise.  Standard library only, besides the pytest and
-hypothesis that the tests need.
+`pytest -x -q`; a failing run kills the mutant, and so does one that runs
+past TIMEOUT seconds, such as a stream the mutant made endless.  A mutant
+names test files, or pytest node ids where one test kills it, such as a row
+of the stream shape table (tests/shapes.py), which pytest runs alone.  A
+mutant whose old text no longer occurs exactly once in its file, or that
+names a file, test or shape that is gone, is STALE and not run.  Then it
+runs every file named, or holding a node named, once on an unmutated copy:
+unless that run passes, a failing run shows nothing, so no mutant is run and
+the exit status is 1.  An equivalent mutant, one that no input can tell from
+the original, names no tests: it is reported with its reason and not run.
+The exit status is 1 when a mutant survives or is STALE, and 0 otherwise.
+Standard library only, besides the pytest and hypothesis that the tests need.
 """
 
+import contextlib
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 
+from shapes import STREAM_SHAPES
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT = 300  # seconds for one pytest run, several times the slowest's
 CORE, ORACLE = ("tests/test_core.py",), ("tests/test_oracle.py",)
 PARSER = ("tests/test_parser.py",)
 
@@ -35,9 +42,12 @@ def cli_test(name):
     return (f"tests/test_cli.py::{name}",)
 
 
-def shape(name):
-    """The node id of one row of the stream shape table in test_cli.py."""
-    return cli_test(f"test_each_stream_shape_writes_the_per_row_writers_bytes[{name}]")
+SHAPE_TEST = "test_each_stream_shape_writes_the_per_row_writers_bytes"
+
+
+def shape(*names):
+    """The node ids of rows of the stream shape table in test_cli.py."""
+    return tuple(f"tests/test_cli.py::{SHAPE_TEST}[{name}]" for name in names)
 
 
 SCANNED = cli_test("test_a_scanned_argv_reads_as_argparse_reads_it")  # by its @examples
@@ -57,7 +67,8 @@ MUTANTS = [
     ("core.py", "_GROUP_LEAST = 16", "_GROUP_LEAST = 2",
      "groups of 2 to 15 prefixes, each slower than one prefix a pair", shape("runs-15-prefixes")),
     ("core.py", "yield run[:size]", "yield run[:size - 1]",
-     "_slices drops one value of each slice of a long cycle", shape("slices-1025")),
+     "_slices drops one value of each slice of a long cycle",
+     shape("slices-1025", "slices-across-a-prefix")),
     ("core.py", "range(x, m, g) if x < g else", "range(x, m, g) if x <= g else",
      "_cycles reads a seed value equal to its stride as reduced, and loses the "
      "values below it", CORE),
@@ -162,7 +173,8 @@ MUTANTS = [
      "_seed_major shifts each column by another coordinate's stride", shape("seed-major-p2-8")),
     ("core.py", "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count)",
      "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count + 1)",
-     "_seed_major takes one seed too many a batch, so a block holds over 1024 rows", CORE),
+     "_seed_major takes one seed too many a batch, so a block holds over 1024 rows",
+     shape("seed-major-p2-4")),
     ("core.py", "(col, *[tuple(map(add, col, repeat(o))) for o in range(g, m, g)])",
      "[tuple(map(add, col, repeat(o))) for o in range(0, m, g)]",
      "equivalent: _seed_major adds the zero offset to a column it could keep as it is, "
@@ -198,9 +210,23 @@ MUTANTS = [
 ]
 
 
+def missing(name):
+    """Why pytest would find no test file or node id `name`, or "" when it would."""
+    path, _, node = name.partition("::")
+    test, _, param = node.partition("[")
+    if not (ROOT / path).is_file():
+        return f"no file {path}"
+    if test and f"\ndef {test}(" not in (ROOT / path).read_text(encoding="utf-8"):
+        return f"no test {test} in {path}"
+    if test == SHAPE_TEST and param and param[:-1] not in STREAM_SHAPES:
+        return f"no stream shape {param[:-1]!r}"
+    return ""
+
+
 def run_tests(tests, file=None, old="", new=""):
-    """pytest's result for the tests on a copy of the repository with old
-    replaced by new in src/lincong/file, or unmutated when file is None."""
+    """pytest's exit status and output for the tests on a copy of the
+    repository with old replaced by new in src/lincong/file, or unmutated
+    when file is None; the status is None when the run passed TIMEOUT."""
     with tempfile.TemporaryDirectory(prefix="lincong-mutant-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
         skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
@@ -210,37 +236,51 @@ def run_tests(tests, file=None, old="", new=""):
             path = copy / "src" / "lincong" / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *tests], cwd=copy, env=env, capture_output=True, text=True)
+        # a session of its own, so a timeout ends the processes the tests start too
+        with subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=copy, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True, start_new_session=True) as proc:
+            try:
+                output = proc.communicate(timeout=TIMEOUT)[0]
+            except subprocess.TimeoutExpired:
+                with contextlib.suppress(ProcessLookupError):  # the group may be gone by now
+                    os.killpg(proc.pid, signal.SIGKILL)
+                return None, ""
     if proc.returncode not in (0, 1):  # 1: a test failed; anything else broke the run
-        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return proc
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{output}")
+    return proc.returncode, output
 
 
 def main():
     start = time.perf_counter()
-    tests = sorted({name.partition("::")[0] for *_, names in MUTANTS for name in names})
-    proc = run_tests(tests)
-    if proc.returncode:
+    live = []
+    for row in MUTANTS:
+        file, old, new, _, tests = row
+        count = (ROOT / "src" / "lincong" / file).read_text(encoding="utf-8").count(old)
+        why = [f"the old text occurs {count} times"] * (count != 1)
+        why += [f"{name}: {gone}" for name in tests if (gone := missing(name))]
+        if why:
+            print(f"{'STALE':10} {file}: {old!r} -> {new!r}: {'; '.join(why)}")
+        else:
+            live.append(row)
+    failed = len(MUTANTS) - len(live)
+    tests = sorted({name.partition("::")[0] for *_, names in live for name in names})
+    code, output = run_tests(tests)
+    if code != 0:
         print(f"the unmutated copy fails {' '.join(tests)}, so no mutant can be judged:\n"
-              f"{proc.stdout}{proc.stderr}")
+              + (output or f"it ran past {TIMEOUT} s"))
         return 1
     print(f"{'passed':10} unmutated: {' '.join(tests)} ({time.perf_counter() - start:.0f} s)")
-    failed = 0
-    for file, old, new, reason, tests in MUTANTS:
+    for file, old, new, reason, tests in live:
         label = f"{file}: {old!r} -> {new!r}"
-        count = (ROOT / "src" / "lincong" / file).read_text(encoding="utf-8").count(old)
-        if count != 1:
-            print(f"{'STALE':10} {label}: the old text occurs {count} times")
-            failed += 1
-        elif not tests:
+        if not tests:
             print(f"{'equivalent':10} {label}\n    {reason}")
         else:
             t0 = time.perf_counter()
-            killed = run_tests(tests, file, old, new).returncode == 1
-            verdict = "killed" if killed else "SURVIVED"
+            code = run_tests(tests, file, old, new)[0]
+            verdict = "killed (timeout)" if code is None else "killed" if code else "SURVIVED"
             print(f"{verdict:10} {label} ({time.perf_counter() - t0:.0f} s)\n    {reason}")
-            failed += not killed
+            failed += code == 0
     print(f"{len(MUTANTS)} mutants, {failed} failing, in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 

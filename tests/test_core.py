@@ -336,21 +336,13 @@ def test_expansion_blocks_of_every_depth_carry_the_same_rows(case):
 
 @settings(max_examples=100, deadline=None)
 @given(record_instances())
-@example(normalize([1, 0], 0, 3000))
-@example(normalize([2, 2, 2], 0, 8))  # p2 = 8, last cycle 2: whole rows
-@example(normalize([8, 1], 0, 16))  # p2 = 8, last cycle 1: whole rows
-@example(normalize([1, 8], 0, 16))  # p2 = 8, last cycle 8: a prefix of one value
-@example(normalize([3, 3], 0, 9))  # p2 = 9, last cycle 3: a prefix of one value
-@example(normalize([1, 2], 0, 2000))  # p2 = 2: blocks of 512 seeds, 1024 whole rows
-@example(normalize([16, 4, 4], 0, 64))  # groups of x1's 16 values, blocks of 16 rows
-@example(normalize([2, 16, 32], 0, 64))  # groups of x2's 16 values under each x1
 def test_every_prefix_of_a_block_stream_has_the_same_length(c):
     # the CLI reads the row format from the plan _blocks returns: every
     # prefix holds the first n - depth values, none on the whole-row paths
-    # (seeds and seed-major, at depth n).  gcd(0, 3000) > 1024 cuts the last
-    # coordinate's run into slices.  A pair's prefixes each take its whole
-    # block, and no pair holds more than 1024 rows.  The CLI bounds a stream
-    # by its seeds, so the limits cut the seeds here
+    # (seeds and seed-major, at depth n).  A pair's prefixes each take its
+    # whole block, and no pair holds more than 1024 rows.  The CLI bounds a
+    # stream by its seeds, so the limits cut the seeds here.  The stream
+    # shape table (tests/shapes.py) checks the same on each path
     s = c.summary
     for expand in (True, False):
         (path, depth), pairs = core._blocks(iter_basis(c), c, expand)

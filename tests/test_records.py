@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -78,6 +79,25 @@ def test_the_records_built_by_the_library_are_the_pinned_ones():
     built = [REF, REF.summary, parse("2x - 6y ≡ 2 (mod 12)"), verify(REF),
              extended_gcd(2, 12), solve_unary(2, 2, 12)]
     assert [repr(r) for r in built] == [text for _, _, text in RECORDS]
+
+
+def test_a_repr_writes_an_int_past_the_digit_limit_by_its_bit_length():
+    # under the default int/str digit limit str() refuses an int of over
+    # 4,300 digits: p1 and s here (about 5,700 digits), and a field of such ints
+    # in a tuple; repr writes each as the oracle's cap message does
+    c = normalize([3] * 20, 0, 10**300 + 7)
+    m = 2**15000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        summary, record = repr(c.summary), repr(LinearCongruence((m - 1, 2), 1, m))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    bits = f"<{c.summary.solution_count.bit_length()}-bit integer>"
+    assert summary.startswith(f"SolveSummary(gcd_all=1, solvable=True, solution_count={bits}, "
+                              f"expansion_count=1, basis_size={bits}, gcds=(1, 1, ")
+    assert record == ("LinearCongruence(coeffs=(<15000-bit integer>, 2), rhs=1, "
+                      "modulus=<15001-bit integer>)")
 
 
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=ids)
