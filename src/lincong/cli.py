@@ -78,9 +78,9 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     # p1 is written as d * m**(n - 1) computed in decimal, whose products are
     # subquadratic; below that str is faster.  (Decimal(m) is itself
     # quadratic, so at n = 2 with a short d the power costs about what str(p1)
-    # would.)  So when the bound less bits(p2), at least bits(s) - 1, is 3,322
-    # or more and p2 has at most a quarter of that, s is read off p1 by one
-    # exact division by p2, and neither int is built.
+    # would.)  So when p2 has at most a quarter of the bits of the bound less
+    # bits(p2), at least bits(s) - 1, s is read off p1 by one exact division
+    # by p2, and neither int is built.
     # Otherwise s is read from the summary, and p2 is read off p1 by one exact
     # division by s when it has at least 3,322 bits and s at most a quarter
     # of them; with a longer cofactor, int -> str is faster.  The precision
@@ -103,7 +103,7 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
                           decimal.Decimal(d))
     p2 = s.expansion_count
     s_bits = bits - p2.bit_length()  # at least bits(s) - 1
-    if s_bits >= _LONG_BITS and 4 * p2.bit_length() <= s_bits:
+    if 4 * p2.bit_length() <= s_bits:
         return d, f"{p1:f}", f"{p2}", f"{context.divide(p1, p2):f}"
     basis_size = s.basis_size
     if p2.bit_length() >= _LONG_BITS and 4 * basis_size.bit_length() <= p2.bit_length():

@@ -73,7 +73,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd, prod
-from operator import add, attrgetter, mod
+from operator import add, attrgetter, mod, mul
 
 __all__ = [
     "FrozenRecordError",
@@ -191,7 +191,11 @@ class LinearCongruence(_Record):
     def summary(self) -> SolveSummary:
         """Derive the record, once, on first use: 2n gcd calls for arity n.
 
-        p1 and s are left to their first read (see SolveSummary).
+        p1 and s are left to their first read (see SolveSummary).  p2 is a
+        balanced product: adjacent gcds are multiplied in pairs while more
+        than 64 factors are left, so its cost stays near that of one
+        multiplication of p2's length, where a running product over n
+        factors is quadratic in it.
         """
         m = self.modulus
         gcds = tuple(map(gcd, self.coeffs, itertools.repeat(m)))
@@ -201,8 +205,12 @@ class LinearCongruence(_Record):
         for g in reversed(gcds):
             h.append(gcd(g, h[-1]))
         d = h[-1]
-        return SolveSummary._of(gcd_all=d, solvable=self.rhs % d == 0, expansion_count=prod(gcds),
-                                gcds=gcds, strides=tuple(map(m.__floordiv__, gcds)),
+        factors = gcds
+        while len(factors) > 64:  # an odd one out is carried to the next level
+            factors = [*map(mul, factors[::2], factors[1::2]), *factors[len(factors) & ~1:]]
+        return SolveSummary._of(gcd_all=d, solvable=self.rhs % d == 0,
+                                expansion_count=prod(factors), gcds=gcds,
+                                strides=tuple(map(m.__floordiv__, gcds)),
                                 suffix_gcds=tuple(h[:0:-1]))
 
 

@@ -16,13 +16,13 @@ solver maths (no gcd, no inverse) and computes with nothing from core beyond
 the LinearCongruence type (core's _decimal only writes the numbers of its
 refusal); that independence is the point.  verify compares its
 set with the counting and basis machinery of core: it counts the set, then
-strikes each regenerated row off it, so the scan is the only set it holds.
+strikes the regenerated rows off it in one pass, so the scan is the only set
+it holds.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import product, starmap
+from itertools import islice, product, starmap
 from operator import add
 
 from .core import LinearCongruence, _decimal, _Record, _rows, iter_basis, summarize
@@ -100,22 +100,22 @@ def verify(c: LinearCongruence, cap: int = DEFAULT_CAP) -> OracleReport:
     """Compare the brute-force set against the counting and basis machinery.
 
     The scan is counted first.  The basis agrees when its expansion
-    regenerates every scanned solution exactly once.  Each regenerated row is
-    removed from the scan's own set, so no second set of p1 tuples, nor a copy
-    of the scan, is built: a row the scan lacks, a row regenerated twice
-    (overlapping expansions) or a scanned row left over is a disagreement.  So
-    the seeds iter_basis streams are expanded as they come, never held whole,
-    without enumerate_all's check.
+    regenerates every scanned solution exactly once.  The first `count`
+    regenerated rows are struck off the scan's own set in one C-level pass,
+    so no second set of p1 tuples, nor a copy of the scan, is built: they
+    empty it only if they are exactly its solutions, each once, and then no
+    row may follow.  A row the scan lacks, a row regenerated twice
+    (overlapping expansions) or a scanned row left over is a disagreement.
+    So the seeds iter_basis streams are expanded as they come, never held
+    whole, without enumerate_all's check.
     """
     found = brute_force(c, cap)
     count = len(found)
     s = summarize(c)
     expected = s.solution_count if s.solvable else 0
-    try:
-        deque(map(found.remove, _rows(iter_basis(c), c)), 0)
-        agrees_with_basis = not found
-    except KeyError:
-        agrees_with_basis = False
+    rows = _rows(iter_basis(c), c)
+    found.difference_update(islice(rows, count))
+    agrees_with_basis = not found and next(rows, None) is None
     return OracleReport(
         solution_count=count,
         agrees_with_summary=count == expected,

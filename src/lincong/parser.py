@@ -32,7 +32,6 @@ never zero.  Output always uses '≡'; input may use '=' as well.
 from __future__ import annotations
 
 import re
-from functools import cache
 
 from .core import _Record
 
@@ -70,12 +69,9 @@ _SPACES = re.compile(r"\s*")
 _S, _DIGIT = _SPACES.pattern, _DIGITS.pattern[:-1]
 
 
-@cache
-def _term() -> re.Pattern:
-    # a sign, a coefficient and a star, each after whitespace; no star without
-    # a coefficient.  Compiled on first use: only text that parse's one match
-    # refuses is read by the rules.
-    return re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
+# a term's sign, coefficient and star, each after whitespace; no star
+# without a coefficient
+_TERM = re.compile(rf"{_S}([+-]?){_S}(?:({_DIGIT}+){_S}\*?{_S})?")
 
 
 # the right-hand side and the modulus: a sign, then digits that may be
@@ -90,7 +86,7 @@ def _literal(sign: str, digits: str) -> int:
 
 
 def _integer(m: re.Match) -> int:
-    # the value of a _term() or _INTEGER match; errors point at its first digit
+    # the value of a _TERM or _INTEGER match; errors point at its first digit
     sign, digits = m.groups()
     if not digits:
         raise ParseError("expected an integer", m.start(2) + 1)
@@ -144,15 +140,14 @@ def parse(text: str) -> ParsedCongruence:
                 pass
             else:
                 if modulus:
-                    return ParsedCongruence._of(variables=names, raw_coeffs=coeffs, rhs=rhs,
-                                                modulus=modulus)
+                    return ParsedCongruence(names, coeffs, rhs, modulus)
     return _parse_by_rule(text)
 
 
 def _parse_by_rule(text: str) -> ParsedCongruence:
     # the rule-by-rule reader: parse's fallback, and the one writer of its ParseError
     terms: dict[str, int] = {}  # coefficient by variable name, in written order
-    term = _term().match
+    term = _TERM.match
     m = term(text)
     while not terms or m.group(1):  # a sign starts every term but the first
         sign, digits = m.groups()

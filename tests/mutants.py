@@ -116,9 +116,6 @@ MUTANTS = [
     ("core.py", "if k < 0:", "if k < 0 or k > i:",
      "equivalent: _lex_runs' odometer sets k to i - 1 and only lowers it, so k > i "
      "never holds", ()),
-    ("cli.py", "if s_bits >= _LONG_BITS and", "if s_bits >= 0 and",
-     "equivalent: both sides of _counts' quotient cutover write the same digits of s, "
-     "and p1 is already in decimal, so it changes speed only", ()),
     ("core.py", 'else "runs" if size else "slices")', 'else "runs")',
      "_blocks takes the runs path for a cycle longer than _BLOCK_ROWS values, so a "
      "run of 10**300 values is held whole as one block", shape("slices-1025")),
@@ -192,6 +189,13 @@ MUTANTS = [
      "_counts' bound on p1's bits leaves out the modulus, so it writes a p1 of 199,901 "
      "digits with str, which the default int/str digit limit refuses",
      cli_test("test_long_counts_are_written_under_the_default_digit_limit")),
+    ("oracle.py", "next(rows, None) is None", "True",
+     "verify takes a basis whose rows run on past the scan's count, such as a seed "
+     "listed twice at the end",
+     ("tests/test_oracle.py::test_verify_rejects_overlapping_expansions",)),
+    ("core.py", "*factors[len(factors) & ~1:]]", "]",
+     "summary's balanced product drops the odd factor out of a level",
+     ("tests/test_core.py::test_a_balanced_p2_is_the_product_of_the_gcds",)),
     ("core.py", "suffix_gcds=tuple(h[:0:-1]))",
      "suffix_gcds=tuple(h[:0:-1]), solution_count=d * m ** (self.arity - 1))",
      "summary builds p1 at once, also where no count reads it",
@@ -223,18 +227,32 @@ def missing(name):
     return ""
 
 
+def stale(file, old, names, missing=missing):
+    """Why a row is STALE, or [] when it is live: its old text does not occur
+    exactly once in src/lincong/file, or missing(name) finds one of its names gone."""
+    count = (ROOT / "src" / "lincong" / file).read_text(encoding="utf-8").count(old)
+    why = [f"the old text occurs {count} times"] * (count != 1)
+    return why + [f"{name}: {gone}" for name in names if (gone := missing(name))]
+
+
+def edited_copy(source, dest, file=None, old="", new=""):
+    """Copy the directory source to dest, without .git, caches or bench
+    output, and replace old by new in dest/file unless file is None."""
+    shutil.copytree(source, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info", ".bench_out",
+        ".bench_build"))
+    if file is not None:
+        path = dest / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+
+
 def run_tests(tests, file=None, old="", new=""):
     """pytest's exit status and output for the tests on a copy of the
     repository with old replaced by new in src/lincong/file, or unmutated
     when file is None; the status is None when the run passed TIMEOUT."""
     with tempfile.TemporaryDirectory(prefix="lincong-mutant-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
-        skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
-                                      "*.egg-info", ".bench_out", ".bench_build")
-        shutil.copytree(ROOT, copy, ignore=skip)
-        if file is not None:
-            path = copy / "src" / "lincong" / file
-            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        edited_copy(ROOT, copy, file and f"src/lincong/{file}", old, new)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         # a session of its own, so a timeout ends the processes the tests start too
         with subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -256,10 +274,7 @@ def main():
     live = []
     for row in MUTANTS:
         file, old, new, _, tests = row
-        count = (ROOT / "src" / "lincong" / file).read_text(encoding="utf-8").count(old)
-        why = [f"the old text occurs {count} times"] * (count != 1)
-        why += [f"{name}: {gone}" for name in tests if (gone := missing(name))]
-        if why:
+        if why := stale(file, old, tests):
             print(f"{'STALE':10} {file}: {old!r} -> {new!r}: {'; '.join(why)}")
         else:
             live.append(row)

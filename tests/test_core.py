@@ -220,6 +220,16 @@ def test_record_is_derived_once_and_kept_on_the_instance():
     assert other == c and summarize(other) == s and summarize(other) is not s
 
 
+@pytest.mark.parametrize("n", [64, 65, 131])
+def test_a_balanced_p2_is_the_product_of_the_gcds(n):
+    # past 64 factors summary multiplies adjacent gcds in pairs, and a level
+    # of odd length carries its last factor, here never 1, to the next
+    m = 2**10 * 3**5 * 5**3 * 7
+    c = normalize(range(2, n + 2), 0, m)
+    assert c.summary.gcds[-1] > 1
+    assert c.summary.expansion_count == math.prod(math.gcd(a, m) for a in range(2, n + 2))
+
+
 def test_module_generators_strides():
     lattice = module_generators(REF)
     assert lattice == (6, 2)

@@ -203,9 +203,9 @@ def test_verify_random_instances():
 
 
 def test_verify_holds_one_copy_of_the_scan():
-    # the scan's set is checked against the basis by striking rows off it,
-    # not by building a copy of the scan, a second set of regenerated tuples
-    # or a tuple of the basis: every tuple of [0, 400)**2 solves (p1 = 160,000, s = 1), and at
+    # the scan's set is checked against the basis by striking the regenerated
+    # rows off it in one pass, not by building a copy of the scan, a second
+    # set of regenerated tuples or a tuple of the basis: every tuple of [0, 400)**2 solves (p1 = 160,000, s = 1), and at
     # x + y + z = 0 mod 100 each of the 10,000 solutions is its own seed.
     # Each call runs once untraced first, so both are measured warm: the
     # tuples a scan frees are reused by the next without a traced allocation

@@ -251,17 +251,6 @@ def test_every_valid_congruence_is_read_in_one_match(text):
                 parse(text)
 
 
-def test_a_valid_parse_never_compiles_the_rules_term_pattern():
-    # the term pattern serves only the rule-by-rule reader, so it is compiled
-    # on its first use, and text read in one match never pays for it
-    lincong.parser._term.cache_clear()
-    parse("2x - 6y ≡ 2 (mod 12)")
-    parse(_runs_laid_out(300, 3))
-    assert lincong.parser._term.cache_info().currsize == 0
-    assert _error("2x - 6y ≡ 2 (mod 12) !").pos == 22
-    assert lincong.parser._term.cache_info().currsize == 1
-
-
 def test_mod_keyword_ends_where_its_letters_end():
     # whitespace is insignificant, so a digit may follow the keyword directly
     assert parse("x ≡ 1 (mod3)") == parse("x ≡ 1 (mod 3)")
