@@ -111,24 +111,24 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     return d, f"{p1:f}", f"{p2}", f"{basis_size}"
 
 
-def _print_rows(args, expand: bool) -> int:
-    # The body of solve (expand False) and of enumerate (expand True): the one
-    # writer of all either prints to stdout.  Errors come in a fixed order:
-    # the instance's, then --limit's (both raised, for main to report), then,
-    # for enumerate alone, an unsolvable instance, which writes one stderr
-    # line and no stdout.  The head is the JSON document's opening for both
-    # commands, and the counting summary for a text solve; a text enumerate
-    # has none.  Both heads take the counts from one _counts call, and an
-    # unsolvable solve writes its head with no rows and exits 3.  Then come
-    # the rows and the cut mark: the basis rows, or their expansions when
-    # expand is True, at most `limit` of them.  Every basis row expands into
-    # p2 >= 1 rows, so the first ceil(limit / p2) basis rows carry every row
-    # written and no later one is pulled (islice takes no stop above
-    # sys.maxsize): a stream that batches its seeds, as a seed-major one does,
-    # builds fewer than p2 rows past the limit.  --limit 0 pulls none, so
-    # counts alone start no walk.  It, and any limit below the bound on the
-    # rows there are, reads neither p1 nor s: a solvable instance has at
-    # least one row of each, so the cut mark is written.
+def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None,
+           as_json: bool, expand: bool) -> int:
+    # The one writer of all that solve (expand False) and enumerate (expand
+    # True) write to out, and to no other stream; an unsolvable enumerate
+    # writes nothing and exits 3.  The head is the JSON document's
+    # opening for both commands, and the counting summary for a text solve, the
+    # one reader of parsed; a text enumerate has none.  Both heads take the
+    # counts from one _counts call, and an unsolvable solve writes its head
+    # with no rows and exits 3.  Then come the rows and the cut mark: the basis
+    # rows, or their expansions when expand is True, at most `limit` of them
+    # (None: all).  Every basis row expands into p2 >= 1 rows, so the first
+    # ceil(limit / p2) basis rows carry every row written and no later one is
+    # pulled (islice takes no stop above sys.maxsize): a stream that batches
+    # its seeds, as a seed-major one does, builds fewer than p2 rows past the
+    # limit.  A limit of 0 pulls none, so counts alone start no walk.  It, and
+    # any limit below the bound on the rows there are, reads neither p1 nor s:
+    # a solvable instance has at least one row of each, so the cut mark is
+    # written.
     # _blocks' (prefixes, block) pairs are written as they come and never
     # held whole, each prefix with the whole block in turn; the last pair is
     # cut to the rows left, and none after it is pulled.  _blocks names the
@@ -153,15 +153,9 @@ def _print_rows(args, expand: bool) -> int:
     # as json.dumps would write it: counts are _counts' decimal strings, as
     # they can exceed any fixed integer width, and an unsolvable solve has no
     # rows key
-    c, parsed = _load_instance(args)
-    limit = _flag_int(args.limit, "--limit", nonnegative=True)
     s = summarize(c)
     if expand and not s.solvable:
-        print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
-              file=sys.stderr)
         return EXIT_UNSOLVABLE
-    out = sys.stdout
-    as_json = args.format == "json"
     if as_json or not expand:
         d, p1, p2, basis_size = _counts(c)
         solvable = "true" if s.solvable else "false"
@@ -228,12 +222,21 @@ def _print_rows(args, expand: bool) -> int:
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
-def cmd_solve(args) -> int:
-    return _print_rows(args, expand=False)
+def cmd_solve(args, expand: bool = False) -> int:
+    # solve's body, and enumerate's with expand True.  Errors come in a fixed
+    # order: the instance's, then --limit's, both raised for main to report,
+    # then an unsolvable enumerate's stderr line, written here, not by _write
+    c, parsed = _load_instance(args)
+    limit = _flag_int(args.limit, "--limit", nonnegative=True)
+    if expand and not (s := summarize(c)).solvable:
+        print(f"error: unsolvable: d = {s.gcd_all} does not divide b = {c.rhs}",
+              file=sys.stderr)
+        return EXIT_UNSOLVABLE
+    return _write(sys.stdout, c, parsed, limit, args.format == "json", expand)
 
 
 def cmd_enumerate(args) -> int:
-    return _print_rows(args, expand=True)
+    return cmd_solve(args, expand=True)
 
 
 def cmd_check(args) -> int:

@@ -5,7 +5,9 @@ Each row of FORKS names one fork, the edit in tests/mutants.py's
 (file, old, new) form that disables it, why it is there, and the shapes it
 claims to serve.  `python tests/ab.py --ledger` runs each disabled twin
 against the working tree on its shapes and writes BENCH_forks.json; a fork
-stays only while its twin is "slower" on at least one of them.  A shape is
+stays only while its twin is "slower" on at least one of them.  A rewrite
+with no branch left, whose twin would be its older lines, is measured once
+and recorded in CHANGES.md, not here.  A shape is
 (kind, label, source, payload), one of:
 
 * a workload class, ("workload", "counts/solve-text-d300n12", ...): the ops
@@ -59,6 +61,7 @@ GROUPS = workload("stream", "text-s2-p2e3", "json-s2-p2e3", "text-s2-p2e5-L6e3",
 DEEP = workload("stream", "text-n3-s1-L6e3", "json-n3-s1-L6e3", "text-n4-s6-L6e3")
 LONG_COUNTS = workload("counts", "solve-text-d300n12", "solve-json-d300n12")
 SEED_MAJOR = "CHANGES.md: seed-major rows at small p2"
+SHORT_LAST = "CHANGES.md: many seeds with a short last cycle"
 SAMPLE = "2x - 6y ≡ 2 (mod 12)"
 M100 = str(10**100 + 7)
 
@@ -121,15 +124,17 @@ FORKS = {
         "block = range(xl, m, gl) if (xl := x0[-1]) < gl else _cycles((xl,), m, (gl,))[0]",
         "block = _cycles(x0[-1:], m, (gl,))[0]",
         "_expand_runs takes a reduced seed's last cycle as its range, with no _cycles call",
-        GROUPS + shape("runs-p2-9", "runs-32-equal")),
+        GROUPS + shape("runs-p2-9", "runs-32-equal")
+        + argv(SHORT_LAST, "enumerate", "--coeffs=3,3", "--rhs=0", "--mod=9000")
+        + argv(SHORT_LAST, "enumerate", "--coeffs=1,8", "--rhs=0", "--mod=16000")),
     "render-cache": (
         "cli.py", "if block != shown:", "if True:",
-        "_print_rows renders a block once while the next pair's block compares equal",
+        "_write renders a block once while the next pair's block compares equal",
         GROUPS + DEEP + shape("runs-32-equal", "deep-3")),
     "group-heads-join": (
         "cli.py", 'heads = (pre + (sep + "\\0" + pre).join(map(str, part)) + sep).split("\\0")',
         'heads = list(map((pre + "%d" + sep).__mod__, part))',
-        "_print_rows builds a group's heads from one join of its slice, split at NUL, "
+        "_write builds a group's heads from one join of its slice, split at NUL, "
         "not one format a head",
         GROUPS + shape("groups-2-rows")
         + argv("README.md: `64x + 2y ≡ 0 (mod 65536)`", "enumerate", "--coeffs=64,2", "--rhs=0",
@@ -172,25 +177,15 @@ FORKS = {
     "parse-one-match": (
         "parser.py", "m = _LAID_OUT.fullmatch(text)", "m = None",
         "parse reads a valid text with one fullmatch, not rule by rule",
-        workload("counts", "solve-text-d20n5", "solve-json-d100n5", "solve-text-d300n12")
+        workload("counts", "solve-text-d20n5", "solve-json-d100n5", "solve-text-d300n12",
+                 "solve-json-d20n12", "solve-text-d20n12", "solve-json-d20n5",
+                 "solve-json-d20n3")
         + workload("verify", "n5-m6")),
     "normalize-of": (
         "core.py", "return LinearCongruence._of(", "return LinearCongruence(",
         "normalize builds its record past __init__'s checks, which it already made",
         workload("counts", "particular-d20n5", "particular-d100n12", "particular-d300n12",
                  "solve-text-d300n12")),
-    "strike-off-in-one-pass": (
-        "oracle.py", "    rows = _rows(iter_basis(c), c)\n"
-        "    found.difference_update(islice(rows, count))\n"
-        "    agrees_with_basis = not found and next(rows, None) is None\n",
-        "    try:\n"
-        "        any(map(found.remove, _rows(iter_basis(c), c)))\n"
-        "        agrees_with_basis = not found\n"
-        "    except KeyError:\n"
-        "        agrees_with_basis = False\n",
-        "verify strikes the rows off its scan with one set update, not one remove a row",
-        VERIFY + argv("CHANGES.md: `verify` spends about 15× its scan", "verify",
-                      "--coeffs=1,1,1", "--rhs=0", "--mod=100")),
     "p2-balanced-product": (
         "core.py", "while len(factors) > 64:", "while False:",
         "summary multiplies the gcds in adjacent pairs while over 64 are left, not in "

@@ -101,12 +101,15 @@ MUTANTS = [
      cli_test("test_solve_parses_a_5000_digit_modulus")),
     ("cli.py", "(lead % prefixes[0]).join(tail if left >= 0 else tail[:left])",
      "(lead % prefixes[0]).join(tail)",
-     "_print_rows writes a single prefix's whole block past the limit", shape("deep-2")),
+     "_write writes a single prefix's whole block past the limit", shape("deep-2")),
     ("cli.py", "heads.pop().join(tail if left >= 0 else tail[:left])", "heads.pop().join(tail)",
-     "_print_rows writes a group's last whole block past the limit", shape("groups-deep")),
+     "_write writes a group's last whole block past the limit", shape("groups-deep")),
     ("cli.py", "skip = len(glue)", "skip = 0",
-     "_print_rows writes the glue that ends a row before the stream's first row too",
+     "_write writes the glue that ends a row before the stream's first row too",
      shape("runs-p2-9")),
+    ("cli.py", "out.write(text[skip:])", "sys.stdout.write(text[skip:])",
+     "_write writes its rows to sys.stdout, not to the sink it is given, which only a "
+     "caller that passes another sink than main's stdout can see", shape("runs-p2-9")),
     ("core.py", "fixed = tuple(head[:-1])", "fixed = tuple(x0[:lead - 1])",
      "_expand_runs gives every group of a seed the seed's fixed lead, not the odometer's",
      shape("groups-fixed-lead")),
@@ -131,7 +134,7 @@ MUTANTS = [
     ("core.py", "if bound == g:", "if bound >= g:",
      "_lex_runs takes one last value per x_{n-1} when x_n takes several", CORE),
     ("cli.py", "if block != shown:", "if block is not shown:",
-     "_print_rows renders a block afresh for each seed whose equal run is a new range",
+     "_write renders a block afresh for each seed whose equal run is a new range",
      cli_test("test_enumerate_reuses_a_run_shared_by_two_seeds")),
     ("cli.py", 'value == "" or value == "--"', 'value == ""',
      "_scan takes --flag=-- for the value '--', which argparse reads otherwise", SCANNED),
@@ -148,7 +151,7 @@ MUTANTS = [
      "_scan drops positionals past the ones a command takes, which argparse refuses",
      cli_test("test_argparse_exits_keep_their_bytes")),
     ("cli.py", "if expand and not s.solvable:", "if not s.solvable:",
-     "an unsolvable solve writes enumerate's error and no counting summary",
+     "_write writes an unsolvable solve as it does an enumerate: no counting summary",
      cli_test("test_solve_unsolvable_still_prints_summary")),
     ("core.py", "islice(rows, _BLOCK_ROWS)", "islice(rows, _BLOCK_ROWS - 1)",
      "_blocks batches a basis stream 1,023 rows a block, not 1,024",
@@ -163,7 +166,7 @@ MUTANTS = [
      "_blocks builds whole rows for a last cycle of 8 values, which one run per seed "
      "writes faster", shape("runs-last-8")),
     ("cli.py", "-(-limit // s.expansion_count)", "limit // s.expansion_count",
-     "_print_rows passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row",
+     "_write passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row",
      shape("seed-major-p2-8")),
     ("core.py", "for col, g in zip(zip(*batch), strides)",
      "for col, g in zip(zip(*batch), strides[::-1])",
@@ -206,10 +209,10 @@ MUTANTS = [
     ("cli.py", "left, truncated = limit, True", "left, truncated = limit, limit > 0",
      "solve and enumerate --limit 0 write no cut mark", shape("runs-p2-9")),
     ("cli.py", "limit.bit_length() <= (", "limit.bit_length() <= 1 + (",
-     "_print_rows' bound on the rows there are is one bit too long, so a limit of "
+     "_write's bound on the rows there are is one bit too long, so a limit of "
      "p1 rows is marked as a cut", LIMITS),
     ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
-     "_print_rows bounds solve's basis rows by p1's bound, so a limit of s rows is "
+     "_write bounds solve's basis rows by p1's bound, so a limit of s rows is "
      "marked as a cut", LIMITS),
 ]
 

@@ -27,7 +27,7 @@ from lincong.cli import main
 from lincong.core import (are_dependent, build_basis, enumerate_all, expand, module_generators,
                           normalize, summarize)
 from lincong.oracle import OracleReport
-from lincong.parser import ParsedCongruence, format_congruence
+from lincong.parser import ParsedCongruence, format_congruence, parse
 
 from helpers import assert_same_text, random_instances
 from shapes import STREAM_SHAPES, per_row_output, reference_rows
@@ -474,8 +474,12 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
     # rows, in text and JSON, at limit 0, 1, the first pair's last row, one
     # past it and the entry's own limits, and where the row count (p1, or s
     # for solve) is at most 30,000 at it, one either side and with no limit,
-    # which enumerate_all's rows equal too
+    # which enumerate_all's rows equal too.  At each of them _write, given
+    # the instance and a sink, puts main's stdout in the sink and writes
+    # nothing to sys.stdout
     c = normalize(coeffs, 0, m)
+    command = "enumerate" if expand else "solve"
+    parsed = ParsedCongruence(tuple(f"x{i}" for i in range(1, c.arity + 1)), c.coeffs, 0, m)
     got, pairs = lincong.core._blocks(lincong.core.iter_basis(c), c, expand)
     assert got == plan
     path, depth = plan
@@ -498,7 +502,13 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
         assert list(enumerate_all(build_basis(c), c)) == rows
     for limit in limits:
         for fmt in ("text", "json"):
-            assert_same_text(enumerate_output(c, fmt, limit, "enumerate" if expand else "solve"),
+            stdout = cli_stdout(c, fmt, limit, command)
+            sink, spill = io.StringIO(), io.StringIO()
+            with redirect_stdout(spill):
+                assert lincong.cli._write(sink, c, parsed, limit, fmt == "json", expand) == 0
+            assert_same_text(sink.getvalue(), stdout, (limit, fmt))
+            assert_same_text(spill.getvalue(), "", (limit, fmt))
+            assert_same_text(as_enumerate(stdout, fmt, command),
                              per_row_output(c, fmt, rows, limit), (limit, fmt))
 
 
@@ -517,9 +527,8 @@ def str_calls(monkeypatch):
     return converted
 
 
-def enumerate_output(c, fmt, limit=None, command="enumerate"):
-    """What `command` writes for c; for solve, its basis rows as enumerate's
-    document holds them: after the text summary, or under "solutions"."""
+def cli_stdout(c, fmt, limit=None, command="enumerate"):
+    """What `command` writes to stdout for c, given by --coeffs, --rhs and --mod."""
     argv = [command, f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
             f"--mod={c.modulus}", "--format", fmt]
     if limit is not None:
@@ -527,10 +536,22 @@ def enumerate_output(c, fmt, limit=None, command="enumerate"):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(argv) == 0
+    return out.getvalue()
+
+
+def as_enumerate(text, fmt, command):
+    """command's stdout as enumerate's: for solve, its basis rows as
+    enumerate's document holds them, after the text summary or under
+    "solutions"."""
     if command == "enumerate":
-        return out.getvalue()
-    return (out.getvalue().partition("basis:\n")[2] if fmt == "text"
-            else out.getvalue().replace('"basis": [', '"solutions": [', 1))
+        return text
+    return (text.partition("basis:\n")[2] if fmt == "text"
+            else text.replace('"basis": [', '"solutions": [', 1))
+
+
+def enumerate_output(c, fmt, limit=None, command="enumerate"):
+    """What `command` writes for c, as enumerate writes it."""
+    return as_enumerate(cli_stdout(c, fmt, limit, command), fmt, command)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -849,6 +870,19 @@ def test_enumerate_unsolvable(capsys):
     assert code == 3
     assert out == ""
     assert "unsolvable" in err
+    # _write exits 3 on it too: enumerate writes nothing to its sink, and
+    # solve the head that main writes, with no rows; neither writes to stderr
+    parsed = parse("2x ≡ 1 (mod 4)")
+    c = normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus)
+    for fmt in ("text", "json"):
+        heads = []
+        for expand in (True, False):
+            sink = io.StringIO()
+            assert lincong.cli._write(sink, c, parsed, None, fmt == "json", expand) == 3
+            heads.append(sink.getvalue())
+        assert capsys.readouterr() == ("", "")
+        assert heads == ["", run(capsys, "solve", "2x ≡ 1 (mod 4)", "--format", fmt)[1]]
+        assert "basis:" not in heads[1] and '"basis"' not in heads[1]
 
 
 def test_enumerate_negative_limit(capsys):
