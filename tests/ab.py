@@ -35,6 +35,7 @@ verdict" otherwise.  Standard library only.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import pathlib
@@ -203,6 +204,15 @@ def git(*args):
                           check=True).stdout.strip()
 
 
+def src_sha256():
+    """sha256 over the name and bytes of each src/lincong/*.py, in name order:
+    the files edited_copy copies as side A."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "lincong").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def ledger(rounds, seed):
     """Run every row of tests/forks.py with its disabled twin as side B on
     its shapes, and write BENCH_forks.json.  A fork of DELETED keeps the row
@@ -225,7 +235,7 @@ def ledger(rounds, seed):
     deleted = {row["fork"]: row for row in previous.get("deleted", ())}
     deleted.update({row["fork"]: {**row, "measured_at": previous["sha"]}
                     for row in previous.get("forks", ()) if row["fork"] in DELETED})
-    doc = {"sha": git("rev-parse", "HEAD"),
+    doc = {"sha": git("rev-parse", "HEAD"), "src_sha256": src_sha256(),
            "src_differs_from_sha": bool(git("status", "--porcelain", "src")),
            "python": platform.python_version(), "machine": platform.machine(),
            "rounds": rounds, "seed": seed, "calls": CALLS, "min_rounds": MIN_ROUNDS,

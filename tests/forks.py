@@ -62,6 +62,7 @@ DEEP = workload("stream", "text-n3-s1-L6e3", "json-n3-s1-L6e3", "text-n4-s6-L6e3
 LONG_COUNTS = workload("counts", "solve-text-d300n12", "solve-json-d300n12")
 SEED_MAJOR = "CHANGES.md: seed-major rows at small p2"
 SHORT_LAST = "CHANGES.md: many seeds with a short last cycle"
+P2_1_VERIFY = "CHANGES.md: at p2 = 1 `verify` is still about 5× its scan"
 SAMPLE = "2x - 6y ≡ 2 (mod 12)"
 M100 = str(10**100 + 7)
 
@@ -84,12 +85,26 @@ FORKS = {
         + shape("seed-major-p2-4", "seed-major-p2-8", "seed-major-last-7")
         + _mod1000("2,1", 100) + _mod1000("2,1", 10000) + _mod1000("2,2,2", 100)
         + _mod1000("2,2,2", 10000) + _mod1000("2,4", 100) + _mod1000("2,4", 10000)),
+    "seed-major-kept-column": (
+        "core.py", "(col, *[tuple(map(add, col, repeat(o))) for o in range(g, m, g)])",
+        "[tuple(map(add, col, repeat(o))) for o in range(0, m, g)]",
+        "_seed_major keeps each column as it is for the zero offset, not shifted by 0",
+        workload("basis", "enum-p2is2-L100")
+        + shape("seed-major-p2-4", "seed-major-p2-8", "seed-major-last-7")),
     "p2-1-seeds": (
         "core.py", "if not expand or p2 == 1:", "if not expand:",
         "_blocks writes an expansion at p2 = 1 as its seeds, 1024 a block",
         workload("basis", "enum-p2is1-L60") + shape("seeds-p2-1")
         + argv("CHANGES.md: x + y ≡ 0 (mod 100000)", "enumerate", "--coeffs=1,1", "--rhs=0",
                "--mod=100000", "--limit=10000")),
+    "rows-p2-1": (
+        "core.py", "if s.expansion_count == 1:", "if False:",
+        "_rows passes the seeds through at p2 = 1, not one product of 1-value cycles a seed",
+        argv(P2_1_VERIFY, "verify", "--coeffs=1,1,1", "--rhs=0", "--mod=100")
+        + argv(P2_1_VERIFY, "verify", "--coeffs=1,2,3,4,6", "--rhs=0", "--mod=25")
+        + lib(P2_1_VERIFY, "deque(enumerate_all(build_basis(1,1 mod 3000)), 1)",
+              lambda lincong: deque(lincong.core.enumerate_all(lincong.core.build_basis(
+                  c := lincong.core.normalize((1, 1), 0, 3000)), c), 1))),
     "deep-blocks": (
         "core.py", "if rows + p2 // rows <= runs:", "if False:",
         "_blocks writes blocks of the deepest coordinates, each rendered once a seed", DEEP

@@ -10,10 +10,11 @@ past TIMEOUT seconds, such as a stream the mutant made endless.  A mutant
 names test files, or pytest node ids where one test kills it, such as a row
 of the stream shape table (tests/shapes.py), which pytest runs alone.  A
 mutant whose old text no longer occurs exactly once in its file, or that
-names a file, test or shape that is gone, is STALE and not run.  Then it
-runs every file named, or holding a node named, once on an unmutated copy:
-unless that run passes, a failing run shows nothing, so no mutant is run and
-the exit status is 1.  An equivalent mutant, one that no input can tell from
+names a file, test or shape that is gone, is STALE and not run (tier-1's
+tests/test_forks.py fails on such a row too).  Then it runs every file
+named, or holding a node named, once on an unmutated copy: unless that run
+passes, a failing run shows nothing, so no mutant is run and the exit
+status is 1.  An equivalent mutant, one that no input can tell from
 the original, names no tests: it is reported with its reason and not run.
 The exit status is 1 when a mutant survives or is STALE, and 0 otherwise.
 Standard library only, besides the pytest and hypothesis that the tests need.
@@ -175,10 +176,6 @@ MUTANTS = [
      "islice(seeds, _BLOCK_ROWS // c.summary.expansion_count + 1)",
      "_seed_major takes one seed too many a batch, so a block holds over 1024 rows",
      shape("seed-major-p2-4")),
-    ("core.py", "(col, *[tuple(map(add, col, repeat(o))) for o in range(g, m, g)])",
-     "[tuple(map(add, col, repeat(o))) for o in range(0, m, g)]",
-     "equivalent: _seed_major adds the zero offset to a column it could keep as it is, "
-     "which changes speed only", ()),
     ("parser.py", "len(set(names)) == len(names) and ", "",
      "parse's one match takes a variable written twice, which the rules refuse", PARSER),
     ("parser.py", ' and "".join(names).translate(_NAME_CHARS).isalpha()', "",
@@ -214,6 +211,17 @@ MUTANTS = [
     ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
      "_write bounds solve's basis rows by p1's bound, so a limit of s rows is "
      "marked as a cut", LIMITS),
+    # three edits above again, each killed by one writer property test alone
+    ("core.py", "yield run[:size]", "yield run[:size - 1]",
+     "_slices drops one value of each slice: 0x ≡ 0 (mod 4096), one cycle of 4096 values",
+     cli_test("test_enumerate_renders_runs_as_rows_byte_for_byte")),
+    ("core.py", "for col, g in zip(zip(*batch), strides)",
+     "for col, g in zip(zip(*batch), strides[::-1])",
+     "_seed_major shifts each column by another coordinate's stride: x + y + 2z ≡ 0 "
+     "(mod 1000) at p2 = 2", cli_test("test_small_p2_streams_write_the_per_row_writers_bytes")),
+    ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
+     "_write bounds solve's basis rows by p1's bound: 2x + 2y ≡ 0 (mod 8) with --limit 4, "
+     "s, marked as a cut", cli_test("test_solve_streams_the_basis_byte_for_byte")),
 ]
 
 

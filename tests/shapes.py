@@ -1,9 +1,10 @@
 """The stream shapes: one instance on each side of every cutover that
-lincong.core._blocks decides, by name, and the reference rows they are
-checked against.  `python tests/shapes.py` writes each entry in both formats
-at --limit 1025 through the installed `lincong` command, and exits 1 unless
-its bytes are those of an in-process cli.main.  Only the functions import
-lincong, so tests/mutants.py reads the table without it.
+lincong.core._blocks decides, by name, and the reference rows and the
+reference writer that solve's and enumerate's output is checked against.
+`python tests/shapes.py` writes each entry in both formats at --limit 1025
+through the installed `lincong` command, and exits 1 unless its bytes are
+those of an in-process cli.main.  Only the functions import lincong, so
+tests/mutants.py reads the table without it.
 """
 
 import io
@@ -62,21 +63,36 @@ STREAM_SHAPES = {
 }
 
 
-def per_row_output(c, fmt, rows, limit):
-    """`enumerate` written one row at a time: a "%d" format per row for text,
-    json.dumps of the whole document for JSON.  The rows run one past the
-    limit, or are the whole stream."""
+def per_row_output(c, fmt, rows, limit, expand=True):
+    """The whole stdout of `enumerate` (expand true) or `solve` for c given by
+    --coeffs, --rhs and --mod, written one row at a time: json.dumps of the
+    whole document for JSON, whose rows key is "solutions" or "basis" and is
+    left out when c is unsolvable; for text, solve's counting summary, then a
+    "%d" format per row.  The rows run one past the limit, or are the whole
+    stream."""
     from lincong.core import summarize
+    from lincong.parser import ParsedCongruence, format_congruence
 
     s = summarize(c)
     cut = limit is not None and limit < len(rows)
     rows = rows[:limit] if cut else rows
     if fmt == "json":
-        return json.dumps({"d": str(s.gcd_all), "solvable": True, "p1": str(s.solution_count),
-                           "p2": str(s.expansion_count), "s": str(s.basis_size),
-                           "solutions": rows, "truncated": cut}) + "\n"
-    row_format = " ".join(["%d"] * c.arity) + "\n"
-    return "".join(row_format % row for row in rows) + ("# truncated\n" if cut else "")
+        doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
+               "p2": str(s.expansion_count), "s": str(s.basis_size)}
+        if s.solvable:
+            doc["solutions" if expand else "basis"] = rows
+        return json.dumps({**doc, "truncated": cut}) + "\n"
+    head = []
+    if not expand:
+        names = tuple(f"x{i}" for i in range(1, c.arity + 1))
+        parsed = ParsedCongruence(names, c.coeffs, c.rhs, c.modulus)
+        head = [f"congruence: {format_congruence(parsed)}", f"d = {s.gcd_all}",
+                f"solvable = {str(s.solvable).lower()}", f"solutions (p1) = {s.solution_count}",
+                f"per-seed (p2) = {s.expansion_count}", f"basis size (s) = {s.basis_size}",
+                *["basis:"] * s.solvable]
+    row_format = " ".join(["%d"] * c.arity)
+    return "".join(line + "\n" for line in [*head, *(row_format % row for row in rows),
+                                            *["# truncated"] * cut])
 
 
 def reference_rows(c, limit=None, expand=True):
@@ -93,7 +109,7 @@ def reference_rows(c, limit=None, expand=True):
     rows = lex_rows(c, strides)
     if expand:
         rows = itertools.chain.from_iterable(iter_reference_expand(x, c) for x in rows)
-    rows = list(itertools.islice(rows, None if limit is None else limit + 1))
+    rows = list(itertools.islice(rows, None if limit is None else min(limit + 1, sys.maxsize)))
     if m ** c.arity <= 10**6:
         want = brute_force(c)
         if not expand:

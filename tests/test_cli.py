@@ -14,10 +14,11 @@ import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from math import comb, gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import composite, integers, lists, one_of, sampled_from
 
 import lincong.cli
@@ -27,7 +28,7 @@ from lincong.cli import main
 from lincong.core import (are_dependent, build_basis, enumerate_all, expand, module_generators,
                           normalize, summarize)
 from lincong.oracle import OracleReport
-from lincong.parser import ParsedCongruence, format_congruence, parse
+from lincong.parser import ParsedCongruence, parse
 
 from helpers import assert_same_text, random_instances
 from shapes import STREAM_SHAPES, per_row_output, reference_rows
@@ -370,58 +371,46 @@ def test_enumerate_json_full(capsys):
     assert doc["truncated"] is False
 
 
-@pytest.mark.parametrize("expr", [
-    "3x ≡ 6 (mod 15)",                  # arity 1, p1 = 3
-    "2a + 4b + 6c + 3d ≡ 1 (mod 12)",   # arity 4, p1 = 1728
-])
-@pytest.mark.parametrize("limit", [None, 0, 2, 3, 1728, 5000, 10**20])
-def test_enumerate_text_and_json_carry_the_same_rows(capsys, expr, limit):
-    flags = [] if limit is None else ["--limit", str(limit)]
-    code, text, _ = run(capsys, "enumerate", expr, *flags)
-    assert code == 0
-    code, out, _ = run(capsys, "enumerate", expr, "--format", "json", *flags)
-    assert code == 0
-    doc = json.loads(out)
-    p1 = int(doc["p1"])
-    cut = limit is not None and limit < p1
-    rows = [" ".join(map(str, row)) for row in doc["solutions"]]
-    assert len(rows) == (min(limit, p1) if limit is not None else p1)
-    assert doc["truncated"] is cut
-    assert_same_text(text, "".join(row + "\n" for row in rows) + ("# truncated\n" if cut else ""))
-
-
 @composite
-def solvable_instances(draw):
-    # arity 1-5 with m**n <= 4096, small enough to list every row
+def instances(draw):
+    # arity 1-5 with m**n <= 4096, solvable or not, small enough to list every row
     n = draw(integers(min_value=1, max_value=5))
     m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
     coeffs = draw(lists(integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
-    c = normalize(coeffs, draw(integers(min_value=0, max_value=m - 1)), m)
-    return c if summarize(c).solvable else normalize(coeffs, 0, m)
+    return normalize(coeffs, draw(integers(min_value=0, max_value=m - 1)), m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(solvable_instances())
-def test_enumerate_renders_runs_as_rows_byte_for_byte(c):
-    s = summarize(c)
+def runs_case(c):
+    """enumerate's limits for c, or for c with rhs 0 when c is unsolvable,
+    around its first run and its last row."""
+    c = c if c.summary.solvable else normalize(c.coeffs, 0, c.modulus)
+    s = c.summary
     p1, run = s.solution_count, s.gcds[-1]  # every run of a reduced seed has gcd(a_n, m) rows
-    limits = [None, 0, 1, run, run + run // 2, p1 - 1, p1, p1 + 1, 10**20]
-    rows = reference_rows(c)
-    instance = [f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}", f"--mod={c.modulus}"]
-    for limit in limits:
-        flags = [] if limit is None else ["--limit", str(limit)]
-        for fmt in ("text", "json"):
-            out = io.StringIO()
-            with redirect_stdout(out):
-                assert main(["enumerate", *instance, "--format", fmt, *flags]) == 0
-            assert_same_text(out.getvalue(), per_row_output(c, fmt, rows, limit), (limit, fmt))
+    return c, True, (None, 0, 1, run, run + run // 2, p1 - 1, p1, p1 + 1, 10**20)
+
+
+def solve_case(c):
+    """solve's limits for c, solvable or not, around its last basis row."""
+    s = c.summary.basis_size
+    return c, False, (None, 0, 1, s - 1, s, s + 1, 10**20)
+
+
+def small_p2_case(c, k):
+    """enumerate's limits at p2 >= 2: on the first row, on either side of the
+    first seed's last row, past the first block of whole rows, off a seed
+    boundary by k, and where m**n is small, nowhere."""
+    p2 = c.summary.expansion_count
+    limits = (0, 1, p2 - 1, p2 + 1, (lincong.core._BLOCK_ROWS // p2 + k) * p2 + 1 + k % (p2 - 1))
+    return c, True, limits + (None,) * (c.modulus ** c.arity <= 20000)
 
 
 @composite
 def small_p2_instances(draw):
     # p2 from 2 to 16 split over arity 1-5 as g_i = gcd(a_i, m), with a
     # modulus of up to 300 digits that every g_i divides: a_i is g_i times a
-    # drawn multiplier when that keeps gcd(a_i, m) = g_i, else g_i itself
+    # drawn multiplier when that keeps gcd(a_i, m) = g_i, else g_i itself.
+    # At small p2 enumerate builds whole rows seed-major, or runs per seed
+    # past the cutover
     p2, n = draw(integers(2, 16)), draw(integers(1, 5))
     gcds = [1] * n
     for p in (2, 3, 5, 7, 11, 13):
@@ -433,36 +422,117 @@ def small_p2_instances(draw):
     for g in gcds:
         a = g * draw(integers(1, m)) % m
         coeffs.append(a if gcd(a, m) == g else g)
-    d = gcd(*coeffs, m)
-    return normalize(coeffs, d * draw(integers(0, m - 1)) % m, m)
+    c = normalize(coeffs, gcd(*coeffs, m) * draw(integers(0, m - 1)) % m, m)
+    return small_p2_case(c, draw(integers(0, 40)))
+
+
+@cache
+def block_plans():
+    """The (m, gcds) of 3 or 4 unknowns, each g_i a divisor of a modulus with
+    many divisors, whose p1 = d * m**(n - 1) is at most 6,000 (no 5 unknowns'
+    is) and that enumerate writes in blocks of two or more coordinates.  It
+    runs on the test's first draw, not at import, so a mutant that moves a
+    plan fails the test, not its collection; the shape table checks the plans
+    of the test's block @examples."""
+    plans = []
+    for m in (12, 18, 24, 30, 36):
+        divisors = [g for g in range(1, m + 1) if m % g == 0]
+        for gcds in itertools.chain(*(itertools.product(divisors, repeat=n) for n in (3, 4))):
+            if gcd(*gcds) * m ** (len(gcds) - 1) <= 6000:
+                path, depth = lincong.core._blocks((), normalize(gcds, 0, m))[0]
+                if path in ("deep", "groups") and depth >= 2:
+                    # the block covers the deepest coordinates, and a coordinate
+                    # outside it moves, so each block is joined onto more than one prefix
+                    assert prod(gcds[-depth:]) <= lincong.core._BLOCK_ROWS
+                    assert prod(gcds[:-depth]) > 1
+                    plans.append((m, gcds))
+    return plans
+
+
+def block_case(c):
+    """enumerate's limits around c's first block and its last row."""
+    s = c.summary
+    block = prod(s.gcds[-lincong.core._blocks((), c)[0][1]:])
+    p1 = s.solution_count
+    return c, True, (0, 1, block // 2, block, block + block // 2, p1 - 1, p1, p1 + 1, None)
+
+
+@composite
+def block_instances(draw):
+    # an (m, gcds) of block_plans(), a_i = g_i * u_i with u_i a unit mod
+    # m // g_i, so that gcd(a_i, m) = g_i, and a solvable rhs
+    m, gcds = draw(sampled_from(block_plans()))
+    coeffs = [g * draw(sampled_from([u for u in range(1, m // g + 1) if gcd(u, m // g) == 1])) % m
+              for g in gcds]
+    return block_case(normalize(coeffs, gcd(*gcds) * draw(integers(0, m - 1)), m))
+
+
+def assert_writes_the_per_row_writers_bytes(case):
+    """solve's (expand false) or enumerate's whole stdout for the case's c,
+    in text and JSON, at each of its limits, is the per-row writer's bytes
+    for the reference rows."""
+    c, expand, limits = case
+    rows = reference_rows(c, None if None in limits else max(limits), expand)
+    for limit in limits:
+        for fmt in ("text", "json"):
+            assert_same_text(cli_stdout(c, fmt, limit, expand),
+                             per_row_output(c, fmt, rows, limit, expand), (limit, fmt))
+
+
+@pytest.mark.parametrize("expr", [
+    "3x ≡ 6 (mod 15)",                  # arity 1, p1 = 3
+    "2a + 4b + 6c + 3d ≡ 1 (mod 12)",   # arity 4, p1 = 1728
+])
+@pytest.mark.parametrize("limit", [None, 0, 2, 3, 1728, 5000, 10**20])
+def test_enumerate_text_and_json_carry_the_same_rows(expr, limit):
+    parsed = parse(expr)
+    c = normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus)
+    assert_writes_the_per_row_writers_bytes((c, True, (limit,)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_p2_instances(), integers(0, 40))
+@given(instances().map(runs_case))
+@example(runs_case(normalize([0], 0, 4096)))  # a cycle of 4096 values, in slices of 1024
+def test_enumerate_renders_runs_as_rows_byte_for_byte(case):
+    assert_writes_the_per_row_writers_bytes(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_p2_instances())
 # p2 = 8 on both sides of the whole-row cutover: a last cycle of 2 and of 1
 # values is written seed-major, one of 8 values as a run per seed
-@example(normalize([2, 2, 2], 0, 10**300), 3)
-@example(normalize([8, 1], 5, 16), 0)
-@example(normalize([1, 8], 0, 8 * 10**299), 7)
+@example(small_p2_case(normalize([2, 2, 2], 0, 10**300), 3))
+@example(small_p2_case(normalize([8, 1], 5, 16), 0))
+@example(small_p2_case(normalize([1, 8], 0, 8 * 10**299), 7))
 # p2 = 2, as enum-p2is2 in the benchmark, and p2 = 9 and 16 past the cutover
-@example(normalize([1, 1, 2], 0, 1000), 12)
-@example(normalize([3, 3], 3, 9 * 10**40), 1)
-@example(normalize([2, 2, 2, 2], 0, 6), 5)
-def test_small_p2_streams_write_the_per_row_writers_bytes(c, k):
-    # at small p2 enumerate builds whole rows seed-major, or runs per seed
-    # past the cutover; either way its text and JSON are the per-row
-    # writer's bytes for the reference rows.  The limits fall on the first
-    # row, on either side of the first seed's last row, and past the first
-    # block of whole rows, off a seed boundary, and where m**n is small, nowhere
-    s = summarize(c)
-    p2 = s.expansion_count
-    limits = [0, 1, p2 - 1, p2 + 1, (lincong.core._BLOCK_ROWS // p2 + k) * p2 + 1 + k % (p2 - 1)]
-    small = c.modulus ** c.arity <= 20000
-    rows = reference_rows(c, None if small else max(limits))
-    for limit in limits + [None] * small:
-        for fmt in ("text", "json"):
-            assert_same_text(enumerate_output(c, fmt, limit), per_row_output(c, fmt, rows, limit),
-                             (limit, fmt))
+@example(small_p2_case(normalize([1, 1, 2], 0, 1000), 12))
+@example(small_p2_case(normalize([3, 3], 3, 9 * 10**40), 1))
+@example(small_p2_case(normalize([2, 2, 2, 2], 0, 6), 5))
+def test_small_p2_streams_write_the_per_row_writers_bytes(case):
+    assert_writes_the_per_row_writers_bytes(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_instances())
+@example(block_case(normalize([15, 10, 6, 5], 0, 30)))
+@example(block_case(normalize([42, 28, 12], 0, 84)))
+# a tie: gcds (4, 2, 2) and p2 = 16, so 8 runs at depth 1; a depth-2 block
+# of 4 rows joined 16 // 4 = 4 times costs 4 + 4 = 8, no more, so the depth is 2
+@example(block_case(normalize([4, 2, 2], 0, 8)))
+def test_enumerate_blocks_match_the_oracle_row_for_row(case):
+    assert_writes_the_per_row_writers_bytes(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances().map(solve_case))
+@example(solve_case(normalize([2], 1, 4)))  # unsolvable
+@example(solve_case(normalize([4, 6, 0], 1, 8)))  # unsolvable
+@example(solve_case(normalize([1, 1], 0, 2048)))  # s = 2048: two full pieces of rows
+# s = 4 and p1 = 16 = 2**4: a limit of s rows reads s, as the bound on s,
+# 2**(4 - bits(p2)) = 2, is below it
+@example(solve_case(normalize([2, 2], 0, 8)))
+def test_solve_streams_the_basis_byte_for_byte(case):
+    assert_writes_the_per_row_writers_bytes(case)
 
 
 @pytest.mark.parametrize("coeffs, m, expand, plan, limits", STREAM_SHAPES.values(),
@@ -470,15 +540,14 @@ def test_small_p2_streams_write_the_per_row_writers_bytes(c, k):
 def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, plan, limits):
     # _blocks names the stream's path and depth; each of its first pairs
     # holds at most 1024 rows, every prefix the first n - depth values.  On
-    # every path the stream is the per-row writer's bytes for the reference
-    # rows, in text and JSON, at limit 0, 1, the first pair's last row, one
-    # past it and the entry's own limits, and where the row count (p1, or s
-    # for solve) is at most 30,000 at it, one either side and with no limit,
-    # which enumerate_all's rows equal too.  At each of them _write, given
-    # the instance and a sink, puts main's stdout in the sink and writes
-    # nothing to sys.stdout
+    # every path the whole stdout, solve's head included, is the per-row
+    # writer's bytes for the reference rows, in text and JSON, at limit 0, 1,
+    # the first pair's last row, one past it and the entry's own limits, and
+    # where the row count (p1, or s for solve) is at most 30,000 at it, one
+    # either side and with no limit, which enumerate_all's rows equal too.
+    # At each of them _write, given the instance and a sink, puts main's
+    # stdout in the sink and writes nothing to sys.stdout
     c = normalize(coeffs, 0, m)
-    command = "enumerate" if expand else "solve"
     parsed = ParsedCongruence(tuple(f"x{i}" for i in range(1, c.arity + 1)), c.coeffs, 0, m)
     got, pairs = lincong.core._blocks(lincong.core.iter_basis(c), c, expand)
     assert got == plan
@@ -502,14 +571,13 @@ def test_each_stream_shape_writes_the_per_row_writers_bytes(coeffs, m, expand, p
         assert list(enumerate_all(build_basis(c), c)) == rows
     for limit in limits:
         for fmt in ("text", "json"):
-            stdout = cli_stdout(c, fmt, limit, command)
+            stdout = cli_stdout(c, fmt, limit, expand)
             sink, spill = io.StringIO(), io.StringIO()
             with redirect_stdout(spill):
                 assert lincong.cli._write(sink, c, parsed, limit, fmt == "json", expand) == 0
             assert_same_text(sink.getvalue(), stdout, (limit, fmt))
             assert_same_text(spill.getvalue(), "", (limit, fmt))
-            assert_same_text(as_enumerate(stdout, fmt, command),
-                             per_row_output(c, fmt, rows, limit), (limit, fmt))
+            assert_same_text(stdout, per_row_output(c, fmt, rows, limit, expand), (limit, fmt))
 
 
 @pytest.fixture
@@ -527,31 +595,17 @@ def str_calls(monkeypatch):
     return converted
 
 
-def cli_stdout(c, fmt, limit=None, command="enumerate"):
-    """What `command` writes to stdout for c, given by --coeffs, --rhs and --mod."""
-    argv = [command, f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
-            f"--mod={c.modulus}", "--format", fmt]
+def cli_stdout(c, fmt, limit=None, expand=True):
+    """What enumerate (expand true) or solve writes to stdout for c, given by
+    --coeffs, --rhs and --mod; only a solve of an unsolvable c exits 3."""
+    argv = ["enumerate" if expand else "solve", f"--coeffs={','.join(map(str, c.coeffs))}",
+            f"--rhs={c.rhs}", f"--mod={c.modulus}", "--format", fmt]
     if limit is not None:
         argv += ["--limit", str(limit)]
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(argv) == (0 if c.summary.solvable else 3)
     return out.getvalue()
-
-
-def as_enumerate(text, fmt, command):
-    """command's stdout as enumerate's: for solve, its basis rows as
-    enumerate's document holds them, after the text summary or under
-    "solutions"."""
-    if command == "enumerate":
-        return text
-    return (text.partition("basis:\n")[2] if fmt == "text"
-            else text.replace('"basis": [', '"solutions": [', 1))
-
-
-def enumerate_output(c, fmt, limit=None, command="enumerate"):
-    """What `command` writes for c, as enumerate writes it."""
-    return as_enumerate(cli_stdout(c, fmt, limit, command), fmt, command)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -561,7 +615,7 @@ def test_enumerate_renders_a_seeds_last_values_once(str_calls, fmt):
     c = normalize([224, 750], 0, 4000)
     s = summarize(c)
     assert (s.basis_size, s.gcds, s.solution_count) == (1, (32, 250), 8000)
-    assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
+    assert_same_text(cli_stdout(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
     assert len(str_calls) <= s.basis_size * s.gcds[-1]
 
 
@@ -573,7 +627,7 @@ def test_enumerate_reuses_a_run_shared_by_two_seeds(str_calls, fmt):
     s = summarize(c)
     assert (s.basis_size, s.gcds) == (6, (1, 2, 12))
     assert {x[-1] for x in build_basis(c)} == {0}
-    assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
+    assert_same_text(cli_stdout(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
     assert len(str_calls) == 12
 
 
@@ -582,53 +636,9 @@ def test_enumerate_reuses_the_head_of_a_run_cut_by_the_limit(str_calls, fmt):
     # 790 rows are three equal runs of 250 values and the first 40 of a
     # fourth: one rendering serves all four
     c = normalize([224, 750], 0, 4000)
-    assert_same_text(enumerate_output(c, fmt, 790),
+    assert_same_text(cli_stdout(c, fmt, 790),
                      per_row_output(c, fmt, reference_rows(c, 790), 790))
     assert len(str_calls) == 250
-
-
-@composite
-def block_instances(draw):
-    # 3 to 5 unknowns mod a modulus with many divisors, a_i = g_i * u_i with
-    # g_i a divisor of m and u_i a unit, so that gcd(a_i, m) = g_i; only those
-    # that enumerate writes in blocks of two or more coordinates are kept
-    m = draw(sampled_from((12, 18, 24, 30, 36)))
-    n = draw(integers(min_value=3, max_value=5 if m <= 12 else 4 if m <= 24 else 3))
-    divisors = [g for g in range(1, m + 1) if m % g == 0]
-    coeffs = []
-    for _ in range(n):
-        g = draw(sampled_from(divisors))
-        u = draw(sampled_from([u for u in range(1, m // g + 1) if gcd(u, m // g) == 1]))
-        coeffs.append(g * u % m)
-    c = normalize(coeffs, 0, m)
-    c = normalize(coeffs, c.summary.gcd_all * draw(integers(0, m - 1)), m)
-    path, depth = lincong.core._blocks((), c)[0]
-    assume(path in ("deep", "groups") and depth >= 2)
-    assume(c.summary.solution_count <= 6000)
-    return c
-
-
-@settings(max_examples=40, deadline=None)
-@given(block_instances())
-@example(normalize([15, 10, 6, 5], 0, 30))
-@example(normalize([42, 28, 12], 0, 84))
-# a tie: gcds (4, 2, 2) and p2 = 16, so 8 runs at depth 1; a depth-2 block
-# of 4 rows joined 16 // 4 = 4 times costs 4 + 4 = 8, no more, so the depth is 2
-@example(normalize([4, 2, 2], 0, 8))
-def test_enumerate_blocks_match_the_oracle_row_for_row(c):
-    # the block covers the deepest coordinates, and a coordinate outside it
-    # moves, so each block is joined onto more than one prefix
-    s = summarize(c)
-    path, depth = lincong.core._blocks((), c)[0]
-    block = prod(s.gcds[-depth:])
-    assert path in ("deep", "groups") and depth >= 2
-    assert block <= lincong.core._BLOCK_ROWS and prod(s.gcds[:-depth]) > 1
-    rows, p1 = reference_rows(c), s.solution_count
-    limits = [0, 1, block // 2, block, block + block // 2, p1 - 1, p1, p1 + 1, None]
-    for limit in limits:
-        for fmt in ("text", "json"):
-            assert_same_text(enumerate_output(c, fmt, limit), per_row_output(c, fmt, rows, limit),
-                             (limit, fmt))
 
 
 def test_enumerate_leaves_a_long_prefix_cycle_lazy():
@@ -667,7 +677,7 @@ def test_enumerate_renders_a_block_once_per_seed_suffix(str_calls, fmt):
     s = summarize(c)
     assert (s.solution_count, s.basis_size, s.gcds) == (27000, 6, (15, 10, 6, 5))
     assert lincong.core._blocks((), c)[0] == ("deep", 3)
-    assert_same_text(enumerate_output(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
+    assert_same_text(cli_stdout(c, fmt), per_row_output(c, fmt, reference_rows(c), None))
     suffixes = [key for key, _ in itertools.groupby(x[1:] for x in build_basis(c))]
     assert len(str_calls) == (10 + 6 + 5) * len(suffixes) <= 21 * s.basis_size
 
@@ -686,7 +696,7 @@ def test_enumerate_at_p2_1_writes_blocks_of_1024_rows(monkeypatch, limit, sizes)
         return plan, ((prefix, written.append(len(block)) or block) for prefix, block in pairs)
 
     monkeypatch.setattr(lincong.cli, "_blocks", recording)
-    assert enumerate_output(c, "text", limit).count("\n") == sum(sizes) + (limit is not None)
+    assert cli_stdout(c, "text", limit).count("\n") == sum(sizes) + (limit is not None)
     assert written == sizes
 
 
@@ -719,66 +729,6 @@ def test_enumerate_streams_a_run_of_10_to_the_300_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-
-
-@composite
-def instances(draw):
-    # arity 1-5 with m**n <= 4096, solvable or not
-    n = draw(integers(min_value=1, max_value=5))
-    m = draw(integers(min_value=1, max_value=(4096, 64, 16, 8, 5)[n - 1]))
-    coeffs = draw(lists(integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
-    return normalize(coeffs, draw(integers(min_value=0, max_value=m - 1)), m)
-
-
-def reference_solve(c, fmt, limit):
-    """What `solve` printed when it collected its basis with build_basis: a
-    "%d" format per row for text, json.dumps of the whole document for JSON."""
-    s = summarize(c)
-    basis = build_basis(c)
-    if basis is not None:
-        basis = basis[:limit]
-    truncated = s.solvable and limit is not None and limit < s.basis_size
-    if fmt == "json":
-        doc = {"d": str(s.gcd_all), "solvable": s.solvable, "p1": str(s.solution_count),
-               "p2": str(s.expansion_count), "s": str(s.basis_size)}
-        if basis is not None:
-            doc["basis"] = basis
-        doc["truncated"] = truncated
-        return json.dumps(doc) + "\n"
-    names = tuple(f"x{i}" for i in range(1, c.arity + 1))
-    lines = [f"congruence: {format_congruence(ParsedCongruence(names, c.coeffs, c.rhs, c.modulus))}",
-             f"d = {s.gcd_all}", f"solvable = {'true' if s.solvable else 'false'}",
-             f"solutions (p1) = {s.solution_count}", f"per-seed (p2) = {s.expansion_count}",
-             f"basis size (s) = {s.basis_size}"]
-    if basis is not None:
-        row_format = " ".join(["%d"] * c.arity)
-        lines += ["basis:", *(row_format % row for row in basis)]
-        lines += ["# truncated"] if truncated else []
-    return "".join(line + "\n" for line in lines)
-
-
-def solve_output(c, fmt, limit):
-    argv = ["solve", f"--coeffs={','.join(map(str, c.coeffs))}", f"--rhs={c.rhs}",
-            f"--mod={c.modulus}", "--format", fmt]
-    if limit is not None:
-        argv += ["--limit", str(limit)]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(argv) == (0 if summarize(c).solvable else 3)
-    return out.getvalue()
-
-
-@settings(max_examples=60, deadline=None)
-@given(instances())
-@example(normalize([2], 1, 4))  # unsolvable
-@example(normalize([4, 6, 0], 1, 8))  # unsolvable
-@example(normalize([1, 1], 0, 2048))  # s = 2048: two full pieces of rows
-def test_solve_streams_the_basis_byte_for_byte(c):
-    s = summarize(c).basis_size
-    for limit in [None, 0, 1, s - 1, s, s + 1, 10**20]:
-        for fmt in ("text", "json"):
-            assert_same_text(solve_output(c, fmt, limit), reference_solve(c, fmt, limit),
-                             (limit, fmt))
 
 
 def _capped_address_space():
@@ -1493,14 +1443,15 @@ def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
                                        ((1, 1, 1), 4), ((2, -6), 12), ((5, 10, 3), 7)])
 def test_limits_round_the_row_count_write_the_per_row_writers_bytes(coeffs, m):
     # with d and m powers of two p1 = 2**E, so p1 - 1 is the largest limit
-    # cut without reading p1, and p1 the least that reads it; at n = 1, s = 1
+    # cut without reading p1, and p1 the least that reads it; at n = 1, s = 1.
+    # The whole stdout is compared, solve's head included
     c = normalize(coeffs, 0, m)
-    for command in ("enumerate", "solve"):
-        want = reference_rows(c, None, command == "enumerate")
+    for expand in (True, False):
+        want = reference_rows(c, None, expand)
         for limit in (len(want) - 1, len(want), len(want) + 1):
             for fmt in ("text", "json"):
-                assert_same_text(enumerate_output(c, fmt, limit, command),
-                                 per_row_output(c, fmt, want, limit), (command, limit, fmt))
+                assert_same_text(cli_stdout(c, fmt, limit, expand),
+                                 per_row_output(c, fmt, want, limit, expand), (expand, limit, fmt))
 
 
 def test_the_quotient_writes_a_count_past_a_million_digits():

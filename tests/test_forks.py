@@ -1,16 +1,19 @@
-"""The fork table of tests/forks.py names live code and shapes that exist.
+"""The fork table of tests/forks.py and the mutant table of tests/mutants.py
+name live code, and shapes and tests that exist.
 
-`python tests/ab.py --ledger` measures each row of the table into
-BENCH_forks.json.  A row whose old text no longer occurs exactly once, or
-whose shape was renamed, would drop out of that ledger quietly, so it fails
-here instead.  This reads bench/ and changes nothing there.
+`python tests/ab.py --ledger` measures each row of the fork table into
+BENCH_forks.json, and `python tests/mutants.py` runs each mutant.  A row
+whose old text no longer occurs exactly once, or whose shape or test was
+renamed, would drop out of that ledger quietly or show as STALE only when
+the harness runs, so it fails here instead.  This reads bench/ and changes
+nothing there.
 """
 
 import json
 import pathlib
 
 from forks import DELETED, FORKS, missing
-from mutants import stale
+from mutants import MUTANTS, stale
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -22,3 +25,8 @@ def test_each_fork_disables_live_code_on_shapes_that_exist(monkeypatch):
     ledger = json.loads((ROOT / "BENCH_forks.json").read_text(encoding="utf-8"))
     assert [row["fork"] for row in ledger["forks"]] == list(FORKS)
     assert [row["fork"] for row in ledger["deleted"]] == list(DELETED)
+
+
+def test_each_mutant_edits_live_code_and_names_tests_that_exist():
+    assert [(file, old, why) for file, old, _, _, tests in MUTANTS
+            if (why := stale(file, old, tests))] == []
