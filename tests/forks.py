@@ -208,6 +208,12 @@ FORKS = {
         argv("CHANGES.md: takes p2 as `prod(gcds)`, a running product", "solve",
              "--coeffs=" + ",".join(str(6 * (i % 7 + 1)) for i in range(50_000)), "--rhs=0",
              "--mod=12", "--limit=0", label="solve 50,000 multiples of 6 mod 12")),
+    "limit-clamp": (
+        "cli.py", "if s.solvable and limit is not None and (limit == 0 or",
+        "if False and (limit == 0 or",
+        "_write cuts a --limit below a bound on p1's (or s's) bits from bit lengths "
+        "alone, building neither p1 nor s",
+        workload("counts", "solve-text-d100n12", "solve-json-d100n12") + LONG_COUNTS),
 }
 
 # name: what went from src/lincong with the fork, which the ledger showed

@@ -14,9 +14,13 @@ names a file, test or shape that is gone, is STALE and not run (tier-1's
 tests/test_forks.py fails on such a row too).  Then it runs every file
 named, or holding a node named, once on an unmutated copy: unless that run
 passes, a failing run shows nothing, so no mutant is run and the exit
-status is 1.  An equivalent mutant, one that no input can tell from
-the original, names no tests: it is reported with its reason and not run.
-The exit status is 1 when a mutant survives or is STALE, and 0 otherwise.
+status is 1.  A mutant's run is judged by pytest's exit status alone
+(judge): a failed test or a collection error kills it, and pytest's own
+internal, usage or no-tests error is an ERROR row, counted as failing; the
+run goes on to the next row either way.  An equivalent mutant, one that no
+input can tell from the original, names no tests: it is reported with its
+reason and not run.  The exit status is 1 when a mutant survives, is STALE
+or is an ERROR, and 0 otherwise.
 Standard library only, besides the pytest and hypothesis that the tests need.
 """
 
@@ -211,6 +215,12 @@ MUTANTS = [
     ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
      "_write bounds solve's basis rows by p1's bound, so a limit of s rows is "
      "marked as a cut", LIMITS),
+    ("cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
+     "main reports a reader that hangs up early as an error, exit 2",
+     cli_test("test_enumerate_into_closed_pipe_exits_cleanly")),
+    ("cli.py", "def print_help(self, file=None):", "def _print_help(self, file=None):",
+     "argparse's own print_help swallows a failed write of the help text and exits 0",
+     cli_test("test_help_to_a_failing_stdout_is_one_error_line")),
     # three edits above again, each killed by one writer property test alone
     ("core.py", "yield run[:size]", "yield run[:size - 1]",
      "_slices drops one value of each slice: 0x ≡ 0 (mod 4096), one cycle of 4096 values",
@@ -275,9 +285,19 @@ def run_tests(tests, file=None, old="", new=""):
                 with contextlib.suppress(ProcessLookupError):  # the group may be gone by now
                     os.killpg(proc.pid, signal.SIGKILL)
                 return None, ""
-    if proc.returncode not in (0, 1):  # 1: a test failed; anything else broke the run
-        raise RuntimeError(f"pytest exited {proc.returncode}:\n{output}")
     return proc.returncode, output
+
+
+def judge(code):
+    """The verdict on a mutant whose pytest run exited with code (None past
+    TIMEOUT), and whether it counts as failing: 1, a failed test, and 2, an
+    interrupted run such as a test file that no longer collects, kill it; 0
+    is a survivor; 3, 4 and 5 (an internal or usage error, or no tests
+    collected) judge nothing."""
+    killed = {None: "killed (timeout)", 1: "killed", 2: "killed (exit 2)"}
+    if code in killed:
+        return killed[code], False
+    return ("SURVIVED" if code == 0 else f"ERROR (exit {code})"), True
 
 
 def main():
@@ -303,10 +323,12 @@ def main():
             print(f"{'equivalent':10} {label}\n    {reason}")
         else:
             t0 = time.perf_counter()
-            code = run_tests(tests, file, old, new)[0]
-            verdict = "killed (timeout)" if code is None else "killed" if code else "SURVIVED"
+            code, output = run_tests(tests, file, old, new)
+            verdict, failing = judge(code)
             print(f"{verdict:10} {label} ({time.perf_counter() - t0:.0f} s)\n    {reason}")
-            failed += code == 0
+            if verdict.startswith("ERROR"):
+                print(output)
+            failed += failing
     print(f"{len(MUTANTS)} mutants, {failed} failing, in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 

@@ -53,10 +53,56 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
+def _capped_address_space():
+    # the child may map at most 1 GiB, so a writer that collects what it
+    # should stream fails within seconds instead of growing for as long as
+    # memory lasts
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def spawn(argv, python=("-m", "lincong"), env=(), **popen):
+    """A running `python -m lincong *argv` (or python with other arguments
+    before argv) in text mode, with src on its path and env's entries added
+    to the environment, capped at 1 GiB of address space."""
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           **dict(env)}
+    return subprocess.Popen([sys.executable, *python, *argv], env=env, text=True,
+                            preexec_fn=_capped_address_space, **popen)
+
+
+def finish(argv, stdout=subprocess.PIPE, **kwargs):
+    """(exit status, stdout, stderr) of spawn(argv, ...) run to its end."""
+    with spawn(argv, stdout=stdout, stderr=subprocess.PIPE, **kwargs) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    return proc.returncode, out, err
+
+
+def read_then_hang_up(argv, read):
+    """What read(stdout) takes from a running `python -m lincong *argv`
+    before its reader hangs up, which the writer must meet by exiting 0 with
+    nothing on stderr.  A writer that never gets to its first line is
+    killed, so the read ends."""
+    proc = spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    deadline = threading.Timer(30, proc.kill)
+    deadline.start()
+    try:
+        got = read(proc.stdout)
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.stderr.close()
+    return got
+
+
+def head(k):
+    """A read of read_then_hang_up: the first k lines."""
+    return lambda out: list(itertools.islice(out, k))
 
 
 def decimal(n):
@@ -139,36 +185,28 @@ def test_enumerate_huge_modulus_with_limit(capsys):
     assert out.splitlines()[:3] == ["0 0", "0 500000000000", "500000000000 0"]
 
 
-def test_solve_limit_pulls_only_the_rows_it_prints(capsys, monkeypatch):
+@pytest.fixture
+def pulled(monkeypatch):
+    """The basis rows the CLI pulls from its walk, in the order it pulls them."""
+    rows = []
+    walk = lincong.cli.iter_basis
+    monkeypatch.setattr(lincong.cli, "iter_basis",
+                        lambda c: (rows.append(row) or row for row in walk(c)))
+    return rows
+
+
+def test_solve_limit_pulls_only_the_rows_it_prints(capsys, pulled):
     # the limit cuts the walk before its rows are grouped into blocks of
     # 1024, so a block never pulls rows past the limit
-    pulled = []
-    walk = lincong.cli.iter_basis
-
-    def counting_walk(c):
-        for row in walk(c):
-            pulled.append(row)
-            yield row
-
-    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
     code, out, _ = run(capsys, "solve", "x + y + z ≡ 0 (mod 1000)", "--limit", "2")
     assert code == 0
     assert out.endswith("basis:\n0 0 0\n0 1 999\n# truncated\n")
     assert pulled == [(0, 0, 0), (0, 1, 999)]
 
 
-def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, monkeypatch):
+def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, pulled):
     # at p2 = 1 the basis rows are the solutions; they are cut before they are
     # batched, so a limit of 60 pulls 60 rows from the walk, not 1024
-    pulled = []
-    walk = lincong.cli.iter_basis
-
-    def counting_walk(c):
-        for row in walk(c):
-            pulled.append(row)
-            yield row
-
-    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
     code, out, _ = run(capsys, "enumerate", "x + y + z ≡ 0 (mod 1000)", "--limit", "60")
     assert code == 0
     assert len(pulled) == 60
@@ -176,17 +214,8 @@ def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("limit, seeds", [(0, 0), (1, 1), (8, 1), (9, 2), (16, 2), (20, 3)])
-def test_enumerate_pulls_only_the_seeds_whose_rows_it_prints(capsys, monkeypatch, limit, seeds):
+def test_enumerate_pulls_only_the_seeds_whose_rows_it_prints(capsys, pulled, limit, seeds):
     # p2 = 8: each basis row expands into 8 rows, so L rows take ceil(L / 8)
-    pulled = []
-    walk = lincong.cli.iter_basis
-
-    def counting_walk(c):
-        for row in walk(c):
-            pulled.append(row)
-            yield row
-
-    monkeypatch.setattr(lincong.cli, "iter_basis", counting_walk)
     code, out, _ = run(capsys, "enumerate", "2x + 2y + 2z ≡ 0 (mod 1000)", "--limit", str(limit))
     assert code == 0
     assert len(pulled) == seeds
@@ -645,26 +674,11 @@ def test_enumerate_leaves_a_long_prefix_cycle_lazy():
     # gcd(0, 10**30) = 10**30: groups of 512 prefixes are slices of x1's
     # cycle, never the cycle itself, which no address space could hold; with
     # no limit, 2 * 10**30 rows stream into a reader that stops after three
-    argv = [sys.executable, "-m", "lincong", "enumerate", "--coeffs=0,2", "--rhs=0",
-            "--mod=1" + "0" * 30]
-    half = b"5" + b"0" * 29
-    proc = subprocess.run([*argv, "--limit", "5"], capture_output=True, env=subprocess_env(),
-                          preexec_fn=_capped_address_space, timeout=30)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == b"0 0\n0 %s\n1 0\n1 %s\n2 0\n# truncated\n" % (half, half)
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=subprocess_env(), preexec_fn=_capped_address_space)
-    deadline = threading.Timer(30, proc.kill)
-    deadline.start()
-    try:
-        assert [proc.stdout.readline() for _ in range(3)] == [b"0 0\n", b"0 %s\n" % half, b"1 0\n"]
-        proc.stdout.close()
-        assert proc.wait(timeout=30) == 0
-        assert proc.stderr.read() == b""
-    finally:
-        deadline.cancel()
-        proc.kill()
-        proc.stderr.close()
+    argv = ["enumerate", "--coeffs=0,2", "--rhs=0", "--mod=1" + "0" * 30]
+    half = "5" + "0" * 29
+    assert finish([*argv, "--limit", "5"]) == (
+        0, f"0 0\n0 {half}\n1 0\n1 {half}\n2 0\n# truncated\n", "")
+    assert read_then_hang_up(argv, head(3)) == ["0 0\n", f"0 {half}\n", "1 0\n"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -705,22 +719,7 @@ def test_enumerate_streams_a_run_of_10_to_the_300_rows():
     # of 10**300 values, which is written in slices as it is walked; in 1 GiB,
     # a writer that rendered the whole run first fails instead of growing
     argv = ["enumerate", "--coeffs=0", "--rhs=0", f"--mod={decimal(10**300)}"]
-    proc = subprocess.Popen([sys.executable, "-m", "lincong", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
-                            preexec_fn=_capped_address_space)
-    # a writer that never gets to its first line is killed, so the reads end
-    deadline = threading.Timer(30, proc.kill)
-    deadline.start()
-    try:
-        assert [proc.stdout.readline() for _ in range(3)] == [b"0\n", b"1\n", b"2\n"]
-        proc.stdout.close()
-        assert proc.wait(timeout=30) == 0
-        assert proc.stderr.read() == b""
-    finally:
-        deadline.cancel()
-        proc.kill()
-        proc.stderr.close()
-
+    assert read_then_hang_up(argv, head(3)) == ["0\n", "1\n", "2\n"]
     tracemalloc.start()
     try:
         with redirect_stdout(Discard()):
@@ -731,41 +730,21 @@ def test_enumerate_streams_a_run_of_10_to_the_300_rows():
     assert peak < 2_000_000
 
 
-def _capped_address_space():
-    # the child may map at most 1 GiB, so a solve that collects its basis
-    # fails within seconds instead of growing for as long as memory lasts
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_solve_streams_a_basis_of_10_to_the_10_rows(fmt):
     # s = 10**10: the summary and the first rows arrive while the walk goes
     # on, and the writer exits 0 when the reader hangs up
     argv = ["solve", "x + y + z ≡ 0 (mod 100000)", "--format", fmt]
-    proc = subprocess.Popen([sys.executable, "-m", "lincong", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=subprocess_env(), preexec_fn=_capped_address_space)
-    deadline = threading.Timer(30, proc.kill)
-    deadline.start()
-    try:
-        if fmt == "text":
-            assert [proc.stdout.readline() for _ in range(9)] == [
-                line.encode() + b"\n" for line in [
-                    "congruence: 1*x + 1*y + 1*z ≡ 0 (mod 100000)", "d = 1", "solvable = true",
-                    "solutions (p1) = 10000000000", "per-seed (p2) = 1",
-                    "basis size (s) = 10000000000", "basis:", "0 0 0", "0 1 99999"]]
-        else:
-            rows = ", ".join(f"[0, {y}, {-y % 100000}]" for y in range(20))
-            head = ('{"d": "1", "solvable": true, "p1": "10000000000", "p2": "1", '
-                    '"s": "10000000000", "basis": [' + rows)
-            assert proc.stdout.read(200) == head.encode()[:200]
-        proc.stdout.close()
-        assert proc.wait(timeout=30) == 0
-        assert proc.stderr.read() == b""
-    finally:
-        deadline.cancel()
-        proc.kill()
-        proc.stderr.close()
+    if fmt == "text":
+        assert read_then_hang_up(argv, head(9)) == [line + "\n" for line in [
+            "congruence: 1*x + 1*y + 1*z ≡ 0 (mod 100000)", "d = 1", "solvable = true",
+            "solutions (p1) = 10000000000", "per-seed (p2) = 1", "basis size (s) = 10000000000",
+            "basis:", "0 0 0", "0 1 99999"]]
+    else:
+        rows = ", ".join(f"[0, {y}, {-y % 100000}]" for y in range(20))
+        doc = ('{"d": "1", "solvable": true, "p1": "10000000000", "p2": "1", '
+               '"s": "10000000000", "basis": [' + rows)
+        assert read_then_hang_up(argv, lambda out: out.read(200)) == doc[:200]
 
 
 def test_solve_holds_a_bounded_piece_of_its_basis():
@@ -864,6 +843,16 @@ def test_check_independent_warns_on_non_solution(capsys):
     assert out.splitlines()[-1] == "independent"
     assert "coordinate 1: (a - b) ≡ 4 (mod 6) -> not divisible" in out
     assert "warning: b = (0, 1) does not satisfy" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [REF_EXPR, "4,1", "1,0"],
+    # a vector that starts with "-" reads as a flag, so "--" goes before the vectors
+    ["--coeffs=1,1", "--rhs=0", "--mod=5", "--", "-3,3", "1,4"],
+])
+def test_check_writes_its_verdict_last(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out.splitlines()[-1], err) == (0, "independent", "")
 
 
 def test_check_verdict_is_that_of_are_dependent(capsys):
@@ -1180,12 +1169,22 @@ def test_each_spelling_of_an_argv_prints_the_same(capsys, argv, canonical, scann
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lincong", "solve",
-         "2x - 6y = 2 (mod 12)", "--format", "json"],
-        capture_output=True, text=True, env=subprocess_env())
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["s"] == "2"
+    code, out, err = finish(["solve", "2x - 6y = 2 (mod 12)", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["s"] == "2"
+
+
+def loads(statement):
+    """The modules of a watched set that a fresh `python -S` loads to run
+    statement, with its stdout discarded."""
+    watched = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
+               "decimal", "lincong.oracle", "lincong.intmath"]
+    probe = (f"import os, sys; before = set(sys.modules); sys.stdout = open(os.devnull, 'w'); "
+             f"{statement}; sys.stdout = sys.__stdout__; "
+             f"print(sorted(set(sys.modules) - before & set({watched!r})))")
+    code, out, err = finish(["-c", probe], python=("-S",))
+    assert code == 0, err
+    return out
 
 
 def test_importing_the_cli_loads_only_what_every_call_uses():
@@ -1194,25 +1193,13 @@ def test_importing_the_cli_loads_only_what_every_call_uses():
     # records are plain classes, so neither dataclasses nor the inspect it
     # pulls in is loaded either; argparse and its gettext wait for an argv
     # the scan passes on, decimal for a count of 1,000 digits
-    unused = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
-              "decimal", "lincong.oracle", "lincong.intmath"]
-    probe = (f"import sys; before = set(sys.modules); import lincong.cli; "
-             f"print(sorted(set(sys.modules) - before & set({unused!r})))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe],
-                          capture_output=True, text=True, env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert loads("import lincong.cli") == "[]\n"
 
 
 def test_no_module_of_the_package_loads_dataclasses():
     # every record derives from core._Record, intmath's two included, so the
     # modules no CLI call imports do not load dataclasses or inspect either
-    probe = ("import sys; import lincong.intmath, lincong.oracle; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe],
-                          capture_output=True, text=True, env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert loads("import lincong.intmath, lincong.oracle") == "['lincong.intmath', 'lincong.oracle']\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1221,24 +1208,16 @@ def test_no_module_of_the_package_loads_dataclasses():
     ["check", REF_EXPR, "7,4", "1,0"],
     ["verify", REF_EXPR],
     ["verify", "--seed", "1"],
+    ["solve", REF_EXPR],
 ])
 def test_each_subcommand_loads_only_what_it_uses(argv):
-    # the modules a call loads, `import lincong.cli` included: the oracle for
-    # verify alone, random for its --seed batch alone, and json, typing,
-    # intmath, dataclasses, inspect, argparse, gettext or, with short counts,
-    # decimal for none
-    watched = ["json", "random", "typing", "dataclasses", "inspect", "argparse", "gettext",
-               "decimal", "lincong.oracle", "lincong.intmath"]
-    probe = (f"import os, sys; before = set(sys.modules); import lincong.cli; "
-             f"sys.stdout = open(os.devnull, 'w'); code = lincong.cli.main({argv!r}); "
-             f"sys.stdout = sys.__stdout__; "
-             f"print(code, sorted(set(sys.modules) - before & set({watched!r})))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe],
-                          capture_output=True, text=True, env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
+    # the modules a call loads, `import lincong.cli` included, where the call
+    # exits 0: the oracle for verify alone, random for its --seed batch
+    # alone, and json, typing, intmath, dataclasses, inspect, argparse,
+    # gettext or, with short counts, decimal for none
     loaded = ["lincong.oracle"] if argv[0] == "verify" else []
     loaded += ["random"] if "--seed" in argv else []
-    assert proc.stdout == f"0 {sorted(loaded)}\n"
+    assert loads(f"import lincong.cli; assert lincong.cli.main({argv!r}) == 0") == f"{loaded}\n"
 
 
 def test_package_exports_the_names_of_core_and_parser():
@@ -1258,17 +1237,7 @@ def test_package_exports_the_names_of_core_and_parser():
 
 def test_enumerate_into_closed_pipe_exits_cleanly():
     # p1 = 10**10 rows: the writer is still going when the reader hangs up
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "lincong", "enumerate", "x + y ≡ 0 (mod 100000)"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
-    try:
-        assert proc.stdout.readline() == b"0 0\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
-    finally:
-        proc.kill()
-        proc.stderr.close()
+    assert read_then_hang_up(["enumerate", "x + y ≡ 0 (mod 100000)"], head(1)) == ["0 0\n"]
 
 
 @pytest.mark.parametrize("stream, argv", [
@@ -1307,11 +1276,8 @@ def test_a_failing_stdout_is_one_error_line():
     # every write to /dev/full fails with ENOSPC: one error line, and the
     # interpreter's last flush of the buffered rows stays quiet
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "lincong", "solve", "x ≡ 1 (mod 3)"],
-                              stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=subprocess_env(), timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert finish(["solve", "x ≡ 1 (mod 3)"], stdout=full) == (
+            2, None, "error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
@@ -1319,11 +1285,9 @@ def test_a_failing_stdout_is_one_error_line():
 def test_help_to_a_failing_stdout_is_one_error_line(unbuffered):
     # argparse would swallow the failed write of the help text and exit 0;
     # unbuffered, the write itself fails, buffered, main's flush does
-    env = {**subprocess_env(), "PYTHONUNBUFFERED": unbuffered}
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "lincong", "solve", "--help"],
-                              stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+        assert finish(["solve", "--help"], stdout=full, env={"PYTHONUNBUFFERED": unbuffered}) == (
+            2, None, "error: [Errno 28] No space left on device\n")
 
 
 def test_solve_sixty_unknowns_renders_counts_past_the_digit_limit(capsys):

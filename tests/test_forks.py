@@ -13,7 +13,7 @@ import json
 import pathlib
 
 from forks import DELETED, FORKS, missing
-from mutants import MUTANTS, stale
+from mutants import MUTANTS, judge, stale
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +30,13 @@ def test_each_fork_disables_live_code_on_shapes_that_exist(monkeypatch):
 def test_each_mutant_edits_live_code_and_names_tests_that_exist():
     assert [(file, old, why) for file, old, _, _, tests in MUTANTS
             if (why := stale(file, old, tests))] == []
+
+
+def test_a_mutant_run_is_judged_by_its_exit_status():
+    # pytest's exit statuses: a failed test, an interrupted run (a test file
+    # that no longer collects) and a timeout kill a mutant, and the run goes
+    # on past an internal, usage or no-tests error, counted as failing
+    assert {code: judge(code) for code in (None, 0, 1, 2, 3, 4, 5)} == {
+        None: ("killed (timeout)", False), 0: ("SURVIVED", True), 1: ("killed", False),
+        2: ("killed (exit 2)", False), 3: ("ERROR (exit 3)", True),
+        4: ("ERROR (exit 4)", True), 5: ("ERROR (exit 5)", True)}
