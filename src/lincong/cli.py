@@ -1,8 +1,8 @@
 """Command-line front end: solve, enumerate, check, verify.
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-2 usage/parse/sizing error or a closed or failing stdin or stdout,
-3 unsolvable instance, 4 oracle disagreement.
+2 usage/parse/sizing error, a closed or failing stdin or stdout, or memory
+running out, 3 unsolvable instance, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from functools import cache
 from itertools import islice, product, repeat
 from types import SimpleNamespace
 
-from .core import LinearCongruence, _blocks, iter_basis, normalize, satisfies, summarize
+from .core import (LinearCongruence, SolveSummary, _blocks, iter_basis, normalize, satisfies,
+                   summarize)
 from .parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
 EXIT_OK = 0
@@ -119,40 +120,15 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
     # opening for both commands, and the counting summary for a text solve, the
     # one reader of parsed; a text enumerate has none.  Both heads take the
     # counts from one _counts call, and an unsolvable solve writes its head
-    # with no rows and exits 3.  Then come the rows and the cut mark: the basis
-    # rows, or their expansions when expand is True, at most `limit` of them
-    # (None: all).  Every basis row expands into p2 >= 1 rows, so the first
-    # ceil(limit / p2) basis rows carry every row written and no later one is
-    # pulled (islice takes no stop above sys.maxsize): a stream that batches
-    # its seeds, as a seed-major one does, builds fewer than p2 rows past the
-    # limit.  A limit of 0 pulls none, so counts alone start no walk.  It, and
-    # any limit below the bound on the rows there are, reads neither p1 nor s:
-    # a solvable instance has at least one row of each, so the cut mark is
-    # written.
-    # _blocks' (prefixes, block) pairs are written as they come and never
-    # held whole, each prefix with the whole block in turn; the last pair is
-    # cut to the rows left, and none after it is pulled.  _blocks names the
-    # stream's path and depth.  A row leads with its glue, close + joiner,
-    # which ends the row before it: lead is the glue, opening and a "%d" and
-    # sep for each leading value, so the n - depth values of a prefix format
-    # it once, and tail, the rendering of the rest after a leading "", is
-    # joined by it into all the prefix's rows as one string, as json.dumps
-    # writes them for JSON ("%d" renders an int as str() does).  The stream's
-    # first glue is dropped, on the first pair, and close is written once,
-    # after the last.  On the seeds and seed-major paths a block is whole
-    # rows under one empty prefix.  Otherwise it is a range of lone values at
-    # depth 1 (runs, slices, groups), which str renders faster than "%d", or
-    # deeper (deep, groups) a list of cycles, each value rendered once and
-    # joined in their product's order.  All the prefixes of a seed take the
-    # same block, so it is rendered once and reused while the next one
-    # compares equal (O(1) for ranges).  A group (the groups path) carries
-    # its fixed lead, the first n - depth - 1 values, and a slice of the next
-    # coordinate's values: the fixed lead is formatted once, and the heads of
-    # the group's prefixes come from one join of the slice, split at "\0",
-    # which no row text holds.  The whole JSON document is written by hand,
-    # as json.dumps would write it: counts are _counts' decimal strings, as
-    # they can exceed any fixed integer width, and an unsolvable solve has no
-    # rows key
+    # with no rows and exits 3.  Then come the rows, at most `limit` of them
+    # (None: all), and the cut mark.  _write_rows is called only when a row is
+    # due, so a limit of 0 and an unsolvable solve build no stream: no walk,
+    # no blocks and no row format.  A limit of 0, and any limit below the bound
+    # on the rows there are, reads neither p1 nor s: a solvable instance has
+    # at least one row of each, so the cut mark is written.  The whole JSON
+    # document is written by hand, as json.dumps would write it: counts are
+    # _counts' decimal strings, as they can exceed any fixed integer width,
+    # and an unsolvable solve has no rows key
     s = summarize(c)
     if expand and not s.solvable:
         return EXIT_UNSOLVABLE
@@ -179,6 +155,46 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
         total = (s.solution_count if expand else s.basis_size) if s.solvable else 0
         left = total if limit is None else min(limit, total)  # rows still to write
         truncated = left < total
+    if left:
+        _write_rows(out, c, s, limit, left, as_json, expand)
+    if as_json:
+        truncation = "true" if truncated else "false"
+        out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')
+    elif truncated:
+        out.write("# truncated\n")
+    return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
+
+
+def _write_rows(out, c: LinearCongruence, s: SolveSummary, limit: int | None, left: int,
+                as_json: bool, expand: bool) -> None:
+    # The first `left` >= 1 rows of _write's stream, to out, and the close of
+    # the last: the basis rows, or their expansions when expand is True, cut
+    # at _write's limit (None: all).  Every basis row expands into p2 >= 1
+    # rows, so the first ceil(limit / p2) basis rows carry every row written
+    # and no later one is pulled (islice takes no stop above sys.maxsize): a
+    # stream that batches its seeds, as a seed-major one does, builds fewer
+    # than p2 rows past the limit.
+    # _blocks' (prefixes, block) pairs are written as they come and never
+    # held whole, each prefix with the whole block in turn; the last pair is
+    # cut to the rows left, and none after it is pulled.  _blocks names the
+    # stream's path and depth.  A row leads with its glue, close + joiner,
+    # which ends the row before it: lead is the glue, opening and a "%d" and
+    # sep for each leading value, so the n - depth values of a prefix format
+    # it once, and tail, the rendering of the rest after a leading "", is
+    # joined by it into all the prefix's rows as one string, as json.dumps
+    # writes them for JSON ("%d" renders an int as str() does).  The stream's
+    # first glue is dropped, on the first pair, and close is written once,
+    # after the last.  On the seeds and seed-major paths a block is whole
+    # rows under one empty prefix.  Otherwise it is a range of lone values at
+    # depth 1 (runs, slices, groups), which str renders faster than "%d", or
+    # deeper (deep, groups) a list of cycles, each value rendered once and
+    # joined in their product's order.  All the prefixes of a seed take the
+    # same block, so it is rendered once and reused while the next one
+    # compares equal (O(1) for ranges).  A group (the groups path) carries
+    # its fixed lead, the first n - depth - 1 values, and a slice of the next
+    # coordinate's values: the fixed lead is formatted once, and the heads of
+    # the group's prefixes come from one join of the slice, split at "\0",
+    # which no row text holds.
     # the seeds are constructed solutions, so they skip expand()'s seed check
     seeds = islice(iter_basis(c), None if limit is None else
                    min(-(-limit // s.expansion_count) if expand else limit, sys.maxsize))
@@ -189,7 +205,7 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
     (path, depth), pairs = _blocks(seeds, c, expand)
     group = path == "groups"
     for prefixes, block in pairs:
-        if lead is None:  # on the first pair, so --limit 0 builds no format
+        if lead is None:  # on the first pair: a stream of no rows writes no close
             lead = glue + opening + ("%d" + sep) * (c.arity - depth - group)
             whole = path in ("seeds", "seed-major")
             render = sep.join(["%d"] * depth).__mod__ if whole else str
@@ -214,12 +230,6 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
         skip = 0
     if lead is not None:
         out.write(close)
-    if as_json:
-        truncation = "true" if truncated else "false"
-        out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')
-    elif truncated:
-        out.write("# truncated\n")
-    return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
 def cmd_solve(args, expand: bool = False) -> int:
@@ -500,6 +510,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:  # includes ParseError and CapExceededError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # e.g. verify's scan of a set too large for memory, past a raised --cap
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
 from math import gcd, prod
 from operator import add, attrgetter, mod, mul
 
@@ -130,8 +129,8 @@ class FrozenRecordError(AttributeError):
 
 class _Record:
     # A frozen record of the fields __match_args__ names.  Its __init__ writes
-    # them with vars(self).update, past __setattr__ as cached_property writes;
-    # == and hash read them only, never a cached property in __dict__, and
+    # them with vars(self).update, past __setattr__ as _BuiltOnFirstRead writes;
+    # == and hash read them only, never another field built into __dict__, and
     # repr shows them as a dataclass would, but for an int past the int/str
     # digit limit (_field_repr).  _of builds one from fields its caller has
     # already checked, past __init__ and its checks.
@@ -165,6 +164,32 @@ class _Record:
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+class _BuiltOnFirstRead:
+    # A field of a record that build(record) makes on its first read: build
+    # returns its value, or with `names` a tuple of the values of the fields
+    # it names, all built at once.  It is a non-data descriptor, so a value
+    # in the record's __dict__ is read as any field is, with no call.  It
+    # takes no lock: build is pure, so two threads that both build a field
+    # build equal values, and the record keeps either.
+
+    def __init__(self, build, names=()):
+        self.build, self.names = build, names
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = self.build(record)
+        if self.names:
+            vars(record).update(zip(self.names, value))
+            return vars(record)[self.name]
+        vars(record)[self.name] = value
+        return value
+
+
 class LinearCongruence(_Record):
     """A normalized instance: modulus >= 1, coefficients and rhs in [0, modulus)."""
 
@@ -187,7 +212,7 @@ class LinearCongruence(_Record):
     def arity(self) -> int:
         return len(self.coeffs)
 
-    @cached_property
+    @_BuiltOnFirstRead
     def summary(self) -> SolveSummary:
         """Derive the record, once, on first use: 2n gcd calls for arity n.
 
@@ -214,26 +239,16 @@ class LinearCongruence(_Record):
                                 suffix_gcds=tuple(h[:0:-1]))
 
 
-class _BuiltOnFirstRead:
+def _p1_and_s(summary: SolveSummary) -> tuple[int, int]:
     # p1 = d * m**(n - 1) and s = p1 / p2, which LinearCongruence.summary
-    # leaves unbuilt.  It is a non-data descriptor, so a count in the
-    # record's __dict__ is read as any field is, with no call; the first read
-    # of either builds both, from the record alone: m = g_1 * gcd(a_1, m) and
-    # n = len(gcds).
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, summary, owner=None):
-        if summary is None:
-            return self
-        p1 = summary.gcd_all * (summary.strides[0] * summary.gcds[0]) ** (len(summary.gcds) - 1)
-        p2 = summary.expansion_count
-        s, rest = divmod(p1, p2)
-        if rest:
-            raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
-        vars(summary).update(solution_count=p1, basis_size=s)
-        return vars(summary)[self.name]
+    # leaves unbuilt, from the record alone: m = g_1 * gcd(a_1, m) and
+    # n = len(gcds)
+    p1 = summary.gcd_all * (summary.strides[0] * summary.gcds[0]) ** (len(summary.gcds) - 1)
+    p2 = summary.expansion_count
+    s, rest = divmod(p1, p2)
+    if rest:
+        raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
+    return p1, s
 
 
 class SolveSummary(_Record):
@@ -250,8 +265,8 @@ class SolveSummary(_Record):
     __match_args__ = ("gcd_all", "solvable", "solution_count", "expansion_count",
                       "basis_size", "gcds", "strides", "suffix_gcds")
 
-    solution_count = _BuiltOnFirstRead()
-    basis_size = _BuiltOnFirstRead()
+    solution_count = _BuiltOnFirstRead(_p1_and_s, ("solution_count", "basis_size"))
+    basis_size = _BuiltOnFirstRead(_p1_and_s, ("solution_count", "basis_size"))
 
     def __init__(self,
                  gcd_all: int,          # gcd(a1, ..., an, m)

@@ -214,6 +214,12 @@ FORKS = {
         "_write cuts a --limit below a bound on p1's (or s's) bits from bit lengths "
         "alone, building neither p1 nor s",
         workload("counts", "solve-text-d100n12", "solve-json-d100n12") + LONG_COUNTS),
+    "counts-no-stream": (
+        "cli.py", "if left:", "if True:",
+        "_write starts the row stream only when a row is due, so --limit 0 and an "
+        "unsolvable solve build no walk, blocks or row format",
+        workload("counts", "solve-text-d20n2", "solve-json-d20n2", "solve-text-d100n3",
+                 "solve-json-d100n3", "solve-text-d300n1", "solve-json-d300n1")),
 }
 
 # name: what went from src/lincong with the fork, which the ledger showed

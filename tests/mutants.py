@@ -218,6 +218,12 @@ MUTANTS = [
     ("cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
      "main reports a reader that hangs up early as an error, exit 2",
      cli_test("test_enumerate_into_closed_pipe_exits_cleanly")),
+    ("cli.py", "except MemoryError:", "except ZeroDivisionError:",
+     "main lets memory running out end the call in a traceback, exit 1",
+     cli_test("test_running_out_of_memory_is_one_error_line")),
+    ("cli.py", "if left:", "if left > 1:",
+     "_write starts no stream when one row is due, so --limit 1 writes no row",
+     cli_test("test_enumerate_pulls_only_the_seeds_whose_rows_it_prints[1-1]")),
     ("cli.py", "def print_help(self, file=None):", "def _print_help(self, file=None):",
      "argparse's own print_help swallows a failed write of the help text and exits 0",
      cli_test("test_help_to_a_failing_stdout_is_one_error_line")),

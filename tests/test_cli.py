@@ -53,21 +53,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _capped_address_space():
-    # the child may map at most 1 GiB, so a writer that collects what it
-    # should stream fails within seconds instead of growing for as long as
-    # memory lasts
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-def spawn(argv, python=("-m", "lincong"), env=(), **popen):
+def spawn(argv, python=("-m", "lincong"), env=(), address_space=1 << 30, **popen):
     """A running `python -m lincong *argv` (or python with other arguments
     before argv) in text mode, with src on its path and env's entries added
-    to the environment, capped at 1 GiB of address space."""
+    to the environment, capped at address_space bytes of address space: by
+    default 1 GiB, so a writer that collects what it should stream fails
+    within seconds instead of growing for as long as memory lasts."""
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""),
            **dict(env)}
+    cap = (address_space, address_space)
     return subprocess.Popen([sys.executable, *python, *argv], env=env, text=True,
-                            preexec_fn=_capped_address_space, **popen)
+                            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+                            **popen)
 
 
 def finish(argv, stdout=subprocess.PIPE, **kwargs):
@@ -211,6 +208,27 @@ def test_enumerate_at_p2_1_pulls_only_the_rows_it_prints(capsys, pulled):
     assert code == 0
     assert len(pulled) == 60
     assert out == "".join("%d %d %d\n" % row for row in pulled) + "# truncated\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, coeffs, rhs, mod, limit", [
+    ("solve", (2, 6), 2, 12, 0), ("enumerate", (2, 6), 2, 12, 0), ("solve", (2, 4), 1, 6, None),
+    ("solve", (2, 4), 1, 6, 0)])
+def test_a_call_that_writes_no_row_builds_no_stream(capsys, monkeypatch, fmt, command, coeffs, rhs,
+                                                    mod, limit):
+    # --limit 0 and an unsolvable solve write the counts and the cut mark
+    # alone, so neither the walk nor its blocks are started
+    c, expand = normalize(coeffs, rhs, mod), command == "enumerate"
+    want = per_row_output(c, fmt, reference_rows(c, limit, expand), limit, expand)
+
+    def no_stream(*args):
+        raise AssertionError("a row stream was started")
+
+    monkeypatch.setattr(lincong.cli, "iter_basis", no_stream)
+    monkeypatch.setattr(lincong.cli, "_blocks", no_stream)
+    argv = [command, f"--coeffs={','.join(map(str, coeffs))}", f"--rhs={rhs}", f"--mod={mod}",
+            f"--format={fmt}", *[f"--limit={limit}"] * (limit is not None)]
+    assert run(capsys, *argv) == (0 if summarize(c).solvable else 3, want, "")
 
 
 @pytest.mark.parametrize("limit, seeds", [(0, 0), (1, 1), (8, 1), (9, 2), (16, 2), (20, 3)])
@@ -899,6 +917,13 @@ def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, "verify", "x ≡ 1 (mod 10)", "--cap", "5")
     assert code == 2
     assert "exceeds the cap" in err
+
+
+def test_running_out_of_memory_is_one_error_line():
+    # the scan of 0x + 0y ≡ 0 (mod 40000) would hold 1.6e9 solutions, which
+    # no cap of 128 MiB holds: one error line and exit 2, not a traceback
+    assert finish(["verify", "--coeffs=0,0", "--rhs=0", "--mod=40000", "--cap=1000000000000"],
+                  address_space=1 << 27) == (2, "", "error: out of memory\n")
 
 
 def test_verify_seed_batch(capsys):

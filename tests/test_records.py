@@ -3,6 +3,7 @@
 import copy
 import pickle
 import sys
+import threading
 
 import pytest
 
@@ -190,6 +191,7 @@ def test_summary_is_computed_once_and_stays_out_of_equality():
     assert hash(c) == hash(fresh)
     assert repr(c) == repr(fresh) == "LinearCongruence(coeffs=(4, 6, 10), rhs=2, modulus=12)"
     assert c.summary == fresh.summary and c.summary is not fresh.summary
+    assert LinearCongruence.summary.__doc__.startswith("Derive the record, once, on first use")
 
 
 def test_match_on_match_args():
@@ -286,3 +288,35 @@ def test_counts_built_on_first_read_check_their_division():
                          suffix_gcds=(1,))
     with pytest.raises(ArithmeticError, match="inexact division 1 / 7; this is a bug"):
         s.basis_size
+
+
+def test_threads_that_build_one_summary_at_once_read_equal_values():
+    # the first read of c.summary, and of its p1 and s, takes no lock: threads
+    # that read them at once may each build them, and all read equal values,
+    # which later reads keep.  A switch interval of 1 us lets a thread be
+    # preempted inside a build
+    args = ([30 * pow(7, 100 + i, R300) for i in range(12)], 420, 30 * R300)
+    want = _unbuilt_summary(args)
+    want = (want, want.solution_count, want.basis_size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            c, got = normalize(*args), []
+            start = threading.Barrier(8)
+
+            def read():
+                start.wait(timeout=10)
+                s = c.summary
+                got.append((s, s.solution_count, s.basis_size))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want] * 8
+            assert c.summary is c.summary and c.summary == want[0]
+    finally:
+        sys.setswitchinterval(interval)
