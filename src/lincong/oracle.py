@@ -7,17 +7,19 @@ first k = n//2 and the last n-k, and tabulates each half by residue, so that
 r maps to the half-tuples whose dot product with that half's coefficients is
 r mod m.  A left class r completes only the right class (b - r) mod m, and
 each such pair of classes is joined into solutions by one C-level set update.
-The work is O(m**(n//2) + m**(n - n//2) + p1) tuples, not O(m**n), and each
-coefficient is multiplied m times, once per value of its unknown.  Besides
-the solutions the scan holds the two tables, m**(n//2) + m**(n - n//2)
-tuples (at most m**(n-1) + m, and m**(n-1) <= p1 whenever a solution
-exists), and drops each right class once it is joined.  It uses no
-solver maths (no gcd, no inverse) and computes with nothing from core beyond
-the LinearCongruence type (core's _decimal only writes the numbers of its
-refusal); that independence is the point.  verify compares its
-set with the counting and basis machinery of core: it counts the set, then
-strikes the regenerated rows off it in one pass, so the scan is the only set
-it holds.
+The left table is built first, and the right table's last level, which adds
+the right half's first unknown, builds only the classes that complete a
+non-empty left class.  The work is at most O(m**(n//2) + m**(n - n//2) + p1)
+tuples, not O(m**n), and each coefficient is multiplied m times, once per
+value of its unknown.  Besides the solutions the scan holds the two tables,
+at most m**(n//2) + m**(n - n//2) tuples (at most m**(n-1) + m, and
+m**(n-1) <= p1 whenever a solution exists), and drops each right class once
+it is joined.  It uses no solver maths (no gcd, no inverse) and computes with
+nothing from core beyond the LinearCongruence type (core's _decimal only
+writes the numbers of its refusal); that independence is the point.  verify
+compares its set with the counting and basis machinery of core: it counts
+the set, then strikes the regenerated rows off it in one pass, so the scan is
+the only set it holds.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, .
         a = c.coeffs[0]
         return {(x,) for x in range(m) if (a * x - b) % m == 0}
     k = n // 2
-    left, right = _residue_table(c.coeffs[:k], m), _residue_table(c.coeffs[k:], m)
+    left = _residue_table(c.coeffs[:k], m)
+    # a one-unknown table scans all m values whatever classes are wanted
+    wanted = {(b - r) % m for r, prefixes in left.items() if prefixes} if n - k > 1 else None
+    right = _residue_table(c.coeffs[k:], m, wanted)
     found = set()
     # distinct left residues complete distinct right classes, so each right
     # class is joined at most once and is popped to free it as found grows
@@ -71,20 +76,25 @@ def brute_force(c: LinearCongruence, cap: int = DEFAULT_CAP) -> set[tuple[int, .
     return found
 
 
-def _residue_table(coeffs: tuple[int, ...], m: int) -> dict[int, list[tuple[int, ...]]]:
+def _residue_table(coeffs: tuple[int, ...], m: int,
+                   wanted: set[int] | None = None) -> dict[int, list[tuple[int, ...]]]:
     """Residue r -> the tuples y in [0, m)**len(coeffs) with coeffs . y ≡ r (mod m).
 
     Built one coordinate at a time from the last: class s of the grown table
     puts each value of the next coordinate, of residue t, in front of every
-    tuple of class s - t of the table so far.
+    tuple of class s - t of the table so far.  With two or more coefficients
+    and a set of wanted residues, the last level, which adds the first
+    coordinate, builds only the wanted classes: any class of an earlier level
+    may feed one of them.  One coefficient's table holds every residue its
+    m values reach.
     """
     *rest, last = coeffs
     table = _by_residue(last, m)
-    for a in reversed(rest):
+    for level, a in enumerate(reversed(rest), 1):
         column = _by_residue(a, m).items()
         table = {s: [head + tail for t, heads in column
                      for tail in table.get((s - t) % m, ()) for head in heads]
-                 for s in range(m)}
+                 for s in (range(m) if wanted is None or level < len(rest) else wanted)}
     return table
 
 

@@ -220,6 +220,12 @@ FORKS = {
         "unsolvable solve build no walk, blocks or row format",
         workload("counts", "solve-text-d20n2", "solve-json-d20n2", "solve-text-d100n3",
                  "solve-json-d100n3", "solve-text-d300n1", "solve-json-d300n1")),
+    "oracle-wanted-classes": (
+        "oracle.py", "right = _residue_table(c.coeffs[k:], m, wanted)",
+        "right = _residue_table(c.coeffs[k:], m)",
+        "brute_force adds the right half's first unknown only to the classes that "
+        "complete a non-empty left class, not to every class",
+        workload("verify", "n3-m24", "n4-m10")),
 }
 
 # name: what went from src/lincong with the fork, which the ledger showed

@@ -40,6 +40,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TIMEOUT = 300  # seconds for one pytest run, several times the slowest's
 CORE, ORACLE = ("tests/test_core.py",), ("tests/test_oracle.py",)
 PARSER = ("tests/test_parser.py",)
+# by its @examples
+ORACLE_EXAMPLES = ("tests/test_oracle.py::test_brute_force_matches_reference_scan",)
 
 
 def cli_test(name):
@@ -82,6 +84,17 @@ MUTANTS = [
     ("oracle.py", "if n * (m.bit_length() - 1) >= cap.bit_length() or m ** n > cap:",
      "if m ** n > cap:",
      "brute_force computes m**n of any size before refusing it", ORACLE),
+    ("oracle.py", "{(b - r) % m for r, prefixes in left.items() if prefixes}",
+     "{r for r, prefixes in left.items() if prefixes}",
+     "brute_force builds the right classes of the left residues, not the ones that "
+     "complete them", ORACLE_EXAMPLES),
+    ("oracle.py", "{(b - r) % m for r, prefixes in left.items() if prefixes}",
+     "{(b + r) % m for r, prefixes in left.items() if prefixes}",
+     "equivalent: the left residues are the image of a linear map into Z_m, a "
+     "subgroup, so {b + r} and {b - r} are one set", ()),
+    ("oracle.py", "wanted is None or level < len(rest)", "wanted is None",
+     "_residue_table builds only the wanted classes at every level, so a three-unknown "
+     "right half loses the classes that feed a wanted one", ORACLE_EXAMPLES),
     ("cli.py", "except OSError as exc:  # an unreadable stdin", "except ValueError as exc:  #",
      "a failed stdin read reaches main's stdout handler, which points descriptor 1 "
      "at the null device", cli_test("test_an_unreadable_stdin_leaves_stdout_alone")),

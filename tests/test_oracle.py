@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis.strategies import composite, integers, lists
 import lincong.core
 import lincong.oracle
 from lincong.core import LinearCongruence, iter_basis, normalize, summarize
-from lincong.oracle import CapExceededError, brute_force, verify
+from lincong.oracle import CapExceededError, _residue_table, brute_force, verify
 
 from helpers import random_instances, reference_brute_force
 
@@ -97,8 +98,27 @@ def scan_instances(draw):
 @example(normalize([0], 1, 7))                 # unsolvable, every coefficient zero
 @example(normalize([0, 0, 0, 0, 0], 0, 5))     # arity 5 at the largest m
 @example(normalize([1, 1, 1, 1, 1, 1, 1], 0, 3))  # arity 7 at the largest m
+@example(normalize([2, 1, 1], 1, 4))           # left residues {0, 2}, b outside them
+@example(normalize([3, 3, 3, 1, 2, 5], 1, 6))  # left residues {0, 3}, a 3-unknown right half
+@example(normalize([12, 16, 18], 2, 24))       # verify's n3-m24 shape
+@example(normalize([5, 5, 8, 6], 3, 10))       # verify's n4-m10 shape
 def test_brute_force_matches_reference_scan(c):
     assert brute_force(c) == reference_brute_force(c)
+
+
+@given(lists(integers(min_value=-30, max_value=30), min_size=1, max_size=4),
+       integers(min_value=1, max_value=12), lists(integers(min_value=0, max_value=11)))
+def test_a_residue_table_builds_only_the_wanted_classes(coeffs, m, wanted):
+    # the wanted residues are drawn at random, so some are classes no tuple
+    # reaches; each wanted class holds the unrestricted table's tuples, and
+    # with two or more coefficients no other class is built
+    coeffs, wanted = tuple(a % m for a in coeffs), {r % m for r in wanted}
+    full = _residue_table(coeffs, m)
+    table = _residue_table(coeffs, m, wanted)
+    for r in wanted:
+        assert Counter(table.get(r, ())) == Counter(full.get(r, ())), r
+    if len(coeffs) > 1:
+        assert table.keys() == wanted
 
 
 def test_brute_force_scans_one_unknown_in_constant_memory():
