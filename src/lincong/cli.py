@@ -121,14 +121,16 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
     # one reader of parsed; a text enumerate has none.  Both heads take the
     # counts from one _counts call, and an unsolvable solve writes its head
     # with no rows and exits 3.  Then come the rows, at most `limit` of them
-    # (None: all), and the cut mark.  _write_rows is called only when a row is
-    # due, so a limit of 0 and an unsolvable solve build no stream: no walk,
-    # no blocks and no row format.  A limit of 0, and any limit below the bound
-    # on the rows there are, reads neither p1 nor s: a solvable instance has
-    # at least one row of each, so the cut mark is written.  The whole JSON
-    # document is written by hand, as json.dumps would write it: counts are
-    # _counts' decimal strings, as they can exceed any fixed integer width,
-    # and an unsolvable solve has no rows key
+    # (None: all), and the cut mark.  The test of `left` below is the one rule
+    # for a call that writes no row: _write_rows writes at least one row and
+    # its close, so it is called only when a row is due, and a limit of 0 and
+    # an unsolvable solve build no stream: no walk, no blocks and no row format.
+    # A limit of 0, and any limit below the bound on the rows there are,
+    # reads neither p1 nor s: a solvable instance has at least one row of
+    # each, so the cut mark is written.  The whole JSON document is written by
+    # hand, as json.dumps would write it: counts are _counts' decimal strings,
+    # as they can exceed any fixed integer width, and an unsolvable solve has
+    # no rows key
     s = summarize(c)
     if expand and not s.solvable:
         return EXIT_UNSOLVABLE
@@ -156,7 +158,7 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
         left = total if limit is None else min(limit, total)  # rows still to write
         truncated = left < total
     if left:
-        _write_rows(out, c, s, limit, left, as_json, expand)
+        _write_rows(out, c, s, left, as_json, expand)
     if as_json:
         truncation = "true" if truncated else "false"
         out.write(f'{"]" if s.solvable else ""}, "truncated": {truncation}}}\n')
@@ -165,50 +167,42 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
     return EXIT_OK if s.solvable else EXIT_UNSOLVABLE
 
 
-def _write_rows(out, c: LinearCongruence, s: SolveSummary, limit: int | None, left: int,
-                as_json: bool, expand: bool) -> None:
+def _write_rows(out, c: LinearCongruence, s: SolveSummary, left: int, as_json: bool,
+                expand: bool) -> None:
     # The first `left` >= 1 rows of _write's stream, to out, and the close of
-    # the last: the basis rows, or their expansions when expand is True, cut
-    # at _write's limit (None: all).  Every basis row expands into p2 >= 1
-    # rows, so the first ceil(limit / p2) basis rows carry every row written
-    # and no later one is pulled (islice takes no stop above sys.maxsize): a
-    # stream that batches its seeds, as a seed-major one does, builds fewer
-    # than p2 rows past the limit.
-    # _blocks' (prefixes, block) pairs are written as they come and never
-    # held whole, each prefix with the whole block in turn; the last pair is
-    # cut to the rows left, and none after it is pulled.  _blocks names the
-    # stream's path and depth.  A row leads with its glue, close + joiner,
-    # which ends the row before it: lead is the glue, opening and a "%d" and
-    # sep for each leading value, so the n - depth values of a prefix format
-    # it once, and tail, the rendering of the rest after a leading "", is
-    # joined by it into all the prefix's rows as one string, as json.dumps
-    # writes them for JSON ("%d" renders an int as str() does).  The stream's
-    # first glue is dropped, on the first pair, and close is written once,
-    # after the last.  On the seeds and seed-major paths a block is whole
-    # rows under one empty prefix.  Otherwise it is a range of lone values at
-    # depth 1 (runs, slices, groups), which str renders faster than "%d", or
-    # deeper (deep, groups) a list of cycles, each value rendered once and
-    # joined in their product's order.  All the prefixes of a seed take the
-    # same block, so it is rendered once and reused while the next one
-    # compares equal (O(1) for ranges).  A group (the groups path) carries
-    # its fixed lead, the first n - depth - 1 values, and a slice of the next
-    # coordinate's values: the fixed lead is formatted once, and the heads of
-    # the group's prefixes come from one join of the slice, split at "\0",
-    # which no row text holds.
+    # the last: the basis rows, or their expansions when expand is True.
+    # Every basis row expands into p2 >= 1 rows, so the first ceil(left / p2)
+    # carry every row written and no later one is pulled (islice takes no
+    # stop above sys.maxsize): a stream that batches its seeds, as a
+    # seed-major one does, builds fewer than p2 rows past the last.
+    # _blocks' (prefixes, block) pairs, whose paths its comment describes,
+    # are written as they come and never held whole, each prefix with the
+    # whole block in turn; the last pair is cut to the rows left, and none
+    # after it is pulled.  A row leads with its glue, close + joiner, which
+    # ends the row before it: lead is the glue, opening and a "%d" and sep
+    # for each leading value, so the n - depth values of a prefix format it
+    # once, and tail, the rendering of the rest after a leading "", is joined
+    # by it into all the prefix's rows as one string, as json.dumps writes
+    # them for JSON ("%d" renders an int as str() does).  The stream's first
+    # glue is dropped, and close is written after the last row.  Lone values
+    # (depth 1) are rendered by str, faster than "%d", and a deeper block's
+    # cycles a value at a time; a block is rendered once and reused while the
+    # next compares equal (O(1) for ranges), as all the prefixes of a seed
+    # take the same one.  A group's fixed lead is formatted once, and its
+    # heads come from one join of its slice, split at "\0", which no row
+    # text holds.
     # the seeds are constructed solutions, so they skip expand()'s seed check
-    seeds = islice(iter_basis(c), None if limit is None else
-                   min(-(-limit // s.expansion_count) if expand else limit, sys.maxsize))
+    seeds = islice(iter_basis(c), min(-(-left // s.expansion_count) if expand else left,
+                                      sys.maxsize))
     opening, sep, close, joiner = ("[", ", ", "]", ", ") if as_json else ("", " ", "\n", "")
     glue = close + joiner
     skip = len(glue)  # the stream's first row follows no other
-    lead, shown = None, ()
     (path, depth), pairs = _blocks(seeds, c, expand)
-    group = path == "groups"
+    group, whole = path == "groups", path in ("seeds", "seed-major")
+    lead = glue + opening + ("%d" + sep) * (c.arity - depth - group)
+    render = sep.join(["%d"] * depth).__mod__ if whole else str
+    shown = ()
     for prefixes, block in pairs:
-        if lead is None:  # on the first pair: a stream of no rows writes no close
-            lead = glue + opening + ("%d" + sep) * (c.arity - depth - group)
-            whole = path in ("seeds", "seed-major")
-            render = sep.join(["%d"] * depth).__mod__ if whole else str
         if block != shown:  # a deep block's cycles: each value rendered once
             tail = ["", *(map(render, block) if whole or depth == 1 else
                           map(sep.join, product(*[list(map(str, cycle)) for cycle in block])))]
@@ -228,8 +222,7 @@ def _write_rows(out, c: LinearCongruence, s: SolveSummary, limit: int | None, le
         if left <= 0:
             break
         skip = 0
-    if lead is not None:
-        out.write(close)
+    out.write(close)
 
 
 def cmd_solve(args, expand: bool = False) -> int:

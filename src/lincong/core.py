@@ -60,11 +60,11 @@ writes each prefix's rows as one string, with no tuple per row.
 Every quantity derived from (a, m) alone (d, gcd(a_i, m), g_i, the suffix
 gcds h_i, p1, p2, s) is computed at most once per instance, by
 LinearCongruence.summary, and every other function reads that record.  p1
-and s are built on the first read of either, for every instance: the walks
-never read them, and the CLI may write long counts without them.  The walk's
-level constants are left out of the record, so counting alone never pays for
-them.  All functions are pure; enumeration is lazy wherever the output can be
-large.
+and s are each built on its first read, and p1 on s's too, for every
+instance: the walks never read them, and the CLI may write long counts
+without them.  The walk's level constants are left out of the record, so
+counting alone never pays for them.  All functions are pure; enumeration is
+lazy wherever the output can be large.
 """
 
 from __future__ import annotations
@@ -165,15 +165,14 @@ class _Record:
 
 
 class _BuiltOnFirstRead:
-    # A field of a record that build(record) makes on its first read: build
-    # returns its value, or with `names` a tuple of the values of the fields
-    # it names, all built at once.  It is a non-data descriptor, so a value
-    # in the record's __dict__ is read as any field is, with no call.  It
-    # takes no lock: build is pure, so two threads that both build a field
-    # build equal values, and the record keeps either.
+    # A field of a record that build(record) makes on its first read and keeps
+    # in the record's __dict__.  It is a non-data descriptor, so a value in
+    # the record's __dict__ is read as any field is, with no call.  It takes
+    # no lock: build is pure, so two threads that both build a field build
+    # equal values, and the record keeps either.
 
-    def __init__(self, build, names=()):
-        self.build, self.names = build, names
+    def __init__(self, build):
+        self.build = build
         self.__doc__ = build.__doc__
 
     def __set_name__(self, owner, name):
@@ -182,11 +181,7 @@ class _BuiltOnFirstRead:
     def __get__(self, record, owner=None):
         if record is None:
             return self
-        value = self.build(record)
-        if self.names:
-            vars(record).update(zip(self.names, value))
-            return vars(record)[self.name]
-        vars(record)[self.name] = value
+        value = vars(record)[self.name] = self.build(record)
         return value
 
 
@@ -239,16 +234,19 @@ class LinearCongruence(_Record):
                                 suffix_gcds=tuple(h[:0:-1]))
 
 
-def _p1_and_s(summary: SolveSummary) -> tuple[int, int]:
-    # p1 = d * m**(n - 1) and s = p1 / p2, which LinearCongruence.summary
-    # leaves unbuilt, from the record alone: m = g_1 * gcd(a_1, m) and
-    # n = len(gcds)
-    p1 = summary.gcd_all * (summary.strides[0] * summary.gcds[0]) ** (len(summary.gcds) - 1)
-    p2 = summary.expansion_count
+def _p1(summary: SolveSummary) -> int:
+    # p1 = d * m**(n - 1), which LinearCongruence.summary leaves unbuilt, from
+    # the record alone: m = g_1 * gcd(a_1, m) and n = len(gcds)
+    return summary.gcd_all * (summary.strides[0] * summary.gcds[0]) ** (len(summary.gcds) - 1)
+
+
+def _s(summary: SolveSummary) -> int:
+    # s = p1 / p2, which LinearCongruence.summary leaves unbuilt too
+    p1, p2 = summary.solution_count, summary.expansion_count
     s, rest = divmod(p1, p2)
     if rest:
         raise ArithmeticError(f"inexact division {p1} / {p2}; this is a bug")
-    return p1, s
+    return s
 
 
 class SolveSummary(_Record):
@@ -257,16 +255,16 @@ class SolveSummary(_Record):
     solution_count and basis_size describe the solvable case; both are
     reported even for unsolvable instances (they depend only on the
     coefficients and the modulus, and are useful diagnostics).  A summary
-    from LinearCongruence.summary computes both on the first read of either,
-    and keeps them; it reads, compares, hashes, prints and pickles as one
-    built with them.
+    from LinearCongruence.summary computes each on its first read, and p1
+    also on the first read of s = p1 / p2, and keeps them; it reads,
+    compares, hashes, prints and pickles as one built with them.
     """
 
     __match_args__ = ("gcd_all", "solvable", "solution_count", "expansion_count",
                       "basis_size", "gcds", "strides", "suffix_gcds")
 
-    solution_count = _BuiltOnFirstRead(_p1_and_s, ("solution_count", "basis_size"))
-    basis_size = _BuiltOnFirstRead(_p1_and_s, ("solution_count", "basis_size"))
+    solution_count = _BuiltOnFirstRead(_p1)
+    basis_size = _BuiltOnFirstRead(_s)
 
     def __init__(self,
                  gcd_all: int,          # gcd(a1, ..., an, m)

@@ -5,10 +5,13 @@ Each row of FORKS names one fork, the edit in tests/mutants.py's
 (file, old, new) form that disables it, why it is there, and the shapes it
 claims to serve.  `python tests/ab.py --ledger` runs each disabled twin
 against the working tree on its shapes and writes BENCH_forks.json; a fork
-stays only while its twin is "slower" on at least one of them.  A rewrite
-with no branch left, whose twin would be its older lines, is measured once
-and recorded in CHANGES.md, not here.  A shape is
-(kind, label, source, payload), one of:
+stays only while its twin is "slower" on at least one of them.  A twin must
+write the working tree's bytes on every shape (tier-1's tests/test_forks.py
+runs each once): a branch whose twin writes other bytes is no fork but a
+rule of the output, and its edit moves to tests/mutants.py's MUTANTS, which
+the tests must kill.  A rewrite with no branch left, whose twin would be its
+older lines, is measured once and recorded in CHANGES.md, not here.  A shape
+is (kind, label, source, payload), one of:
 
 * a workload class, ("workload", "counts/solve-text-d300n12", ...): the ops
   of that class in bench/workloads.py's rounds;
@@ -214,12 +217,6 @@ FORKS = {
         "_write cuts a --limit below a bound on p1's (or s's) bits from bit lengths "
         "alone, building neither p1 nor s",
         workload("counts", "solve-text-d100n12", "solve-json-d100n12") + LONG_COUNTS),
-    "counts-no-stream": (
-        "cli.py", "if left:", "if True:",
-        "_write starts the row stream only when a row is due, so --limit 0 and an "
-        "unsolvable solve build no walk, blocks or row format",
-        workload("counts", "solve-text-d20n2", "solve-json-d20n2", "solve-text-d100n3",
-                 "solve-json-d100n3", "solve-text-d300n1", "solve-json-d300n1")),
     "oracle-wanted-classes": (
         "oracle.py", "right = _residue_table(c.coeffs[k:], m, wanted)",
         "right = _residue_table(c.coeffs[k:], m)",

@@ -183,8 +183,8 @@ MUTANTS = [
     ("core.py", "gcds[-1] < _SEED_MAJOR_MOST", "gcds[-1] <= _SEED_MAJOR_MOST",
      "_blocks builds whole rows for a last cycle of 8 values, which one run per seed "
      "writes faster", shape("runs-last-8")),
-    ("cli.py", "-(-limit // s.expansion_count)", "limit // s.expansion_count",
-     "_write passes floor(limit / p2) seeds, so --limit 7 at p2 = 8 writes no row",
+    ("cli.py", "-(-left // s.expansion_count)", "left // s.expansion_count",
+     "_write_rows pulls floor(left / p2) seeds, so --limit 7 at p2 = 8 writes no row",
      shape("seed-major-p2-8")),
     ("core.py", "for col, g in zip(zip(*batch), strides)",
      "for col, g in zip(zip(*batch), strides[::-1])",
@@ -237,6 +237,10 @@ MUTANTS = [
     ("cli.py", "if left:", "if left > 1:",
      "_write starts no stream when one row is due, so --limit 1 writes no row",
      cli_test("test_enumerate_pulls_only_the_seeds_whose_rows_it_prints[1-1]")),
+    ("cli.py", "if left:", "if True:",
+     "_write starts a stream when no row is due, which writes a close with no row: "
+     "basis:\\n\\n# truncated at --limit 0",
+     cli_test("test_a_call_that_writes_no_row_builds_no_stream")),
     ("cli.py", "def print_help(self, file=None):", "def _print_help(self, file=None):",
      "argparse's own print_help swallows a failed write of the help text and exits 0",
      cli_test("test_help_to_a_failing_stdout_is_one_error_line")),

@@ -1416,16 +1416,35 @@ def test_counts_past_the_cutover_build_no_p1_or_s(capsys, monkeypatch):
         assert (code, err) == (0, "")
     assert len(loaded) == 4 and not any(unbuilt & vars(c.summary).keys() for c in loaded)
     # no summary, short or long, builds them for the walks or an expansion;
-    # the first read of either builds both
+    # a read of p1 alone leaves s unbuilt, and a read of s builds both
     for args in (([2, -6], 2, 12), D300N12):
-        for name in unbuilt:
+        for name, built in (("solution_count", {"solution_count"}), ("basis_size", unbuilt)):
             c = normalize(*args)
             seed = lincong.core.find_particular(c)
             assert len(list(itertools.islice(lincong.core.iter_basis(c), 3))) >= 2
             assert len(list(itertools.islice(expand(seed, c), 3))) == 3
             assert not unbuilt & vars(c.summary).keys()
             assert getattr(c.summary, name) > 0
-            assert unbuilt <= vars(c.summary).keys()
+            assert unbuilt & vars(c.summary).keys() == built
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["enumerate"], {"solution_count"}), (["verify"], {"solution_count"}),
+    (["enumerate", "--format", "json"], {"solution_count", "basis_size"})],
+    ids=["enumerate", "verify", "enumerate-json"])
+def test_a_call_builds_only_the_counts_it_reads(capsys, monkeypatch, argv, built):
+    # a text enumerate with no limit reads p1 for its row count, and verify
+    # for its expected count, and neither builds s; a JSON enumerate writes s
+    loaded = []
+
+    def keep(*args):
+        loaded.append(normalize(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(lincong.cli, "normalize", keep)
+    code, _, err = run(capsys, *argv, "2x - 6y ≡ 2 (mod 12)")
+    assert (code, err) == (0, "")
+    assert [{"solution_count", "basis_size"} & vars(c.summary).keys() for c in loaded] == [built]
 
 
 @pytest.mark.parametrize("coeffs, m", [((3,), 9), ((1,), 8), ((2, 2), 8), ((4, 6), 16),

@@ -7,7 +7,9 @@ whose old text no longer occurs exactly once, or whose shape or test was
 renamed, would drop out of that ledger quietly or show as STALE only when
 the harness runs, so it fails here instead.  Each fork's in-process shapes
 must also run the line that holds its old text, or the ledger times a path
-that never meets the fork.  This reads bench/ and changes nothing there.
+that never meets the fork, and each disabled twin must write the working
+tree's bytes on every shape of its row.  This reads bench/ and changes
+nothing there.
 """
 
 import importlib
@@ -105,3 +107,30 @@ def test_the_shapes_of_each_fork_run_the_line_it_edits(tmp_path, monkeypatch):
         for module in [m for m in sys.modules if m.partition(".")[0] == TRACED]:
             del sys.modules[module]
     assert missed == {}
+
+
+def test_each_fork_twin_writes_the_working_trees_bytes(tmp_path, monkeypatch):
+    # each row's disabled twin, loaded beside the working tree as tests/ab.py
+    # loads the two, writes the working tree's exit code and output on every
+    # shape of the row, cold starts included, each run once on each tree: a
+    # twin that writes other bytes is no speed-only fork
+    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    import ab
+
+    kept = {name: module for name, module in sys.modules.items()
+            if name.partition(".")[0] in ("lincong", "lincong_a", "lincong_b", "workloads")}
+    differ = {}
+    try:
+        for name, (file, old, new, _, shapes) in FORKS.items():
+            tmp = tmp_path / name
+            tmp.mkdir()
+            sys.path.insert(0, str(tmp))
+            workloads, a, b = ab.load_trees(tmp, (file, old, new))
+            rngs = {workload: random.Random(1) for workload in workloads.ROUNDS}
+            for label, _, job in ab.round_jobs(workloads, shapes, rngs, tmp):
+                if job(a)[1] != job(b)[1]:
+                    differ.setdefault(name, []).append(label)
+    finally:
+        ab.purge()  # later tests read the lincong and workloads modules loaded before
+        sys.modules.update(kept)
+    assert differ == {}
