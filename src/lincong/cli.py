@@ -15,7 +15,8 @@ from types import SimpleNamespace
 
 from .core import (LinearCongruence, SolveSummary, _blocks, iter_basis, normalize, satisfies,
                    summarize)
-from .parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
+from .parser import (ParsedCongruence, ParseError, _digit_runs, format_congruence, parse,
+                     parse_integer)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,8 +56,11 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("--coeffs requires --rhs and --mod")
         coeffs = _comma_ints(args.coeffs, "--coeffs")
         names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))
-        parsed = ParsedCongruence(names, coeffs, _flag_int(args.rhs, "--rhs"),
-                                  _flag_int(args.mod, "--mod"))
+        rhs, mod = _flag_int(args.rhs, "--rhs"), _flag_int(args.mod, "--mod")
+        # each flag was read as integers, so its runs of digits are theirs
+        digits = _digit_runs(f"{args.coeffs},{args.rhs},{args.mod}")
+        parsed = ParsedCongruence._of(variables=names, raw_coeffs=coeffs, rhs=rhs, modulus=mod,
+                                      digits=digits)
     else:
         if args.rhs is not None or args.mod is not None:
             raise ValueError("--rhs and --mod go with --coeffs")
@@ -72,16 +76,18 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
     return normalize(parsed.raw_coeffs, parsed.rhs, parsed.modulus), parsed
 
 
-def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
+def _counts(c: LinearCongruence, modulus: str | None = None) -> tuple[str, str, str, str]:
     # The one renderer of the four counts, d, p1, p2 and s, as decimal
-    # strings.  Before Python 3.12 int -> str is quadratic, so once the bound
-    # on p1's bits, bits(d) + (n - 1) * bits(m), reaches 3,322 (1,000 digits)
-    # p1 is written as d * m**(n - 1) computed in decimal, whose products are
-    # subquadratic; below that str is faster.  (Decimal(m) is itself
-    # quadratic, so at n = 2 with a short d the power costs about what str(p1)
-    # would.)  So when p2 has at most a quarter of the bits of the bound less
-    # bits(p2), at least bits(s) - 1, s is read off p1 by one exact division
-    # by p2, and neither int is built.
+    # strings; modulus is m's digits as its reader kept them, or None for
+    # an instance built from ints.  Before Python 3.12 int -> str is
+    # quadratic, so once the bound on p1's bits, bits(d) + (n - 1) * bits(m),
+    # reaches 3,322 (1,000 digits) p1 is written as d * m**(n - 1) computed
+    # in decimal, whose products are subquadratic; below that str is faster.
+    # The decimal m is built from the kept digits, a linear conversion where
+    # Decimal(m) of the int is quadratic, and a d equal to m is written as
+    # those digits less their leading zeros.  So when p2 has at most a
+    # quarter of the bits of the bound less bits(p2), at least bits(s) - 1, s
+    # is read off p1 by one exact division by p2, and neither int is built.
     # Otherwise s is read from the summary, and p2 is read off p1 by one exact
     # division by s when it has at least 3,322 bits and s at most a quarter
     # of them; with a longer cofactor, int -> str is faster.  The precision
@@ -90,7 +96,7 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
     # bound of a million digits.  Both sides of each cutover write the same
     # digits.
     s = c.summary
-    d = f"{s.gcd_all}"
+    d = f"{s.gcd_all}" if s.gcd_all != c.modulus or modulus is None else modulus.lstrip("0")
     if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
         return d, d, d, "1"
     bits = s.gcd_all.bit_length() + (c.arity - 1) * c.modulus.bit_length()
@@ -100,7 +106,7 @@ def _counts(c: LinearCongruence) -> tuple[str, str, str, str]:
 
     context = decimal.Context(prec=bits * 30103 // 100000 + 1,
                               Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    p1 = context.multiply(context.power(decimal.Decimal(c.modulus), c.arity - 1),
+    p1 = context.multiply(context.power(decimal.Decimal(modulus or c.modulus), c.arity - 1),
                           decimal.Decimal(d))
     p2 = s.expansion_count
     s_bits = bits - p2.bit_length()  # at least bits(s) - 1
@@ -135,7 +141,7 @@ def _write(out, c: LinearCongruence, parsed: ParsedCongruence, limit: int | None
     if expand and not s.solvable:
         return EXIT_UNSOLVABLE
     if as_json or not expand:
-        d, p1, p2, basis_size = _counts(c)
+        d, p1, p2, basis_size = _counts(c, parsed.digits and parsed.digits[-1])
         solvable = "true" if s.solvable else "false"
         if as_json:
             out.write(f'{{"d": "{d}", "solvable": {solvable}, "p1": "{p1}", "p2": "{p2}", '

@@ -23,6 +23,16 @@ match of a compiled pattern, and identifiers are read a character at a time.
 Either way a literal or a run of whitespace costs the same calls whatever
 its length.
 
+Both readers keep each literal's digits as written in the record's
+`digits`, and so does the CLI for --coeffs, --rhs and --mod (_digit_runs).
+format_congruence writes them back, leading zeros dropped, and the CLI builds
+its decimal modulus from them, so a long literal costs one int() conversion
+where str() and Decimal() of the int would cost two more, each quadratic
+before Python 3.12.  The readers keep the text as they matched it and the
+writers drop the zeros, so a call that writes no literal, such as a JSON
+solve, pays only for keeping them: a tuple of the parse's own matches, or
+one findall over the flags.
+
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
 The modulus may be negative (normalization takes its absolute value) but
@@ -47,9 +57,19 @@ class ParseError(ValueError):
 
 
 class ParsedCongruence(_Record):
-    """A congruence as written: named variables, unreduced coefficients."""
+    """A congruence as written: named variables, unreduced coefficients.
+
+    A record that parse, or the CLI's --coeffs/--rhs/--mod, read from text
+    also keeps `digits`: the digits of each coefficient, then of the rhs and
+    the modulus, as written after the sign, "" for an omitted coefficient.
+    Less its leading zeros each is str(abs(value)), "" standing for 1.  It
+    is no field: ==, hash, repr and pickling are those of the four fields,
+    and a record built from ints has digits None.  The readers build their
+    records with _of, having made __init__'s checks as they read.
+    """
 
     __match_args__ = ("variables", "raw_coeffs", "rhs", "modulus")
+    digits: tuple[str, ...] | None = None
 
     def __init__(self, variables: tuple[str, ...], raw_coeffs: tuple[int, ...],
                  rhs: int, modulus: int):
@@ -67,6 +87,7 @@ class ParsedCongruence(_Record):
 _DIGITS = re.compile("[0-9]*")
 _SPACES = re.compile(r"\s*")
 _S, _DIGIT = _SPACES.pattern, _DIGITS.pattern[:-1]
+_RUNS = re.compile(f"{_DIGIT}+")
 
 
 # a term's sign, coefficient and star, each after whitespace; no star
@@ -106,6 +127,12 @@ def parse_integer(text: str) -> int:
     return value
 
 
+def _digit_runs(text: str) -> tuple[str, ...]:
+    # the digits of each integer of a text whose pieces parse_integer has
+    # read, such as "3, -007" (separators and whitespace hold no ASCII digit)
+    return tuple(_RUNS.findall(text))
+
+
 # The whole grammar in one pattern.  A name is matched as [^\W\d]\w*, a
 # superset of the identifier rule that parse narrows with _NAME_CHARS: \w
 # shares no character with \s, nor with any that may follow a name, so a
@@ -131,7 +158,7 @@ def parse(text: str) -> ParsedCongruence:
     if m is not None:
         lhs, rhs_sign, rhs_digits, mod_sign, mod_digits = m.groups("")
         terms = _TERMS.findall(lhs)
-        _, _, names = zip(*terms)
+        _, runs, names = zip(*terms)
         if len(set(names)) == len(names) and "".join(names).translate(_NAME_CHARS).isalpha():
             try:  # a literal past the digit limit is reported by the rules
                 coeffs = tuple([_literal(sign, digits or "1") for sign, digits, _ in terms])
@@ -140,18 +167,22 @@ def parse(text: str) -> ParsedCongruence:
                 pass
             else:
                 if modulus:
-                    return ParsedCongruence(names, coeffs, rhs, modulus)
+                    return ParsedCongruence._of(variables=names, raw_coeffs=coeffs, rhs=rhs,
+                                                modulus=modulus,
+                                                digits=(*runs, rhs_digits, mod_digits))
     return _parse_by_rule(text)
 
 
 def _parse_by_rule(text: str) -> ParsedCongruence:
     # the rule-by-rule reader: parse's fallback, and the one writer of its ParseError
     terms: dict[str, int] = {}  # coefficient by variable name, in written order
+    written = []  # the digits of each literal, as written
     term = _TERM.match
     m = term(text)
     while not terms or m.group(1):  # a sign starts every term but the first
         sign, digits = m.groups()
         coeff = _integer(m) if digits else -1 if sign == "-" else 1
+        written.append(digits or "")  # None where the coefficient is left out
         i = m.end()
         if not ((ch := text[i:i + 1]).isalpha() or ch == "_"):
             raise ParseError("expected a variable name" if digits
@@ -170,6 +201,7 @@ def _parse_by_rule(text: str) -> ParsedCongruence:
         raise ParseError("expected '≡' or '=' after the left-hand side", i + 1)
     m = _INTEGER.match(text, i + 1)
     rhs = _integer(m)
+    written.append(m.group(2))
 
     i = m.end()
     if text[i:i + 1] != "(":
@@ -183,6 +215,7 @@ def _parse_by_rule(text: str) -> ParsedCongruence:
     modulus = _integer(m)
     if modulus == 0:
         raise ParseError("modulus must be nonzero", m.start(1) + 1)
+    written.append(m.group(2))
     i = m.end()
     if text[i:i + 1] != ")":
         raise ParseError("expected ')'", i + 1)
@@ -190,15 +223,25 @@ def _parse_by_rule(text: str) -> ParsedCongruence:
     if i != len(text):
         raise ParseError("unexpected trailing input", i + 1)
 
-    return ParsedCongruence(tuple(terms), tuple(terms.values()), rhs, modulus)
+    return ParsedCongruence._of(variables=tuple(terms), raw_coeffs=tuple(terms.values()),
+                                rhs=rhs, modulus=modulus, digits=tuple(written))
 
 
 def format_congruence(p: ParsedCongruence) -> str:
-    """Canonical one-line rendering; parse(format_congruence(p)) == p."""
-    first = p.raw_coeffs[0]
-    pieces = [f"-{abs(first)}*{p.variables[0]}" if first < 0
-              else f"{first}*{p.variables[0]}"]
-    for coeff, name in zip(p.raw_coeffs[1:], p.variables[1:]):
-        pieces.append("-" if coeff < 0 else "+")
-        pieces.append(f"{abs(coeff)}*{name}")
-    return f"{' '.join(pieces)} ≡ {p.rhs} (mod {p.modulus})"
+    """Canonical one-line rendering; parse(format_congruence(p)) == p.
+
+    Each literal is written as its sign and the digits its reader kept, less
+    their leading zeros, so a long one costs no int -> str conversion, which
+    is quadratic before Python 3.12.  A record built from ints, with no kept
+    digits, is written by str(), in the same bytes.
+    """
+    digits = p.digits
+    if digits is None:
+        digits = [*map(str, map(abs, (*p.raw_coeffs, p.rhs, p.modulus)))]
+    # each term as "+ 3*x" or "- 3*x"; the first drops "+ " and keeps "-"
+    terms = [f"{'- ' if coeff < 0 else '+ '}{(text or '1').lstrip('0') or '0'}*{name}"
+             for coeff, text, name in zip(p.raw_coeffs, digits, p.variables)]
+    lead = terms[0]
+    terms[0] = lead[2:] if lead[0] == "+" else "-" + lead[2:]
+    return (f"{' '.join(terms)} ≡ {'-' if p.rhs < 0 else ''}{digits[-2].lstrip('0') or '0'} "
+            f"(mod {'-' if p.modulus < 0 else ''}{digits[-1].lstrip('0') or '0'})")

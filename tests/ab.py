@@ -31,7 +31,8 @@ For each class it prints the median of the per-round ratios B/A, their
 quartiles, the share of rounds that B won, and a verdict on B: "slower" or
 "faster" only with at least MIN_ROUNDS rounds, a share of VERDICT_SHARE or
 more for the tree that won, and both quartiles on its side of 1; "no
-verdict" otherwise.  Standard library only.
+verdict" otherwise.  A run of fewer rounds, but an A/A, says first that no
+verdict is possible.  Standard library only.
 """
 
 import argparse
@@ -262,6 +263,9 @@ def main(argv=None):
     ap.add_argument("--rounds", type=int, default=MIN_ROUNDS)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.rounds < MIN_ROUNDS and not args.aa:
+        print(f"--rounds {args.rounds} is below MIN_ROUNDS ({MIN_ROUNDS}): no verdict is "
+              "possible, and every class reads 'no verdict' whatever its ratios")
     start = time.perf_counter()
     try:
         if args.ledger:

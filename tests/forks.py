@@ -223,6 +223,11 @@ FORKS = {
         "brute_force adds the right half's first unknown only to the classes that "
         "complete a non-empty left class, not to every class",
         workload("verify", "n3-m24", "n4-m10")),
+    "kept-digits": (
+        "parser.py", "digits = p.digits\n", "digits = None\n",
+        "format_congruence writes each literal from the digits its reader kept, not by "
+        "str() of the int",
+        workload("counts", "solve-text-d300n5", "solve-text-d300n12", "solve-text-d100n12")),
 }
 
 # name: what went from src/lincong with the fork, which the ledger showed

@@ -106,7 +106,8 @@ MUTANTS = [
     ("cli.py", "Emax=decimal.MAX_EMAX, ", "",
      "_counts keeps decimal's default Emax, which overflows past a million digits",
      cli_test("test_the_quotient_writes_a_count_past_a_million_digits")),
-    ("cli.py", "Decimal(c.modulus), c.arity - 1)", "Decimal(c.modulus), c.arity)",
+    ("cli.py", "Decimal(modulus or c.modulus), c.arity - 1)",
+     "Decimal(modulus or c.modulus), c.arity)",
      "_counts raises m to the n-th power, not the (n - 1)-th, when it writes a long p1", COUNTS),
     ("cli.py", "prec=bits * 30103 // 100000 + 1,", "prec=bits * 30103 // 100000,",
      "_counts' precision is one digit short of a p1 such as 10**1000 + 1, so the power "
@@ -255,6 +256,17 @@ MUTANTS = [
     ("cli.py", "\n            - (0 if expand else s.expansion_count.bit_length())", "",
      "_write bounds solve's basis rows by p1's bound: 2x + 2y ≡ 0 (mod 8) with --limit 4, "
      "s, marked as a cut", cli_test("test_solve_streams_the_basis_byte_for_byte")),
+    # the digits each reader keeps of a literal, and their two writers
+    ("parser.py", "{(text or '1').lstrip('0') or '0'}", "{text or '1'}",
+     "the digits a reader kept are written with their leading zeros, so "
+     "format_congruence writes '007' where str() writes '7'",
+     ("tests/test_parser.py::test_a_record_read_from_text_formats_as_one_built_from_its_ints",)),
+    ("parser.py", 'else "-" + lead[2:]', "else lead[2:]",
+     "format_congruence drops the sign of a negative first coefficient",
+     ("tests/test_parser.py::test_format_congruence",)),
+    ("cli.py", "parsed.digits and parsed.digits[-1]", "parsed.digits and parsed.digits[-2]",
+     "_write gives _counts the rhs's digits, from which it builds its decimal m",
+     cli_test("test_long_counts_at_n_2_are_written_from_the_modulus_text")),
 ]
 
 

@@ -1489,3 +1489,36 @@ def test_long_counts_are_written_under_the_default_digit_limit():
         assert lincong.cli._counts(c) == ("1", p1, "1", p1)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+M1100 = "1" + "0" * 1099 + "1"  # 10**1100 + 1
+
+
+@pytest.mark.parametrize("coeffs, modulus, counts", [
+    # p1 = m, p2 = 2 and s = m / 2, of 20,000 digits
+    ((2, 3), "1" + "0" * 19999, ("1", "1" + "0" * 19999, "2", "5" + "0" * 19998)),
+    ((1, 1), M1100, ("1", M1100, "1", M1100)),
+    # d = m, and p1 = p2 = m**2 = 10**2200 + 2 * 10**1100 + 1
+    ((0, 0), M1100, (M1100, *["1" + "0" * 1099 + "2" + "0" * 1099 + "1"] * 2, "1")),
+], ids=["2,3-mod-10**19999", "1,1-mod-10**1100+1", "0,0-mod-10**1100+1"])
+def test_long_counts_at_n_2_are_written_from_the_modulus_text(capsys, coeffs, modulus, counts):
+    # n = 2 with a long modulus: d, and p1 = d * m, come from m's digits as
+    # they were written, as an expression and as flags, read by main under
+    # the default digit limit (main lifts it for the call and puts it back)
+    a, b = coeffs
+    summary = [f"{name} = {count}" for name, count in zip(
+        ("d", "solvable", "solutions (p1)", "per-seed (p2)", "basis size (s)"),
+        (counts[0], "true", *counts[1:]))]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for argv, echo in (([f"{a}x + {b}y ≡ 0 (mod 000{modulus})"],
+                            f"{a}*x + {b}*y ≡ 0 (mod {modulus})"),
+                           ([f"--coeffs={a},{b}", "--rhs=0", f"--mod=-{modulus}"],
+                            f"{a}*x1 + {b}*x2 ≡ 0 (mod -{modulus})")):
+            code, out, err = run(capsys, "solve", *argv, "--limit", "0")
+            assert (code, err) == (0, "")
+            assert out.splitlines() == [f"congruence: {echo}", *summary, "basis:", "# truncated"]
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -134,3 +134,24 @@ def test_each_fork_twin_writes_the_working_trees_bytes(tmp_path, monkeypatch):
         ab.purge()  # later tests read the lincong and workloads modules loaded before
         sys.modules.update(kept)
     assert differ == {}
+
+
+def test_an_ab_run_too_short_for_a_verdict_says_so_first(monkeypatch, capsys):
+    # below MIN_ROUNDS every class reads "no verdict" whatever its ratios, so
+    # the run says so before its table; an A/A run never wants a verdict
+    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    import ab
+
+    kept = {name: module for name, module in sys.modules.items()
+            if name.partition(".")[0] in ("lincong", "lincong_a", "lincong_b", "workloads")}
+    try:
+        assert ab.main(["--fork", "oracle-wanted-classes", "--rounds", "1"]) == 0
+        first, table = capsys.readouterr().out.splitlines()[:2]
+        assert first == (f"--rounds 1 is below MIN_ROUNDS ({ab.MIN_ROUNDS}): no verdict is "
+                         "possible, and every class reads 'no verdict' whatever its ratios")
+        assert table.startswith("class ")
+        assert ab.main(["--aa", "--workload", "verify", "--rounds", "1"]) == 0
+        assert capsys.readouterr().out.startswith("class ")
+    finally:
+        ab.purge()  # later tests read the lincong and workloads modules loaded before
+        sys.modules.update(kept)

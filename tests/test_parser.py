@@ -1,8 +1,11 @@
 """Expression grammar: parsing, error positions, canonical formatting."""
 
+import copy
+import pickle
 import random
 import sys
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given
 from hypothesis.strategies import (booleans, composite, integers, just, lists, one_of,
                                    sampled_from, text)
 
+import lincong.cli
 import lincong.parser
 from lincong.parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
@@ -390,3 +394,85 @@ def test_format_parse_round_trip():
     for _ in range(50):
         p = random_parsed(rng)
         assert parse(format_congruence(p)) == p
+
+
+# whitespace between tokens, Unicode spaces among it
+_GAPS = sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000"])
+
+
+@composite
+def _written_literals(draw, nonzero=False):
+    # (sign, digits, value): a literal as written, with leading zeros and a
+    # sign that may be '+', '-' or none, '-0' among them
+    sign = draw(sampled_from(["", "+", "-"]))
+    value = draw(one_of(integers(min_value=int(nonzero), max_value=99),
+                        integers(min_value=1, max_value=10**40)))
+    digits = "0" * draw(integers(min_value=0, max_value=3)) + str(value)
+    return sign, digits, -value if sign == "-" else value
+
+
+@composite
+def _written_congruences(draw):
+    # (text, flags, values, digits): a congruence as written, the --coeffs,
+    # --rhs and --mod values that hold its literals, the ints both read as
+    # (coefficients, rhs, modulus), and the digits each literal of the text
+    # is written with ("" for a coefficient left out, which the flags write 1)
+    gap = lambda: draw(_GAPS)  # noqa: E731
+    terms, flag_coeffs, values, written = [], [], [], []
+    for i in range(draw(integers(min_value=1, max_value=4))):
+        sign, digits, value = draw(_written_literals())
+        sign = sign or ("+" if i else "")  # a sign starts every term but the first
+        if draw(booleans()):  # the coefficient left out: 1, or -1 after '-'
+            digits, value = "", -1 if sign == "-" else 1
+        star = draw(sampled_from(["", "*"])) if digits else ""
+        terms.append(f"{gap()}{sign}{gap()}{digits}{gap()}{star}{gap()}v{i}")
+        flag_coeffs.append(f"{gap()}{sign}{gap()}{digits or '1'}{gap()}")
+        values.append(value)
+        written.append(digits)
+    (rhs_sign, rhs, rhs_value), (mod_sign, mod, mod_value) = (
+        draw(_written_literals()), draw(_written_literals(nonzero=True)))
+    relation = draw(sampled_from(["≡", "="]))
+    text = (f"{''.join(terms)}{gap()}{relation}{gap()}{rhs_sign}{gap()}{rhs}{gap()}"
+            f"({gap()}mod{gap()}{mod_sign}{gap()}{mod}{gap()}){gap()}")
+    flags = (",".join(flag_coeffs), f"{gap()}{rhs_sign}{rhs}{gap()}",
+             f"{gap()}{mod_sign}{mod}{gap()}")
+    return text, flags, (*values, rhs_value, mod_value), (*written, rhs, mod)
+
+
+@given(_written_congruences())
+@example(("-007v0 + 0v1 - 10*v2 ≡ -00 (mod -0012)", ("-007,0,-10", "-00", "-0012"),
+          (-7, 0, -10, 0, -12), ("007", "0", "10", "00", "0012")))
+@example(("v0 = +0100 (mod 000009)", ("+1", "+0100", "000009"), (1, 100, 9),
+          ("", "0100", "000009")))
+def test_a_record_read_from_text_formats_as_one_built_from_its_ints(written):
+    # each reader keeps every literal's digits as written, and
+    # format_congruence writes from them the bytes that str() writes for the
+    # ints: parse, its rule reader alone, and the CLI's --coeffs/--rhs/--mod
+    text, (coeffs, rhs, mod), values, digits = written
+    n = len(values) - 2
+    built = ParsedCongruence(tuple(f"v{i}" for i in range(n)), values[:-2], *values[-2:])
+    flags = SimpleNamespace(expr=None, coeffs=coeffs, rhs=rhs, mod=mod)
+    from_flags = lincong.cli._load_instance(flags)[1]
+    built_flags = ParsedCongruence(from_flags.variables, values[:-2], *values[-2:])
+    flag_digits = tuple(d or "1" for d in digits[:-2]) + digits[-2:]
+    for read, want, kept in ((parse(text), built, digits),
+                             (lincong.parser._parse_by_rule(text), built, digits),
+                             (from_flags, built_flags, flag_digits)):
+        assert read == want and read.digits == kept and want.digits is None
+        assert format_congruence(read) == format_congruence(want)
+
+
+def test_the_kept_digits_are_no_field_of_the_record():
+    # ==, hash, repr and a pickle or copy round trip read the four fields
+    # alone; a copy keeps the digits and formats as the original
+    parsed = parse("-007x + 0y ≡ -00 (mod 0012)")
+    built = ParsedCongruence(("x", "y"), (-7, 0), 0, 12)
+    assert "digits" not in ParsedCongruence.__match_args__
+    assert parsed.digits == ("007", "0", "00", "0012") and built.digits is None
+    for copied in (parsed, pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed),
+                   copy.copy(parsed)):
+        assert copied == built and built == copied and hash(copied) == hash(built)
+        assert repr(copied) == repr(built) == "ParsedCongruence(variables=('x', 'y'), " \
+            "raw_coeffs=(-7, 0), rhs=0, modulus=12)"
+        assert copied.digits == parsed.digits
+        assert format_congruence(copied) == format_congruence(built) == "-7*x + 0*y ≡ 0 (mod 12)"
