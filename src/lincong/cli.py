@@ -15,8 +15,7 @@ from types import SimpleNamespace
 
 from .core import (LinearCongruence, SolveSummary, _blocks, iter_basis, normalize, satisfies,
                    summarize)
-from .parser import (ParsedCongruence, ParseError, _digit_runs, format_congruence, parse,
-                     parse_integer)
+from .parser import ParsedCongruence, ParseError, format_congruence, parse, parse_integer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,11 +55,8 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
             raise ValueError("--coeffs requires --rhs and --mod")
         coeffs = _comma_ints(args.coeffs, "--coeffs")
         names = tuple(f"x{i}" for i in range(1, len(coeffs) + 1))
-        rhs, mod = _flag_int(args.rhs, "--rhs"), _flag_int(args.mod, "--mod")
-        # each flag was read as integers, so its runs of digits are theirs
-        digits = _digit_runs(f"{args.coeffs},{args.rhs},{args.mod}")
-        parsed = ParsedCongruence._of(variables=names, raw_coeffs=coeffs, rhs=rhs, modulus=mod,
-                                      digits=digits)
+        parsed = ParsedCongruence(names, coeffs, _flag_int(args.rhs, "--rhs"),
+                                  _flag_int(args.mod, "--mod"))
     else:
         if args.rhs is not None or args.mod is not None:
             raise ValueError("--rhs and --mod go with --coeffs")
@@ -78,16 +74,16 @@ def _load_instance(args) -> tuple[LinearCongruence, ParsedCongruence]:
 
 def _counts(c: LinearCongruence, modulus: str | None = None) -> tuple[str, str, str, str]:
     # The one renderer of the four counts, d, p1, p2 and s, as decimal
-    # strings; modulus is m's digits as its reader kept them, or None for
-    # an instance built from ints.  Before Python 3.12 int -> str is
-    # quadratic, so once the bound on p1's bits, bits(d) + (n - 1) * bits(m),
-    # reaches 3,322 (1,000 digits) p1 is written as d * m**(n - 1) computed
-    # in decimal, whose products are subquadratic; below that str is faster.
-    # The decimal m is built from the kept digits, a linear conversion where
-    # Decimal(m) of the int is quadratic, and a d equal to m is written as
-    # those digits less their leading zeros.  So when p2 has at most a
-    # quarter of the bits of the bound less bits(p2), at least bits(s) - 1, s
-    # is read off p1 by one exact division by p2, and neither int is built.
+    # strings; modulus is m's digits as parse kept them, or None for an
+    # instance read from flags or built from ints.  Before Python 3.12
+    # int -> str is quadratic, so once the bound on p1's bits,
+    # bits(d) + (n - 1) * bits(m), reaches 3,322 (1,000 digits) p1 is written
+    # as d * m**(n - 1) computed in decimal, whose products are subquadratic;
+    # below that str is faster.  The decimal m is built from the kept digits,
+    # a linear conversion where Decimal(m) of the int is quadratic.  So when
+    # p2 has at most a quarter of the bits of the bound less bits(p2), at
+    # least bits(s) - 1, s is read off p1 by one exact division by p2, and
+    # neither int is built.
     # Otherwise s is read from the summary, and p2 is read off p1 by one exact
     # division by s when it has at least 3,322 bits and s at most a quarter
     # of them; with a longer cofactor, int -> str is faster.  The precision
@@ -96,7 +92,7 @@ def _counts(c: LinearCongruence, modulus: str | None = None) -> tuple[str, str, 
     # bound of a million digits.  Both sides of each cutover write the same
     # digits.
     s = c.summary
-    d = f"{s.gcd_all}" if s.gcd_all != c.modulus or modulus is None else modulus.lstrip("0")
+    d = f"{s.gcd_all}"
     if c.arity == 1:  # p1 = p2 = gcd(a1, m) = d, so s = 1
         return d, d, d, "1"
     bits = s.gcd_all.bit_length() + (c.arity - 1) * c.modulus.bit_length()

@@ -24,14 +24,12 @@ Either way a literal or a run of whitespace costs the same calls whatever
 its length.
 
 Both readers keep each literal's digits as written in the record's
-`digits`, and so does the CLI for --coeffs, --rhs and --mod (_digit_runs).
-format_congruence writes them back, leading zeros dropped, and the CLI builds
-its decimal modulus from them, so a long literal costs one int() conversion
-where str() and Decimal() of the int would cost two more, each quadratic
-before Python 3.12.  The readers keep the text as they matched it and the
-writers drop the zeros, so a call that writes no literal, such as a JSON
-solve, pays only for keeping them: a tuple of the parse's own matches, or
-one findall over the flags.
+`digits`.  format_congruence writes them back, leading zeros dropped, and
+the CLI builds its decimal modulus from them, so a long literal costs one
+int() conversion where str() and Decimal() of the int would cost two more,
+each quadratic before Python 3.12.  The readers keep the text as they
+matched it and the writers drop the zeros, so a call that writes no literal,
+such as a JSON solve, pays only for a tuple of the parse's own matches.
 
 An omitted coefficient means 1 ("x" is "1*x").  Variables must be pairwise
 distinct and their order of first appearance fixes the coefficient order.
@@ -59,12 +57,13 @@ class ParseError(ValueError):
 class ParsedCongruence(_Record):
     """A congruence as written: named variables, unreduced coefficients.
 
-    A record that parse, or the CLI's --coeffs/--rhs/--mod, read from text
-    also keeps `digits`: the digits of each coefficient, then of the rhs and
-    the modulus, as written after the sign, "" for an omitted coefficient.
-    Less its leading zeros each is str(abs(value)), "" standing for 1.  It
-    is no field: ==, hash, repr and pickling are those of the four fields,
-    and a record built from ints has digits None.  The readers build their
+    A record that parse read from text also keeps `digits`: the digits of
+    each coefficient, then of the rhs and the modulus, as written after the
+    sign, "" for an omitted coefficient.  Less its leading zeros each is
+    str(abs(value)), "" standing for 1.  It is no field: ==, hash and repr
+    read the four fields alone, while pickling and copying keep `digits`.
+    A record built from ints, as the CLI builds one from --coeffs, --rhs
+    and --mod, has digits None.  The readers build their
     records with _of, having made __init__'s checks as they read.
     """
 
@@ -87,7 +86,6 @@ class ParsedCongruence(_Record):
 _DIGITS = re.compile("[0-9]*")
 _SPACES = re.compile(r"\s*")
 _S, _DIGIT = _SPACES.pattern, _DIGITS.pattern[:-1]
-_RUNS = re.compile(f"{_DIGIT}+")
 
 
 # a term's sign, coefficient and star, each after whitespace; no star
@@ -125,12 +123,6 @@ def parse_integer(text: str) -> int:
     if m.end() != len(text):
         raise ParseError("unexpected trailing input", m.end() + 1)
     return value
-
-
-def _digit_runs(text: str) -> tuple[str, ...]:
-    # the digits of each integer of a text whose pieces parse_integer has
-    # read, such as "3, -007" (separators and whitespace hold no ASCII digit)
-    return tuple(_RUNS.findall(text))
 
 
 # The whole grammar in one pattern.  A name is matched as [^\W\d]\w*, a
@@ -237,7 +229,13 @@ def format_congruence(p: ParsedCongruence) -> str:
     """
     digits = p.digits
     if digits is None:
-        digits = [*map(str, map(abs, (*p.raw_coeffs, p.rhs, p.modulus)))]
+        first = p.raw_coeffs[0]
+        pieces = [f"-{abs(first)}*{p.variables[0]}" if first < 0
+                  else f"{first}*{p.variables[0]}"]
+        for coeff, name in zip(p.raw_coeffs[1:], p.variables[1:]):
+            pieces.append("-" if coeff < 0 else "+")
+            pieces.append(f"{abs(coeff)}*{name}")
+        return f"{' '.join(pieces)} ≡ {p.rhs} (mod {p.modulus})"
     # each term as "+ 3*x" or "- 3*x"; the first drops "+ " and keeps "-"
     terms = [f"{'- ' if coeff < 0 else '+ '}{(text or '1').lstrip('0') or '0'}*{name}"
              for coeff, text, name in zip(p.raw_coeffs, digits, p.variables)]

@@ -228,6 +228,13 @@ FORKS = {
         "format_congruence writes each literal from the digits its reader kept, not by "
         "str() of the int",
         workload("counts", "solve-text-d300n5", "solve-text-d300n12", "solve-text-d100n12")),
+    "counts-decimal-m-digits": (
+        "cli.py", "Decimal(modulus or c.modulus)", "Decimal(c.modulus)",
+        "_counts builds its decimal m from the modulus's kept digits, not by a quadratic "
+        "Decimal() of the int",
+        argv("ROADMAP.md: text `solve --limit 0`, n = 2, m of D digits", "solve",
+             f"2x + 3y ≡ 1 (mod 1{'7' * 19_999})", "--limit=0",
+             label="text solve --limit 0, n = 2, m of 20,000 digits")),
 }
 
 # name: what went from src/lincong with the fork, which the ledger showed

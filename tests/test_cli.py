@@ -1502,8 +1502,8 @@ M1100 = "1" + "0" * 1099 + "1"  # 10**1100 + 1
     ((0, 0), M1100, (M1100, *["1" + "0" * 1099 + "2" + "0" * 1099 + "1"] * 2, "1")),
 ], ids=["2,3-mod-10**19999", "1,1-mod-10**1100+1", "0,0-mod-10**1100+1"])
 def test_long_counts_at_n_2_are_written_from_the_modulus_text(capsys, coeffs, modulus, counts):
-    # n = 2 with a long modulus: d, and p1 = d * m, come from m's digits as
-    # they were written, as an expression and as flags, read by main under
+    # n = 2 with a long modulus: p1 = d * m comes from m's digits as an
+    # expression wrote them, and from the int for flags, read by main under
     # the default digit limit (main lifts it for the call and puts it back)
     a, b = coeffs
     summary = [f"{name} = {count}" for name, count in zip(

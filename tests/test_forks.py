@@ -79,7 +79,9 @@ def test_the_shapes_of_each_fork_run_the_line_it_edits(tmp_path, monkeypatch):
     # are left out), runs a line of the row's old text in a copy of
     # src/lincong imported afresh for the row, so no cache an earlier shape
     # filled hides a call; one that runs none cannot show what the fork pays
-    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    # ab reads bench/workloads.py; importing it puts bench/ on sys.path only
+    # the first time, so each test puts it there itself
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     import ab
     import workloads
 
@@ -114,7 +116,9 @@ def test_each_fork_twin_writes_the_working_trees_bytes(tmp_path, monkeypatch):
     # loads the two, writes the working tree's exit code and output on every
     # shape of the row, cold starts included, each run once on each tree: a
     # twin that writes other bytes is no speed-only fork
-    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    # ab reads bench/workloads.py; importing it puts bench/ on sys.path only
+    # the first time, so each test puts it there itself
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     import ab
 
     kept = {name: module for name, module in sys.modules.items()
@@ -139,7 +143,9 @@ def test_each_fork_twin_writes_the_working_trees_bytes(tmp_path, monkeypatch):
 def test_an_ab_run_too_short_for_a_verdict_says_so_first(monkeypatch, capsys):
     # below MIN_ROUNDS every class reads "no verdict" whatever its ratios, so
     # the run says so before its table; an A/A run never wants a verdict
-    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    # ab reads bench/workloads.py; importing it puts bench/ on sys.path only
+    # the first time, so each test puts it there itself
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     import ab
 
     kept = {name: module for name, module in sys.modules.items()

@@ -1,5 +1,5 @@
 """tests/ladder.py's table of scaling ladders: each has a row in the
-committed BENCH_scaling.json, and each builder runs at its smallest size.
+committed BENCH_scaling.json, and each runs at its two smallest sizes.
 No timing is read here; `python tests/ladder.py` measures the ladders."""
 
 import json
@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-import lincong.cli
+import ladder
 from ladder import LADDERS, OUT
 
 
@@ -24,17 +24,20 @@ def test_every_ladder_has_a_row_in_the_committed_json():
 
 @pytest.fixture
 def no_digit_limit():
-    """The int/str digit limit lifted for the test, as tests/ladder.py lifts it."""
+    """The int/str digit limit put back after the test; tests/ladder.py lifts it."""
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("ladder", LADDERS, ids=[label for label, *_ in LADDERS])
-def test_every_builder_runs_at_its_smallest_size(no_digit_limit, ladder):
-    # a call that exits other than 0 raises
-    _, _, sizes, build, _ = ladder
-    build(sizes[0])(lincong)
+def test_every_ladder_runs_at_its_two_smallest_sizes(no_digit_limit, monkeypatch, capsys):
+    # a call that exits other than 0 raises; --first writes no JSON
+    monkeypatch.setattr(sys, "path", [*sys.path])  # importing ab puts bench/ on it
+    written = OUT.stat().st_mtime_ns
+    assert ladder.main(["--first", "2"]) == 0
+    out = capsys.readouterr().out
+    assert [label for label, *_ in LADDERS] == [
+        line.rpartition(" (")[0] for line in out.splitlines() if not line.startswith(" ")]
+    assert OUT.stat().st_mtime_ns == written

@@ -383,6 +383,7 @@ def test_format_congruence():
     assert format_congruence(p) == "2*x - 6*y ≡ 2 (mod 12)"
     p = ParsedCongruence(("x", "y"), (-1, 2), 1, 7)
     assert format_congruence(p) == "-1*x + 2*y ≡ 1 (mod 7)"
+    assert format_congruence(parse("-x + 2y = 1 (mod 7)")) == "-1*x + 2*y ≡ 1 (mod 7)"
     p = ParsedCongruence(("q",), (0,), -4, -9)
     assert format_congruence(p) == "0*q ≡ -4 (mod -9)"
     p = ParsedCongruence(("x",), (1,), 0, 5)
@@ -447,17 +448,17 @@ def _written_congruences(draw):
 def test_a_record_read_from_text_formats_as_one_built_from_its_ints(written):
     # each reader keeps every literal's digits as written, and
     # format_congruence writes from them the bytes that str() writes for the
-    # ints: parse, its rule reader alone, and the CLI's --coeffs/--rhs/--mod
+    # ints: parse and its rule reader alone; the CLI's --coeffs/--rhs/--mod
+    # keep no digits, and their record is written by str()
     text, (coeffs, rhs, mod), values, digits = written
     n = len(values) - 2
     built = ParsedCongruence(tuple(f"v{i}" for i in range(n)), values[:-2], *values[-2:])
     flags = SimpleNamespace(expr=None, coeffs=coeffs, rhs=rhs, mod=mod)
     from_flags = lincong.cli._load_instance(flags)[1]
     built_flags = ParsedCongruence(from_flags.variables, values[:-2], *values[-2:])
-    flag_digits = tuple(d or "1" for d in digits[:-2]) + digits[-2:]
     for read, want, kept in ((parse(text), built, digits),
                              (lincong.parser._parse_by_rule(text), built, digits),
-                             (from_flags, built_flags, flag_digits)):
+                             (from_flags, built_flags, None)):
         assert read == want and read.digits == kept and want.digits is None
         assert format_congruence(read) == format_congruence(want)
 
